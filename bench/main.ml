@@ -7,7 +7,9 @@
       experiment of DESIGN.md (E1, E2, E3, Figures 4a-4c, and the
       affinity ablation).
 
-   Usage: main.exe [--quick]   (--quick cuts trial counts for CI)
+   Usage: main.exe [--quick] [--check] [--trace [FILE]] [--metrics]
+                   [--write-alloc-baseline PATH]
+   (--quick cuts trial counts for CI; --check applies bench/gates.ml)
 
    In addition to the human-readable report, the harness writes
    BENCH_results.json (kernel name -> ns/run, pool overhead, multicore
@@ -20,9 +22,6 @@ open Toolkit
 let flag_present f = Array.exists (fun a -> a = f) Sys.argv
 let quick = flag_present "--quick"
 
-(* [--check-alloc PATH]: after measuring, diff the per-kernel allocation
-   counters against the committed baseline and exit non-zero on >10%
-   growth.  [--write-alloc-baseline PATH]: regenerate that baseline. *)
 let arg_value flag =
   let rec find = function
     | f :: value :: _ when f = flag -> Some value
@@ -31,48 +30,26 @@ let arg_value flag =
   in
   find (Array.to_list Sys.argv)
 
-let check_alloc_path = arg_value "--check-alloc"
+(* [--write-alloc-baseline PATH]: regenerate the allocation baseline. *)
 let write_alloc_path = arg_value "--write-alloc-baseline"
 
-(* [--check-throughput PATH]: gate the discrete-event core's events/sec
-   against the committed BENCH_results.json (PATH usually names that
-   very file, so it is read eagerly here — before the run overwrites it
-   at the end). *)
-let check_throughput_path = arg_value "--check-throughput"
-
-(* [--check-overhead]: gate the observability tax measured by the
-   obs_overhead section — full instrumentation must cost <= 5% of the
-   big-MapReduce run, and the disabled path <= 1%.  Both are ratios of
-   timings taken in this very process, so machine speed cancels out. *)
-let check_overhead = flag_present "--check-overhead"
-
-(* [--check-serve-throughput]: gate the serve_throughput section — warm
-   (memo-hit) queries must answer at >= 10x the cold (solve) rate.  A
-   ratio of two rates measured in this very process, so machine speed
-   cancels out. *)
-let check_serve = flag_present "--check-serve-throughput"
-
-(* [--check-lint-time]: gate the lint_time section — the two-phase
-   pipeline (callgraph + escape + R-rules) must cost <= 2x the PR-5
-   per-file baseline on a cold cache, and a warm cache must replay
-   phase 1 at >= 5x the cold rate.  Both are ratios of timings taken in
-   this very process, so machine speed cancels out. *)
-let check_lint_time = flag_present "--check-lint-time"
-
-let throughput_baseline =
-  match check_throughput_path with
-  | None -> None
-  | Some path ->
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (match Obs.Json.of_string raw with
-      | Ok json -> Some (path, json)
-      | Error e -> failwith (Printf.sprintf "--check-throughput %s: %s" path e))
+(* [--check]: after the run, evaluate every row of the gate table
+   (bench/gates.ml) and exit 1 if any fails.  Both baselines are read
+   now: the committed BENCH_results.json before the run overwrites it. *)
+let check_baselines =
+  if flag_present "--check" then
+    let read path = In_channel.with_open_bin path In_channel.input_all in
+    let committed =
+      match Obs.Json.of_string (read "BENCH_results.json") with
+      | Ok json -> json
+      | Error e -> failwith ("--check BENCH_results.json: " ^ e)
+    in
+    Some (committed, Gates.alloc_baseline_of_string (read "bench/alloc_baseline.txt"))
+  else None
 
 (* [--trace [FILE]]: record Obs spans for the whole run and write a
    Chrome trace-event JSON.  [--metrics]: enable the metrics registry
-   and embed the merged snapshot in BENCH_results.json. *)
+   and histograms, and embed the merged snapshot in BENCH_results.json. *)
 let trace_path =
   if flag_present "--trace" then
     match arg_value "--trace" with
@@ -738,58 +715,6 @@ let report_serve_throughput () =
       ("cache_misses", Obs.Json.Int (Serve.Batch.misses batch));
     ]
 
-let check_serve_gate serve_json =
-  if not check_serve then true
-  else
-    let ratio =
-      match Obs.Json.member "warm_over_cold" serve_json with
-      | Some (Obs.Json.Float f) -> f
-      | Some (Obs.Json.Int i) -> float_of_int i
-      | _ -> nan
-    in
-    if ratio >= 10. then begin
-      Printf.printf "\nServe throughput check: OK (warm %.1fx cold >= 10x)\n%!" ratio;
-      true
-    end
-    else begin
-      Printf.printf "\nServe throughput check: FAILED\n%!";
-      Printf.printf "  REGRESSION warm/cold %.2fx < required 10x floor\n%!" ratio;
-      false
-    end
-
-(* Gate for [--check-overhead]: instrumentation <= 5% on the big run,
-   disabled path <= 1%.  Pure same-process ratios — no committed
-   baseline involved, so the gate is machine-independent. *)
-let check_overhead_gate obs_overhead =
-  if not check_overhead then true
-  else
-    let num k =
-      match Obs.Json.member k obs_overhead with
-      | Some (Obs.Json.Float f) -> f
-      | Some (Obs.Json.Int i) -> float_of_int i
-      | _ -> nan
-    in
-    let ratio = num "overhead_ratio" in
-    let frac = num "disabled_path_fraction" in
-    let failures = ref [] in
-    if not (ratio <= 1.05) then
-      failures :=
-        Printf.sprintf "enabled instrumentation costs %.2f%% > 5%% budget"
-          ((ratio -. 1.) *. 100.)
-        :: !failures;
-    if not (frac <= 0.01) then
-      failures :=
-        Printf.sprintf "disabled path costs %.3f%% > 1%% budget" (frac *. 100.)
-        :: !failures;
-    match List.rev !failures with
-    | [] ->
-        Printf.printf "\nObservability overhead check: OK\n%!";
-        true
-    | failures ->
-        Printf.printf "\nObservability overhead check: FAILED\n%!";
-        List.iter (fun f -> Printf.printf "  REGRESSION %s\n%!" f) failures;
-        false
-
 (* --- lint time: two-phase pipeline vs per-file baseline --------------- *)
 
 (* Three driver runs over the committed tree: the PR-5 per-file
@@ -861,100 +786,6 @@ let report_lint_time () =
           ("full_over_per_file", Obs.Json.Float full_over_per_file);
           ("cold_over_warm", Obs.Json.Float cold_over_warm);
         ]
-
-let check_lint_time_gate lint_json =
-  if not check_lint_time then true
-  else
-    let num k =
-      match Obs.Json.member k lint_json with
-      | Some (Obs.Json.Float f) -> f
-      | Some (Obs.Json.Int i) -> float_of_int i
-      | _ -> nan
-    in
-    let full = num "full_over_per_file" in
-    let speedup = num "cold_over_warm" in
-    let failures = ref [] in
-    if not (full <= 2.) then
-      failures :=
-        Printf.sprintf "two-phase pipeline costs %.2fx > 2x per-file baseline"
-          full
-        :: !failures;
-    if not (speedup >= 5.) then
-      failures :=
-        Printf.sprintf "warm cache only %.1fx faster than cold < 5x floor"
-          speedup
-        :: !failures;
-    match List.rev !failures with
-    | [] ->
-        Printf.printf
-          "\nLint time check: OK (two-phase %.2fx per-file, warm %.1fx cold)\n%!"
-          full speedup;
-        true
-    | failures ->
-        Printf.printf "\nLint time check: FAILED\n%!";
-        List.iter (fun f -> Printf.printf "  REGRESSION %s\n%!" f) failures;
-        false
-
-(* Hard gate on the DES core: (a) the heap must hold a >= 4x (10k) and
-   >= 6x (1M, the scale this core exists for) throughput lead over the
-   boxed queue measured in this very run — ratios of two timings from
-   the same process, so machine speed cancels out; and (b) the headline
-   events/sec — heap at 1M and the large MapReduce — must stay within
-   10% of the committed artifact.  (b) is a wall-clock rate, so unlike
-   the allocation gate it assumes runners comparable to the one that
-   produced the committed numbers; ISSUE 7 wants the headline gated
-   hard, so it is. *)
-let check_throughput fresh =
-  match throughput_baseline with
-  | None -> true
-  | Some (path, committed) ->
-      let failures = ref [] in
-      let rec get json = function
-        | [] -> Some json
-        | k :: rest -> (
-            match Obs.Json.member k json with
-            | Some v -> get v rest
-            | None -> None)
-      in
-      let num = function
-        | Some (Obs.Json.Float f) -> Some f
-        | Some (Obs.Json.Int i) -> Some (float_of_int i)
-        | _ -> None
-      in
-      List.iter
-        (fun (key, floor) ->
-          match num (get fresh [ key ]) with
-          | Some r when r >= floor -> ()
-          | Some r ->
-              failures :=
-                Printf.sprintf "%s %.2fx < required %.0fx floor" key r floor
-                :: !failures
-          | None -> failures := Printf.sprintf "%s missing from fresh run" key :: !failures)
-        [ ("heap_vs_queue_speedup_10k", 4.0); ("heap_vs_queue_speedup_1m", 6.0) ];
-      List.iter
-        (fun keys ->
-          let name = String.concat "." keys in
-          match (num (get fresh keys), num (get committed ("des_throughput" :: keys))) with
-          | Some f, Some c ->
-              if f < 0.9 *. c then
-                failures :=
-                  Printf.sprintf "%s: %.3e/s < 90%% of committed %.3e/s" name f c
-                  :: !failures
-          | _, None ->
-              failures :=
-                Printf.sprintf
-                  "%s missing from %s — regenerate the committed artifact" name path
-                :: !failures
-          | None, _ -> failures := Printf.sprintf "%s missing from fresh run" name :: !failures)
-        [ [ "heap_ops_per_sec_1m" ]; [ "mapreduce"; "events_per_sec" ] ];
-      (match List.rev !failures with
-      | [] ->
-          Printf.printf "\nThroughput check against %s: OK\n%!" path;
-          true
-      | failures ->
-          Printf.printf "\nThroughput check against %s: FAILED\n%!" path;
-          List.iter (fun f -> Printf.printf "  REGRESSION %s\n%!" f) failures;
-          false)
 
 (* --- Allocation accounting --------------------------------------------- *)
 
@@ -1038,90 +869,10 @@ let report_allocations () =
   in
   (measured, json)
 
-(* Kernels whose flat-buffer overhauls are locked in: their baseline
-   lines carry a `ratchet` marker, and the gate holds them to the
-   baseline itself (no 10% headroom) so the order-of-magnitude win
-   cannot silently erode. *)
-let ratcheted_kernels = [ "psrs_sort"; "histogram_splitters"; "multicore_sort" ]
-
-(* Baseline file: one `name minor_words major_words [ratchet]` line per
-   kernel. *)
 let write_alloc_baseline path measured =
-  let oc = open_out path in
-  output_string oc "# Allocation baseline: kernel minor_words major_words [ratchet]\n";
-  output_string oc "# Regenerate with: dune exec bench/main.exe -- --quick --write-alloc-baseline <path>\n";
-  output_string oc
-    "# `ratchet` pins the kernel to the baseline (no growth tolerance); see DESIGN.md s12.\n";
-  List.iter
-    (fun (name, minor, major) ->
-      let flag = if List.mem name ratcheted_kernels then " ratchet" else "" in
-      Printf.fprintf oc "%s %.0f %.0f%s\n" name minor major flag)
-    measured;
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Gates.alloc_baseline_to_string measured));
   Printf.printf "Wrote allocation baseline to %s\n%!" path
-
-let read_alloc_baseline path =
-  let ic = open_in path in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char ' ' line with
-         | [ name; minor; major ] ->
-             entries := (name, float_of_string minor, float_of_string major, false) :: !entries
-         | [ name; minor; major; "ratchet" ] ->
-             entries := (name, float_of_string minor, float_of_string major, true) :: !entries
-         | _ -> failwith (Printf.sprintf "malformed baseline line: %S" line)
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !entries
-
-(* Hard gate: fail on >10% allocation growth (plus a small absolute
-   slack so tiny counters don't flap).  Ratcheted kernels get no
-   headroom — any growth past a rounding-level slack fails, and a run
-   that comes in far below the baseline prints a reminder to tighten
-   it.  Timing is advisory only — shared runners and single-CPU hosts
-   make ns/run too noisy to gate on. *)
-let check_alloc_baseline path measured =
-  let failures = ref [] in
-  List.iter
-    (fun (name, base_minor, base_major, ratchet) ->
-      match List.find_opt (fun (n, _, _) -> n = name) measured with
-      | None -> failures := Printf.sprintf "%s: kernel missing from bench run" name :: !failures
-      | Some (_, minor, major) ->
-          let tolerance = if ratchet then 1.0 else 1.10 in
-          let slack = if ratchet then 512. else 4096. in
-          let label = if ratchet then "ratcheted baseline" else "baseline" in
-          let headroom = if ratchet then "+0%" else "+10%" in
-          let over v base = v > (base *. tolerance) +. slack in
-          if over minor base_minor then
-            failures :=
-              Printf.sprintf "%s: minor words %.0f > %.0f (%s %.0f %s)" name minor
-                ((base_minor *. tolerance) +. slack)
-                label base_minor headroom
-              :: !failures;
-          if over major base_major then
-            failures :=
-              Printf.sprintf "%s: major words %.0f > %.0f (%s %.0f %s)" name major
-                ((base_major *. tolerance) +. slack)
-                label base_major headroom
-              :: !failures;
-          if ratchet && minor < 0.5 *. base_minor then
-            Printf.printf
-              "  NOTE %s: minor words %.0f are far below the ratcheted baseline %.0f — \
-               regenerate the baseline to lock in the win\n%!"
-              name minor base_minor)
-    (read_alloc_baseline path);
-  match List.rev !failures with
-  | [] ->
-      Printf.printf "\nAllocation check against %s: OK\n%!" path;
-      true
-  | failures ->
-      Printf.printf "\nAllocation check against %s: FAILED\n%!" path;
-      List.iter (fun f -> Printf.printf "  REGRESSION %s\n%!" f) failures;
-      false
 
 let run_micro_benchmarks () =
   Experiments.Report.section "Bechamel micro-benchmarks";
@@ -1246,7 +997,10 @@ let () =
   Printf.printf "nldl bench harness (version %s)%s\n%!" Core.version
     (if quick then " [quick mode]" else "");
   if trace_path <> None then Obs.Trace.set_enabled true;
-  if metrics_on then Obs.Metrics.set_enabled true;
+  if metrics_on then begin
+    Obs.Metrics.set_enabled true;
+    Obs.Hist.set_enabled true
+  end;
   let kernels = run_micro_benchmarks () in
   let multicore = report_multicore () in
   let sort_throughput = report_sort_throughput () in
@@ -1304,15 +1058,9 @@ let () =
       if dropped > 0 then
         Printf.printf "Trace ring buffers dropped %d events (oldest overwritten)\n%!" dropped;
       Printf.printf "Wrote trace to %s\n%!" path);
-  let alloc_ok =
-    match check_alloc_path with
-    | Some path -> check_alloc_baseline path alloc_measured
-    | None -> true
-  in
-  let throughput_ok = check_throughput des_throughput in
-  let serve_ok = check_serve_gate serve_throughput in
-  let overhead_ok = check_overhead_gate obs_overhead in
-  let lint_ok = check_lint_time_gate lint_time in
   Printf.printf "\nDone.\n%!";
-  if not (alloc_ok && throughput_ok && serve_ok && overhead_ok && lint_ok) then
-    exit 1
+  match check_baselines with
+  | None -> ()
+  | Some (committed, alloc_baseline) ->
+      let rows = Gates.table @ Gates.alloc_rows alloc_baseline in
+      if not (Gates.report (Gates.evaluate ~fresh:json ~committed rows)) then exit 1

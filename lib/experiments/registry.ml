@@ -1,18 +1,12 @@
 open Cmdliner
 
-type output = {
-  header : string list;
-  rows : string list list;
-  json : Obs.Json.t;
-}
+type output = { header : string list; rows : string list list }
 
 type entry = {
   name : string;
   synopsis : string;
   term : (unit -> output option * int) Term.t;
 }
-
-let output ~header ~rows ~json = { header; rows; json }
 
 (* Generic JSON view of a string table: numeric-looking cells become
    numbers so downstream tools see typed values. *)
@@ -30,7 +24,7 @@ let json_of_table header rows =
        (fun row -> Obs.Json.Obj (List.map2 (fun k v -> (k, json_cell v)) header row))
        rows)
 
-let table ~header ~rows = { header; rows; json = json_of_table header rows }
+let table ~header ~rows = { header; rows }
 
 let entry ~name ~synopsis term =
   { name; synopsis; term = Term.(const (fun f () -> (f (), 0)) $ term) }
@@ -76,11 +70,19 @@ let domains =
 
 (* --- per-command plumbing: logging, observability, table dumps --- *)
 
+(* The format reporter writes to one formatter shared by every domain;
+   experiments log from pool workers, so reports are serialized or
+   concurrent writers corrupt the formatter's queue. *)
+let log_mutex = Mutex.create ()
+
 let setup_logs verbosity =
   let level =
     match verbosity with 0 -> Some Logs.Warning | 1 -> Some Logs.Info | _ -> Some Logs.Debug
   in
   Logs.set_level level;
+  Logs.set_reporter_mutex
+    ~lock:(fun () -> Mutex.lock log_mutex)
+    ~unlock:(fun () -> Mutex.unlock log_mutex);
   Logs.set_reporter (Logs.format_reporter ())
 
 let verbosity =
@@ -162,7 +164,8 @@ let dump name out csv json =
       let response =
         {
           Api.Response.body =
-            Api.Response.Table { experiment = name; header = o.header; rows = o.json };
+            Api.Response.Table
+              { experiment = name; header = o.header; rows = json_of_table o.header o.rows };
           provenance = { Api.Response.solver = "nldl.registry"; cache = Api.Response.Uncached };
         }
       in

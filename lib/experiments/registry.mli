@@ -25,7 +25,6 @@
 type output = {
   header : string list;
   rows : string list list;  (** same width as [header] *)
-  json : Obs.Json.t;
 }
 
 type entry = {
@@ -41,13 +40,6 @@ val table : header:string list -> rows:string list list -> output
     {!to_cmd}'s [--json] wraps it in the canonical [Api.Response]
     envelope.  Lint rule H308 forbids hand-rolling [Obs.Json]
     structures in [lib/experiments] for exactly this reason. *)
-
-val output : header:string list -> rows:string list list -> json:Obs.Json.t -> output
-[@@ocaml.deprecated
-  "free-form json output is a compatibility shim for one release; use Registry.table \
-   so the Api.Response envelope owns the schema"]
-(** @deprecated Build the JSON view by hand.  Kept one release so
-    out-of-tree entries keep compiling; new code uses {!table}. *)
 
 val entry : name:string -> synopsis:string -> (unit -> output option) Cmdliner.Term.t -> entry
 (** Ordinary experiment: always exits 0. *)

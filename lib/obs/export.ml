@@ -179,28 +179,6 @@ let write_trace ?max_events path = Json.write_file path (trace_json ?max_events 
 
 let quantile_points = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
 
-let fixed_hist_json (h : Metrics.hist_snapshot) =
-  let quantiles =
-    if h.total = 0 then []
-    else
-      [
-        ( "quantiles",
-          Json.Obj
-            (List.map
-               (fun (k, q) -> (k, Json.Float (Metrics.hist_quantile h q)))
-               quantile_points) );
-      ]
-  in
-  Json.Obj
-    ([
-       ( "bounds",
-         Json.List (Array.to_list (Array.map (fun b -> Json.Float b) h.bounds)) );
-       ( "buckets",
-         Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.buckets)) );
-       ("total", Json.Int h.total);
-     ]
-    @ quantiles)
-
 let log2_hist_json (s : Hist.summary) =
   let nonzero = ref [] in
   Array.iteri
@@ -245,11 +223,6 @@ let metrics_json () =
       ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.Metrics.counters));
       ( "gauges",
         Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) s.Metrics.gauges) );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (n, h) -> (n, fixed_hist_json h))
-             s.Metrics.histograms) );
       ( "hists",
         Json.Obj
           (List.map

@@ -1,8 +1,9 @@
-(* Log2-bucketed (HDR-style) histograms for million-event scale.
+(* Log2-bucketed (HDR-style) histograms for million-event scale: the
+   one histogram type of [Obs].
 
-   [Metrics.histogram]'s fixed bounds work for a handful of known
-   ranges but cannot resolve the heavy-tailed latencies a fault-injected
-   million-task simulation produces.  [Hist] buckets by bit length with
+   Fixed bucket bounds work for a handful of known ranges but cannot
+   resolve the heavy-tailed latencies a fault-injected million-task
+   simulation produces.  [Hist] buckets by bit length with
    [sub_count] linear sub-buckets per octave: values below [sub_count]
    are counted exactly, larger values land in a bucket whose width is
    at most [1/sub_count] of its lower bound, so any quantile estimate

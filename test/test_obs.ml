@@ -136,22 +136,14 @@ let test_metrics_disabled_noop () =
   checkb "stays zero while disabled" true
     (Metrics.counter_value snap "obs_test.noop" = Some 0)
 
-let test_metrics_counter_and_histogram () =
+let test_metrics_counter_sums () =
   let c = Metrics.counter "obs_test.events" in
-  let h = Metrics.histogram "obs_test.latency" ~bounds:[| 10.; 100.; 1000. |] in
   with_metrics (fun () ->
-      for i = 1 to 100 do
-        Metrics.incr_counter c;
-        Metrics.observe_int h i
+      for _ = 1 to 100 do
+        Metrics.incr_counter c
       done);
   let snap = Metrics.snapshot () in
-  checkb "counter sums" true (Metrics.counter_value snap "obs_test.events" = Some 100);
-  match List.assoc_opt "obs_test.latency" snap.Metrics.histograms with
-  | None -> Alcotest.fail "histogram missing from snapshot"
-  | Some hs ->
-      checki "total observations" 100 hs.Metrics.total;
-      (* 1..9 | 10..99 | 100 | - *)
-      checkb "bucketed correctly" true (hs.Metrics.buckets = [| 9; 90; 1; 0 |])
+  checkb "counter sums" true (Metrics.counter_value snap "obs_test.events" = Some 100)
 
 let test_metrics_registration_idempotent () =
   let a = Metrics.counter "obs_test.same" in
@@ -199,13 +191,14 @@ let minor_words_of f =
 let test_disabled_zero_allocation () =
   Trace.set_enabled false;
   Metrics.set_enabled false;
+  Hist.set_enabled false;
   let c = Metrics.counter "obs_test.alloc" in
-  let h = Metrics.histogram "obs_test.alloc_h" ~bounds:[| 1.; 2. |] in
+  let h = Hist.create "obs_test.alloc_h" in
   (* Warm-up: DLS shards, ring buffers and any lazy setup. *)
   Trace.begin_span "warm";
   Trace.end_span "warm";
   Metrics.incr_counter c;
-  Metrics.observe_int h 1;
+  Hist.record h 1;
   let words =
     minor_words_of (fun () ->
         for i = 1 to 10_000 do
@@ -214,7 +207,7 @@ let test_disabled_zero_allocation () =
           Trace.end_span "hot";
           Metrics.incr_counter c;
           Metrics.add c 2;
-          Metrics.observe_int h i
+          Hist.record h i
         done)
   in
   checkb
@@ -546,6 +539,25 @@ let test_export_metrics_hists_and_trace_sections () =
   Trace.clear ();
   Hist.reset ()
 
+let test_pool_submit_latency_in_hists () =
+  (* Exec.Pool records each submission's latency into Obs.Hist, so it
+     surfaces under "hists" in every --metrics snapshot. *)
+  let pool = Exec.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Exec.Pool.teardown pool)
+    (fun () ->
+      with_hists (fun () ->
+          for _ = 1 to 5 do
+            Exec.Pool.parallel_for pool 4 (fun _ -> ())
+          done;
+          let doc = parse_exn (Json.to_string (Export.metrics_json ())) in
+          match Option.bind (Json.member "hists" doc) (Json.member "pool.submit_latency_ns") with
+          | Some hj ->
+              checkb "five submissions recorded" true
+                (Json.member "count" hj = Some (Json.Int 5))
+          | None -> Alcotest.fail "pool.submit_latency_ns missing from hists"));
+  Hist.reset ()
+
 (* --- DES / MapReduce instrumentation ------------------------------------ *)
 
 let test_scheduler_instrumentation_counts () =
@@ -660,8 +672,7 @@ let suites =
     ( "obs metrics",
       [
         Alcotest.test_case "disabled no-op" `Quick test_metrics_disabled_noop;
-        Alcotest.test_case "counter and histogram" `Quick
-          test_metrics_counter_and_histogram;
+        Alcotest.test_case "counter sums" `Quick test_metrics_counter_sums;
         Alcotest.test_case "registration idempotent" `Quick
           test_metrics_registration_idempotent;
         Alcotest.test_case "sharded merge = sequential" `Quick
@@ -701,6 +712,8 @@ let suites =
           test_export_budget_and_stats;
         Alcotest.test_case "hists and trace sections" `Quick
           test_export_metrics_hists_and_trace_sections;
+        Alcotest.test_case "pool submit latency in hists" `Quick
+          test_pool_submit_latency_in_hists;
       ] );
     ( "obs instrumentation",
       [
