@@ -34,15 +34,12 @@ let table =
        speed cancels out: the memoized serve path against the solve
        path, the observability stack on against off (DESIGN.md s14),
        the two-phase lint against the per-file pass and a warm digest
-       cache against a cold one, the flat event heap against the boxed
-       queue. *)
+       cache against a cold one. *)
     row "serve_throughput" [ "warm_over_cold" ] At_least 10.;
     row "obs_overhead" [ "overhead_ratio" ] At_most 1.05;
     row "obs_overhead" [ "disabled_path_fraction" ] At_most 0.01;
     row "lint_time" [ "full_over_per_file" ] At_most 2.;
     row "lint_time" [ "cold_over_warm" ] At_least 5.;
-    row "des_throughput" [ "heap_vs_queue_speedup_10k" ] At_least 4.;
-    row "des_throughput" [ "heap_vs_queue_speedup_1m" ] At_least 6.;
     (* Wall-clock rates against the committed artifact: these assume a
        runner comparable to the one that produced it. *)
     row ~baseline:Committed "des_throughput" [ "heap_ops_per_sec_1m" ] At_least 0.9;
@@ -55,7 +52,7 @@ let table =
    may grow 10%.  Allocation counts are gated rather than ns/run because
    they are pinned by fixed inputs and domain counts, so they compare
    across machines; timings on shared runners are too noisy. *)
-let ratcheted = [ "psrs_sort"; "histogram_splitters"; "multicore_sort" ]
+let ratcheted = [ "psrs_sort"; "histogram_splitters"; "multicore_sort"; "event_heap_push_pop" ]
 
 let alloc_rows baseline =
   List.concat_map

@@ -110,17 +110,6 @@ let test_distributed_matmul =
   Test.make ~name:"distributed matmul (n=96, p=8)"
     (Staged.stage (fun () -> ignore (Core.Matmul.distributed ~zones a b)))
 
-let test_event_queue =
-  Test.make ~name:"event queue push+pop (10k)"
-    (Staged.stage (fun () ->
-         let q = Des.Event_queue.create () in
-         for i = 0 to 9_999 do
-           Des.Event_queue.push q ~priority:(float_of_int ((i * 7919) mod 10_000)) i
-         done;
-         while not (Des.Event_queue.is_empty q) do
-           ignore (Des.Event_queue.pop q)
-         done))
-
 let test_event_heap =
   (* [exercise] drives push+pop from inside the module, so the number
      does not depend on cross-module inlining (dev profiles pass
@@ -393,45 +382,29 @@ let report_fig4_scaling () =
 
 (* --- Discrete-event core throughput ------------------------------------ *)
 
-(* Sustained seconds per [n]-push-[n]-pop cycle: median of [samples]
-   timed blocks, GC work left inside the timed region.  Bechamel-style
-   stabilized sampling would let the allocating queue dodge its
-   collections, a mean would let one descheduling hiccup sink the gated
-   rate; the median of sustained blocks avoids both.  One untimed
-   warm-up call grows the buffers first. *)
-let sustained ~samples ~rounds f =
-  f ();
+(* Sustained seconds per [n]-push-[n]-pop cycle of a pre-sized heap:
+   median of timed blocks, GC work left inside the timed region.
+   Bechamel-style stabilized sampling would let collections fall
+   outside the timing, a mean would let one descheduling hiccup sink
+   the gated rate; the median of sustained blocks avoids both.  One
+   untimed warm-up cycle comes first. *)
+let time_heap_push_pop n =
+  let h = Des.Event_heap.create ~initial_capacity:n () in
+  let cycle () = Des.Event_heap.exercise h ~rounds:1 ~batch:n in
+  let samples = if n >= 1_000_000 then 3 else 5 and rounds = max 1 (400_000 / n) in
+  cycle ();
   let times =
     Array.init samples (fun _ ->
         let (), s =
           elapsed_s (fun () ->
               for _ = 1 to rounds do
-                f ()
+                cycle ()
               done)
         in
         s /. float_of_int rounds)
   in
   Array.sort Float.compare times;
   times.(samples / 2)
-
-let rounds_for n = max 1 (400_000 / n)
-
-let time_heap_push_pop n =
-  let h = Des.Event_heap.create ~initial_capacity:n () in
-  sustained ~samples:(if n >= 1_000_000 then 3 else 5) ~rounds:(rounds_for n)
-    (fun () -> Des.Event_heap.exercise h ~rounds:1 ~batch:n)
-
-let time_queue_push_pop n =
-  let run () =
-    let q = Des.Event_queue.create () in
-    for i = 0 to n - 1 do
-      Des.Event_queue.push q ~priority:(float_of_int ((i * 7919) land 0xFFFFF)) i
-    done;
-    while not (Des.Event_queue.is_empty q) do
-      ignore (Des.Event_queue.pop q)
-    done
-  in
-  sustained ~samples:3 ~rounds:(rounds_for n) run
 
 (* The fault-injected big-MapReduce workload shared by the
    [des_throughput] and [obs_overhead] sections: 10^5 uniform workers,
@@ -456,22 +429,14 @@ let big_mr_run () =
 
 let report_des_throughput ~best_mr_seconds () =
   Experiments.Report.section "Discrete-event core throughput (events/sec)";
-  (* Heap vs boxed queue, like for like, at both scales.  The 10k point
-     is the historical micro-benchmark; the 1M point is what this PR is
-     for — the boxed queue collapses there (deep boxed comparisons plus
-     a multi-megabyte live set the minor GC walks), which is exactly the
-     gap the flat heap closes. *)
+  (* Raw heap push+pop rate at the historical 10k micro-benchmark size
+     and at 1M, where a multi-megabyte live set has to stay out of the
+     minor GC's way. *)
   let rate_of n s = float_of_int (2 * n) /. s in
   let heap_s_10k = time_heap_push_pop 10_000 in
-  let queue_s_10k = time_queue_push_pop 10_000 in
   let heap_s_1m = time_heap_push_pop 1_000_000 in
-  let queue_s_1m = time_queue_push_pop 1_000_000 in
   let heap_rate_10k = rate_of 10_000 heap_s_10k in
-  let queue_rate_10k = rate_of 10_000 queue_s_10k in
   let heap_rate_1m = rate_of 1_000_000 heap_s_1m in
-  let queue_rate_1m = rate_of 1_000_000 queue_s_1m in
-  let speedup_10k = heap_rate_10k /. queue_rate_10k in
-  let speedup_1m = heap_rate_1m /. queue_rate_1m in
   let table =
     Numerics.Ascii_table.create ~headers:[ "workload"; "events/sec"; "seconds" ]
   in
@@ -482,9 +447,7 @@ let report_des_throughput ~best_mr_seconds () =
         [ name; Printf.sprintf "%.3e" r; Printf.sprintf "%.4f" s ])
     [
       ("heap push+pop (10000)", heap_rate_10k, heap_s_10k);
-      ("queue push+pop (10000)", queue_rate_10k, queue_s_10k);
       ("heap push+pop (1000000)", heap_rate_1m, heap_s_1m);
-      ("queue push+pop (1000000)", queue_rate_1m, queue_s_1m);
     ];
   (* Fault-injected MapReduce at paper-sweep scale: the end-to-end
      events/sec of the rewritten scheduler, [events_processed] over wall
@@ -501,7 +464,7 @@ let report_des_throughput ~best_mr_seconds () =
   let run_mr = big_mr_run () in
   (* The run is deterministic, so timing the same simulation twice and
      keeping the faster pass is pure noise control; the [full_major]
-     keeps garbage from the queue loop above (and from the first pass)
+     keeps garbage from the heap timings above (and from the first pass)
      out of the timed region.  [best_mr_seconds] folds in the best of
      the obs_overhead section's passes over the identical workload, so
      the gated headline is a min over ~8 timings spread across the
@@ -522,19 +485,14 @@ let report_des_throughput ~best_mr_seconds () =
     ];
   Numerics.Ascii_table.print table;
   Printf.printf
-    "Heap vs queue: %.1fx at 10k, %.1fx at 1M; large MapReduce: %d events, makespan \
-     %.2f, %d retries, %d crashes, %d unfinished\n%!"
-    speedup_10k speedup_1m events outcome.Core.Mr_scheduler.makespan
+    "Large MapReduce: %d events, makespan %.2f, %d retries, %d crashes, %d unfinished\n%!"
+    events outcome.Core.Mr_scheduler.makespan
     outcome.Core.Mr_scheduler.retries outcome.Core.Mr_scheduler.crashes_survived
     (List.length outcome.Core.Mr_scheduler.unfinished);
   Obs.Json.Obj
     [
       ("heap_ops_per_sec_10k", Obs.Json.Float heap_rate_10k);
       ("heap_ops_per_sec_1m", Obs.Json.Float heap_rate_1m);
-      ("queue_ops_per_sec_10k", Obs.Json.Float queue_rate_10k);
-      ("queue_ops_per_sec_1m", Obs.Json.Float queue_rate_1m);
-      ("heap_vs_queue_speedup_10k", Obs.Json.Float speedup_10k);
-      ("heap_vs_queue_speedup_1m", Obs.Json.Float speedup_1m);
       ( "mapreduce",
         Obs.Json.Obj
           [
@@ -814,6 +772,7 @@ let alloc_kernels () =
   let va = Array.init n_vec (fun _ -> Core.Rng.float mat_rng) in
   let vb = Array.init n_vec (fun _ -> Core.Rng.float mat_rng) in
   let vzones = Core.Zone.for_platform star ~n:n_vec in
+  let heap = Des.Event_heap.create ~initial_capacity:10_000 () in
   [
     ( "scatter_partition_floats",
       fun () -> ignore (Core.Scatter.partition_floats keys ~splitters) );
@@ -831,6 +790,7 @@ let alloc_kernels () =
     ( "outer_product_distributed",
       fun () -> ignore (Core.Outer_product.distributed ~zones:vzones va vb) );
     ("parallel_matmul", fun () -> ignore (Core.Parallel_matmul.multiply ~domains:2 a b));
+    ("event_heap_push_pop", fun () -> Des.Event_heap.exercise heap ~rounds:1 ~batch:10_000);
   ]
 
 let report_allocations () =
@@ -878,7 +838,6 @@ let run_micro_benchmarks () =
   Experiments.Report.section "Bechamel micro-benchmarks";
   let tests =
     [
-      test_event_queue;
       test_event_heap;
       test_peri_sum;
       test_peri_max;

@@ -56,7 +56,7 @@ let profile_entry =
   in
   let trace_events =
     Arg.(
-      value & opt int 10_000
+      value & opt Experiments.Registry.positive_int 10_000
       & info [ "trace-events" ] ~docv:"N"
           ~doc:
             "Event budget for the embedded trace (deterministic 1-in-k sampling \

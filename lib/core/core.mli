@@ -25,7 +25,6 @@ module Platform_metrics = Platform.Metrics
 module Topology = Platform.Topology
 
 (* Discrete-event substrate. *)
-module Event_queue = Des.Event_queue
 module Engine = Des.Engine
 module Trace = Des.Trace
 module Process = Des.Process

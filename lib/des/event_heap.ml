@@ -1,13 +1,14 @@
 (* Implicit binary min-heap in structure-of-arrays layout: the DES hot
    path.
 
-   [Event_queue] pays a 4-word boxed [entry] record per push plus an
-   [Some (priority, payload)] pair per pop — ~393 ns and ~10 minor words
-   per push+pop at 10k events, which caps every consumer (the MapReduce
-   scheduler, the engine, the demand-driven partitioners) far below the
-   10^5-worker x 10^6-task scale the paper sweeps need.  This module
-   keeps the same (priority, FIFO-by-seq) ordering contract with zero
-   per-operation allocation:
+   A boxed heap of records pays a 4-word [entry] record per push plus
+   an [Some (priority, payload)] pair per pop: ~393 ns and ~10 minor
+   words per push+pop at 10k events, which would cap every consumer
+   (the MapReduce scheduler, the engine, the demand-driven
+   partitioners) far below the 10^5-worker x 10^6-task scale the paper
+   sweeps need.  That boxed heap, [Event_queue], is now the ordering
+   oracle in test/.  This module keeps the same (priority, FIFO-by-seq)
+   ordering contract with zero per-operation allocation:
 
    - priorities live in a flat [float array]: OCaml stores those
      unboxed, and [Array.unsafe_get] on a statically-known float array

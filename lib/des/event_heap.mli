@@ -1,13 +1,16 @@
-(** Unboxed discrete-event heap — the million-event replacement for
-    {!Event_queue}'s hot path.
+(** Unboxed discrete-event heap, the priority queue of every DES
+    consumer.
+
+    Ordering contract: [pop] returns the minimum-priority payload, and
+    payloads of equal priority come out in the order they were pushed
+    (FIFO), so simulations with simultaneous events are deterministic.
 
     An implicit binary min-heap in structure-of-arrays layout:
     priorities in a flat [float array] (unboxed, single-load access),
     insertion seq numbers and int-encoded payloads in flat
-    [int array]s.  Same ordering contract as [Event_queue] —
-    minimum priority first, FIFO among equal priorities — with zero
-    per-operation allocation once capacity is reached (growth doubles
-    all buffers, amortized O(1) words per push).
+    [int array]s, with zero per-operation allocation once capacity is
+    reached (growth doubles all buffers, amortized O(1) words per
+    push).
 
     Payloads are ints: consumers either encode the whole event in the
     integer (tag in low bits, index in high bits — [Mapreduce.Scheduler])

@@ -79,8 +79,8 @@ let to_chrome ?max_events t =
   in
   let k =
     match max_events with
-    | Some budget when n_intervals > budget -> (n_intervals + budget - 1) / max 1 budget
-    | _ -> 1
+    | Some budget -> Obs.Sample.stride ~budget n_intervals
+    | None -> 1
   in
   let take = Obs.Sample.every k in
   let body =

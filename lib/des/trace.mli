@@ -35,7 +35,8 @@ val to_chrome : ?max_events:int -> t -> Obs.Json.t
     deterministic 1-in-k systematic sample is emitted instead
     (byte-identical across runs for identical traces).  Every export
     starts with a "trace_stats" metadata event carrying explicit
-    recorded / sampled_out / emitted counts. *)
+    recorded / sampled_out / emitted counts.  Raises [Invalid_argument]
+    when [max_events < 1]. *)
 
 val write_chrome : ?max_events:int -> t -> string -> unit
 (** [write_chrome t path] writes {!to_chrome} to [path]. *)

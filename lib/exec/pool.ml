@@ -338,8 +338,8 @@ let parallel_reduce ?workers ?chunk pool ~init ~map ~combine n =
 (* --- retrying submissions ---------------------------------------------- *)
 
 (* The retry policy is the shared failure vocabulary of the execution
-   and simulation paths: [Fault.Retry.t] is an alias of this record, so
-   the simulated scheduler's task re-execution and the pool's real
+   and simulation paths: [Mapreduce.Scheduler.config] holds this record,
+   so the simulated scheduler's task re-execution and the pool's real
    submissions are configured with the same type.  Delays are in
    seconds here and in simulated time units there. *)
 

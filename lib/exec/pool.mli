@@ -72,8 +72,8 @@ val parallel_reduce :
 (** {2 Retrying submissions}
 
     The retry record is the shared failure vocabulary of the real and
-    simulated execution paths: [Fault.Retry.t] aliases it, so
-    [Mapreduce.Scheduler]'s task re-execution and [Pool.submit] are
+    simulated execution paths: [Mapreduce.Scheduler.config] holds it,
+    so the scheduler's task re-execution and [Pool.submit] are
     configured with the same type.  Delays are seconds here, simulated
     time units there. *)
 

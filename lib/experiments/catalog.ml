@@ -217,7 +217,7 @@ let mrsim =
   in
   let timeline_events =
     Arg.(
-      value & opt int 20_000
+      value & opt Registry.positive_int 20_000
       & info [ "timeline-events" ] ~docv:"N"
           ~doc:"Interval budget for --timeline (deterministic 1-in-k downsampling).")
   in

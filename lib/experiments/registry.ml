@@ -42,6 +42,14 @@ let profile_conv =
   let print ppf p = Format.pp_print_string ppf (Platform.Profiles.name p) in
   Arg.conv (parse, print)
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let profile =
   Arg.(
     value

@@ -51,6 +51,9 @@ val gated : name:string -> synopsis:string -> (unit -> output option * int) Cmdl
 
 (** {1 Shared argument terms} *)
 
+val positive_int : int Cmdliner.Arg.conv
+(** An integer >= 1; anything else is a usage error. *)
+
 val profile : Platform.Profiles.t Cmdliner.Term.t
 (** [--profile PROFILE]: homogeneous, uniform, lognormal or bimodal;
     defaults to the paper's uniform profile. *)

@@ -356,25 +356,6 @@ let h305 =
         });
   }
 
-let h306 =
-  {
-    id = "H306";
-    group = "H";
-    synopsis = "no new Des.Event_queue usage in lib/ (frozen; use Des.Event_heap)";
-    extend =
-      on_expr (fun scope e ->
-          if scope.in_lib && scope.file <> "lib/des/event_queue.ml" then
-            match ident_path e with
-            | "Event_queue" :: _ :: _ | "Des" :: "Event_queue" :: _ | "Core" :: "Event_queue" :: _ ->
-                report scope ~id:"H306" ~loc:e.pexp_loc
-                  (Printf.sprintf
-                     "%s: the boxed event queue is frozen (kept only as the \
-                      Event_heap test oracle); new DES code uses Des.Event_heap — \
-                      flat buffers, zero per-op allocation (see DESIGN.md s13)"
-                     (String.concat "." (ident_path e)))
-            | _ -> ());
-  }
-
 (* H307 guards the Obs funnel: the instrumented hot paths (lib/des,
    lib/mapreduce, lib/exec) report timing and distributions through
    Obs.Hist/Obs.Metrics, so they must not grow private clock externals
@@ -494,7 +475,7 @@ let h308 =
         });
   }
 
-let all = [ d001; d002; u101; s201; h301; h302; h303; h305; h306; h307; h308 ]
+let all = [ d001; d002; u101; s201; h301; h302; h303; h305; h307; h308 ]
 
 let catalog =
   List.map (fun r -> (r.id, r.synopsis)) all

@@ -11,7 +11,7 @@ type speculation = Off | At_idle | Late of { threshold : float }
 type config = {
   policy : policy;
   speculation : speculation;
-  retry : Fault.Retry.t;
+  retry : Exec.Pool.retry;
   fetch_timeout : float;
 }
 
@@ -19,7 +19,7 @@ let default_config =
   {
     policy = Fifo;
     speculation = Off;
-    retry = { Fault.Retry.default with base_delay = 0.5; max_delay = 8. };
+    retry = { Exec.Pool.default_retry with base_delay = 0.5; max_delay = 8. };
     fetch_timeout = 0.5;
   }
 
@@ -319,7 +319,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     then begin
       retry_pending.(i) <- true;
       incr retries;
-      let delay = Fault.Retry.delay retry ~attempt:(min attempts.(i) 30) in
+      let delay = Exec.Pool.backoff_delay retry ~attempt:(min attempts.(i) 30) in
       if obs_on then rec_s sh_retry_delay delay;
       Fault.Clock.record clock
         (Task_retry { task = i; attempt = attempts.(i); time = now +. delay });
@@ -376,7 +376,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
               deciding := false
             end
             else begin
-              ft.(0) <- detected +. Fault.Retry.delay retry ~attempt:!k;
+              ft.(0) <- detected +. Exec.Pool.backoff_delay retry ~attempt:!k;
               incr k
             end
           end

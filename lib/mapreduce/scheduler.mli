@@ -47,7 +47,7 @@ type speculation =
 type config = {
   policy : policy;
   speculation : speculation;
-  retry : Fault.Retry.t;
+  retry : Exec.Pool.retry;
       (** backoff for task re-execution and fetch retries (delays in
           simulated time units; [deadline] is ignored here) *)
   fetch_timeout : float;

@@ -125,14 +125,13 @@ let trace_json ?max_events () =
   in
   let body, sampled_out, extra_stats =
     match max_events with
-    | Some budget when n_evs > budget ->
+    | Some budget when Sample.stride ~budget n_evs > 1 ->
         (* Over budget: collapse B/E pairs into "X" complete events
            (each independent, so systematic sampling cannot break
            nesting) and 1-in-k sample spans and instants alike. *)
         let spans, instants, unpaired = pair_spans evs in
         let candidates = List.length spans + List.length instants in
-        let k = (candidates + budget - 1) / max 1 budget in
-        let k = max 1 k in
+        let k = Sample.stride ~budget candidates in
         let take = Sample.every k in
         let body =
           List.filter_map

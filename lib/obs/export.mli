@@ -44,7 +44,7 @@ val trace_json : ?max_events:int -> unit -> Json.t
     deterministically 1-in-k sampled to fit the budget; the stats event
     then also reports [sample_every] and the count of [unpaired] B/E
     orphans (ends whose begins were lost to ring wrap, or still-open
-    spans). *)
+    spans).  Raises [Invalid_argument] when [max_events < 1]. *)
 
 val write_trace : ?max_events:int -> string -> unit
 

@@ -33,6 +33,10 @@ let[@inline] keep e =
 let seen e = e.seen
 let kept e = e.kept
 
+let stride ~budget n =
+  if budget < 1 then invalid_arg "Sample.stride: budget must be >= 1";
+  if n <= budget then 1 else (n + budget - 1) / budget
+
 (* --- splitmix64 --------------------------------------------------------- *)
 
 (* Same generator family as Numerics.Rng's seeding stage, duplicated

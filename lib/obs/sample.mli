@@ -18,6 +18,11 @@ val keep : every -> bool
 val seen : every -> int
 val kept : every -> int
 
+val stride : budget:int -> int -> int
+(** [stride ~budget n] is the smallest [k] for which [every k] keeps at
+    most [budget] of [n] elements: 1 when [n <= budget], otherwise
+    [ceil (n / budget)].  Raises [Invalid_argument] when [budget < 1]. *)
+
 type 'a reservoir
 (** Uniform fixed-capacity reservoir (algorithm R) over a stream of
     unknown length, driven by a private splitmix64 state. *)

@@ -104,10 +104,7 @@ let k_way_strided mg ~src ~bounds ~runs ~stride ~off ~dst ~dst_lo =
   !out - dst_lo
 
 (* List-of-runs convenience entry point: pack the runs into one flat
-   buffer and reuse the strided zero-alloc merger above.  (This used to
-   carry its own [Des.Event_queue] heap — the last boxed merge path;
-   equal keys are equal floats, so the output is byte-identical
-   whichever run a tie is drawn from.) *)
+   buffer and reuse the strided zero-alloc merger above. *)
 let k_way runs =
   List.iter (fun run -> assert (is_sorted run)) runs;
   let runs = Array.of_list (List.filter (fun r -> Array.length r > 0) runs) in

@@ -2,7 +2,12 @@
 
     Ties are broken by insertion order (FIFO), which makes
     discrete-event simulations deterministic when several events share a
-    timestamp. *)
+    timestamp.
+
+    Frozen test oracle: [Test_des] checks [Des.Event_heap]'s pop order
+    against it, and [Scheduler_oracle] (the pre-rewrite MapReduce
+    scheduler) runs on it.  Boxed and simple on purpose; do not
+    optimise. *)
 
 type 'a t
 

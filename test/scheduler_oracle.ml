@@ -19,7 +19,7 @@ type speculation = Off | At_idle | Late of { threshold : float }
 type config = {
   policy : policy;
   speculation : speculation;
-  retry : Fault.Retry.t;
+  retry : Exec.Pool.retry;
   fetch_timeout : float;
 }
 
@@ -27,7 +27,7 @@ let default_config =
   {
     policy = Fifo;
     speculation = Off;
-    retry = { Fault.Retry.default with base_delay = 0.5; max_delay = 8. };
+    retry = { Exec.Pool.default_retry with base_delay = 0.5; max_delay = 8. };
     fetch_timeout = 0.5;
   }
 
@@ -165,16 +165,16 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
   let retries = ref 0 in
   let crashes = ref 0 in
   let wasted = ref 0. in
-  let queue : ev Des.Event_queue.t = Des.Event_queue.create ~initial_capacity:p () in
+  let queue : ev Event_queue.t = Event_queue.create ~initial_capacity:p () in
   List.iter
     (fun (c : Fault.Plan.crash) ->
-      Des.Event_queue.push queue ~priority:c.at (Crash_e c);
+      Event_queue.push queue ~priority:c.at (Crash_e c);
       match c.recovery with
-      | Some r -> Des.Event_queue.push queue ~priority:r (Recover_e c.worker)
+      | Some r -> Event_queue.push queue ~priority:r (Recover_e c.worker)
       | None -> ())
     (Fault.Plan.crashes faults);
   for w = 0 to p - 1 do
-    Des.Event_queue.push queue ~priority:0. (Free w)
+    Event_queue.push queue ~priority:0. (Free w)
   done;
   let is_barred w i = Hashtbl.mem barred (w, i) in
   let enqueue_retry i now =
@@ -182,10 +182,10 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     then begin
       retry_pending.(i) <- true;
       incr retries;
-      let delay = Fault.Retry.delay retry ~attempt:(min attempts.(i) 30) in
+      let delay = Exec.Pool.backoff_delay retry ~attempt:(min attempts.(i) 30) in
       Fault.Clock.record clock
         (Task_retry { task = i; attempt = attempts.(i); time = now +. delay });
-      Des.Event_queue.push queue ~priority:(now +. delay) (Retry_t i)
+      Event_queue.push queue ~priority:(now +. delay) (Retry_t i)
     end
   in
   let execute_copy w now i =
@@ -212,7 +212,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
             (Fetch_failure { worker = w; task = i; attempt = k; time = detected });
           incr retries;
           if k >= retry.max_attempts then `Exhausted detected
-          else fetch (detected +. Fault.Retry.delay retry ~attempt:k) (k + 1)
+          else fetch (detected +. Exec.Pool.backoff_delay retry ~attempt:k) (k + 1)
         end
       end
     in
@@ -238,7 +238,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
         busy_until.(w) <- Float.max busy_until.(w) t_ex;
         enqueue_retry i t_ex;
         running.(w) <- None;
-        Des.Event_queue.push queue ~priority:t_ex (Free w)
+        Event_queue.push queue ~priority:t_ex (Free w)
     | `Fetched t_f ->
         if t_f >= t_kill then doom ()
         else begin
@@ -261,7 +261,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
           Log.debug (fun m ->
               m "t=%.4g: task %d -> worker %d (fetch %.4g, finish %.4g)" now i w volume
                 finish);
-          if finish < t_kill then Des.Event_queue.push queue ~priority:finish (Done w)
+          if finish < t_kill then Event_queue.push queue ~priority:finish (Done w)
         end
   in
   let select_task w =
@@ -449,7 +449,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
         end
   in
   let rec drain () =
-    match Des.Event_queue.pop queue with
+    match Event_queue.pop queue with
     | None -> ()
     | Some (now, ev) ->
         handle now ev;

@@ -112,6 +112,15 @@ let test_unknown_command () = expect_parse_error [ "frobnicate" ]
 let test_bad_profile () = expect_parse_error [ "fig4"; "--profile"; "warp-speed" ]
 let test_bad_number () = expect_parse_error [ "fig4"; "--trials"; "many" ]
 
+let test_trace_budgets_positive () =
+  List.iter expect_parse_error
+    [
+      [ "mrsim"; "--timeline"; "t.json"; "--timeline-events=-10" ];
+      [ "mrsim"; "--timeline"; "t.json"; "--timeline-events"; "0" ];
+      [ "profile"; "mrsim"; "--trace-events=-3" ];
+      [ "profile"; "mrsim"; "--trace-events"; "0" ];
+    ]
+
 let test_verbose_accepted () = expect_ok [ "partition"; "--speeds"; "1,2"; "-v" ]
 
 let suites =
@@ -133,6 +142,7 @@ let suites =
         Alcotest.test_case "unknown command" `Quick test_unknown_command;
         Alcotest.test_case "bad profile" `Quick test_bad_profile;
         Alcotest.test_case "bad number" `Quick test_bad_number;
+        Alcotest.test_case "trace budgets must be positive" `Quick test_trace_budgets_positive;
         Alcotest.test_case "verbose flag" `Quick test_verbose_accepted;
       ] );
   ]

@@ -1,6 +1,5 @@
 (* Discrete-event simulation core: event queue, engine, trace. *)
 
-module Event_queue = Des.Event_queue
 module Engine = Des.Engine
 module Trace = Des.Trace
 

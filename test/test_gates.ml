@@ -29,7 +29,8 @@ let limit (r : Gates.row) =
 let just_past (r : Gates.row) =
   match r.cmp with Gates.At_least -> Float.pred (limit r) | Gates.At_most -> Float.succ (limit r)
 
-let alloc_baseline = [ ("psrs_sort", 781., 400275.); ("parallel_matmul", 51., 0.) ]
+let alloc_baseline =
+  [ ("psrs_sort", 781., 400275.); ("parallel_matmul", 51., 0.); ("event_heap_push_pop", 0., 0.) ]
 let all_rows = Gates.table @ Gates.alloc_rows alloc_baseline
 
 let committed_for r = doc r (Obs.Json.Float committed_value)
@@ -56,13 +57,14 @@ let test_table_pins_thresholds () =
       ("obs_overhead.disabled_path_fraction", "<=", 0.01, "const");
       ("lint_time.full_over_per_file", "<=", 2., "const");
       ("lint_time.cold_over_warm", ">=", 5., "const");
-      ("des_throughput.heap_vs_queue_speedup_10k", ">=", 4., "const");
-      ("des_throughput.heap_vs_queue_speedup_1m", ">=", 6., "const");
       ("des_throughput.heap_ops_per_sec_1m", ">=", 0.9, "committed");
       ("des_throughput.mapreduce.events_per_sec", ">=", 0.9, "committed");
     ]
   in
-  checkb "gate table" true (shown = expected)
+  checkb "gate table" true (shown = expected);
+  checkb "ratcheted kernels" true
+    (Gates.ratcheted
+    = [ "psrs_sort"; "histogram_splitters"; "multicore_sort"; "event_heap_push_pop" ])
 
 let test_limit_is_inclusive () =
   List.iter
@@ -110,6 +112,8 @@ let test_alloc_ratchet_slack () =
   checkb "unratcheted kernel absorbs +600 words" true
     (passes matmul (doc matmul (Obs.Json.Float (51. +. 600.))));
   checkb "ratchet limit = base + 512" true (limit psrs = 781. +. 512.);
+  checkb "zero-allocation heap ratchet allows 512 words" true
+    (limit (row "event_heap_push_pop") = 512.);
   checkb "headroom limit = 1.1 base + 4096" true (limit matmul = (1.10 *. 51.) +. 4096.)
 
 let test_alloc_baseline_round_trip () =

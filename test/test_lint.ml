@@ -130,18 +130,6 @@ let h_rules =
     Alcotest.test_case "H305 binding allow suppresses" `Quick
       (check_clean ~rule:"H305" ~file:"lib/kernels/x.ml"
          "let bucket_bounds t b = (t + b, t - b) [@@nldl.allow \"H305\"]");
-    Alcotest.test_case "H306 Event_queue use in lib/" `Quick
-      (check_fires "H306" ~file:"lib/partition/x.ml"
-         "let q () = Des.Event_queue.create ()");
-    Alcotest.test_case "H306 unqualified alias too" `Quick
-      (check_fires "H306" ~file:"lib/des/x.ml"
-         "let q () = Event_queue.create ()");
-    Alcotest.test_case "H306 silent in its own module" `Quick
-      (check_clean ~rule:"H306" ~file:"lib/des/event_queue.ml"
-         "let q () = Event_queue.create ()");
-    Alcotest.test_case "H306 silent in test/" `Quick
-      (check_clean ~rule:"H306" ~file:"test/x.ml"
-         "let q () = Des.Event_queue.create ()");
     Alcotest.test_case "H307 clock external in lib/" `Quick
       (check_fires "H307" ~file:"lib/des/x.ml"
          "external now : unit -> (int64[@unboxed]) = \"x\" \

@@ -504,6 +504,70 @@ let test_export_budget_and_stats () =
       checki "body fits the budget" 20 (List.length body)
   | _ -> Alcotest.fail "trace is not a JSON array"
 
+(* Both bounded exporters take their stride from [Sample.stride]: at the
+   tightest budgets the artifact still fits, the trace_stats counts add
+   up, and a budget below 1 is refused rather than half-honoured. *)
+let test_export_budgets_fit () =
+  let stats_of doc =
+    match doc with
+    | Json.List events ->
+        let stats =
+          List.find
+            (fun e -> Json.member "name" e = Some (Json.String "trace_stats"))
+            events
+        in
+        let arg k =
+          match Option.bind (Json.member "args" stats) (Json.member k) with
+          | Some (Json.Int i) -> i
+          | _ -> Alcotest.failf "trace_stats missing %s" k
+        in
+        let body ph =
+          List.length (List.filter (fun e -> Json.member "ph" e = Some (Json.String ph)) events)
+        in
+        (arg, body)
+    | _ -> Alcotest.fail "trace is not a JSON array"
+  in
+  let check_fits what ~n ~budget ~ph doc =
+    let arg, body = stats_of doc in
+    let label s = Printf.sprintf "%s budget %d: %s" what budget s in
+    checki (label "recorded") n (arg "recorded");
+    checkb (label "emitted <= budget") true (arg "emitted" <= budget);
+    checki (label "emitted = body") (arg "emitted") (body ph);
+    checki (label "recorded = sampled_out + emitted + dropped") n
+      (arg "sampled_out" + arg "emitted" + arg "dropped");
+    checki (label "sample_every = stride") (Sample.stride ~budget n) (arg "sample_every")
+  in
+  let rejects f =
+    List.for_all
+      (fun budget -> match f budget with exception Invalid_argument _ -> true | _ -> false)
+      [ 0; -3 ]
+  in
+  let n = 7 in
+  let t = Des.Trace.create () in
+  for i = 0 to n - 1 do
+    Des.Trace.record t ~resource:(Printf.sprintf "w%d" (i mod 2)) ~start:(float_of_int i)
+      ~finish:(float_of_int (i + 1)) ~label:"x"
+  done;
+  List.iter
+    (fun budget ->
+      check_fits "Des.Trace" ~n ~budget ~ph:"X" (Des.Trace.to_chrome ~max_events:budget t))
+    [ 1; 2; n - 1 ];
+  checkb "Des.Trace refuses budgets < 1" true
+    (rejects (fun budget -> Des.Trace.to_chrome ~max_events:budget t));
+  let n = 100 in
+  with_tracing (fun () ->
+      for _ = 1 to n do
+        Trace.instant "spin"
+      done);
+  Fun.protect ~finally:Trace.clear (fun () ->
+      List.iter
+        (fun budget ->
+          check_fits "Export.trace_json" ~n ~budget ~ph:"i"
+            (Export.trace_json ~max_events:budget ()))
+        [ 1; 2; n - 1 ];
+      checkb "Export.trace_json refuses budgets < 1" true
+        (rejects (fun budget -> Export.trace_json ~max_events:budget ())))
+
 let test_export_metrics_hists_and_trace_sections () =
   let h = Hist.create "obs_test.hist_export" in
   with_hists (fun () ->
@@ -710,6 +774,7 @@ let suites =
         Alcotest.test_case "Des.Trace bridge" `Quick test_des_trace_bridge;
         Alcotest.test_case "budget sampling accounted" `Quick
           test_export_budget_and_stats;
+        Alcotest.test_case "budgets 1, 2, n-1 fit" `Quick test_export_budgets_fit;
         Alcotest.test_case "hists and trace sections" `Quick
           test_export_metrics_hists_and_trace_sections;
         Alcotest.test_case "pool submit latency in hists" `Quick

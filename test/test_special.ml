@@ -1,7 +1,6 @@
-(* Special functions, histograms, confidence intervals. *)
+(* Special functions, confidence intervals. *)
 
 module Special = Numerics.Special
-module Histogram = Numerics.Histogram
 module Confidence = Numerics.Confidence
 module Rng = Numerics.Rng
 
@@ -52,27 +51,6 @@ let qcheck_gamma_recurrence =
     (fun x ->
       Float.abs (Special.log_gamma (x +. 1.) -. (Special.log_gamma x +. log x)) < 1e-7)
 
-let test_histogram_counts () =
-  let h = Histogram.create ~bins:4 ~lo:0. ~hi:4. () in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.7; 3.9; -5.; 10. ];
-  Alcotest.(check (array int)) "bin counts" [| 2; 2; 0; 2 |] (Histogram.counts h);
-  Alcotest.(check int) "total" 6 (Histogram.total h);
-  Alcotest.(check int) "mode" 0 (Histogram.mode_bin h)
-
-let test_histogram_of_array () =
-  let h = Histogram.of_array ~bins:2 [| 0.; 1.; 2.; 3. |] in
-  Alcotest.(check int) "total" 4 (Histogram.total h);
-  let lo, _ = Histogram.bin_bounds h 0 in
-  checkf "lower bound" 0. lo
-
-let test_histogram_degenerate () =
-  let h = Histogram.of_array [| 5.; 5.; 5. |] in
-  Alcotest.(check int) "all in one place" 3 (Histogram.total h)
-
-let test_histogram_render () =
-  let h = Histogram.of_array [| 1.; 2.; 2.; 3. |] in
-  checkb "renders bars" true (String.contains (Histogram.render h) '#')
-
 let test_confidence_basic () =
   let rng = Rng.create ~seed:131 () in
   let samples = Array.init 1_000 (fun _ -> Numerics.Distributions.gaussian rng ~mu:5. ~sigma:2.) in
@@ -118,13 +96,6 @@ let suites =
         Alcotest.test_case "log gamma" `Quick test_log_gamma;
         Alcotest.test_case "log factorial" `Quick test_log_factorial;
         QCheck_alcotest.to_alcotest qcheck_gamma_recurrence;
-      ] );
-    ( "histogram",
-      [
-        Alcotest.test_case "counts" `Quick test_histogram_counts;
-        Alcotest.test_case "of_array" `Quick test_histogram_of_array;
-        Alcotest.test_case "degenerate" `Quick test_histogram_degenerate;
-        Alcotest.test_case "render" `Quick test_histogram_render;
       ] );
     ( "confidence intervals",
       [
