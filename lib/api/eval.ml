@@ -35,7 +35,7 @@ let worker_rows total (s : Dlt.Schedule.t) =
       })
     s.Dlt.Schedule.entries
 
-let solve (r : Request.t) =
+let solve_exn (r : Request.t) =
   let provenance = { Response.solver = solver_name r; cache = Response.Uncached } in
   let body =
     match r.kind with
@@ -93,6 +93,15 @@ let solve (r : Request.t) =
           }
   in
   { Response.body; provenance }
+
+(* The one place a solver exception becomes a typed answer: a request
+   that validates but drives a solver out of range (a makespan it cannot
+   bracket, a bandwidth that underflows) comes back as a
+   ["solver_failure"] line on every surface, never as a crash. *)
+let solve r =
+  try solve_exn r
+  with e ->
+    Response.error ~solver:(solver_name r) ~code:"solver_failure" (Printexc.to_string e)
 
 let eval r =
   match Request.validate r with

@@ -1,7 +1,8 @@
 (** Request evaluation: the one place that dispatches a query to the
-    DLT solvers.  The CLI one-shot path, the serve daemon and the bench
-    serve-throughput section all call {!eval}, which is what makes
-    their answers byte-identical. *)
+    DLT solvers, and the one place a solver exception becomes a typed
+    error.  [nldl query --inline], [Serve.Batch] (hence the daemon) and
+    the bench serve-throughput section all answer through it, which is
+    what makes their answers byte-identical, failures included. *)
 
 val solver_name : Request.t -> string
 (** Which solver {!eval} will use: ["dlt.linear"] (closed form),
@@ -9,9 +10,11 @@ val solver_name : Request.t -> string
     multi-load admission. *)
 
 val eval : Request.t -> Response.t
-(** Validate and answer.  Invalid requests yield an [Error] body with
-    code ["invalid_request"] rather than raising. *)
+(** Validate and answer; never raises.  Invalid requests yield an
+    [Error] body with code ["invalid_request"]; a solver that raises
+    yields code ["solver_failure"] with the exception text as message
+    and {!solver_name} as provenance. *)
 
 val eval_line : string -> Response.t
-(** Parse one wire line and {!eval} it; malformed JSON yields an
-    [Error] body with code ["bad_request"]. *)
+(** Parse one wire line and answer it like {!eval}; malformed JSON
+    yields an [Error] body with code ["bad_request"]. *)

@@ -153,7 +153,7 @@ let command =
     (List.map Experiments.Registry.to_cmd
        (Experiments.Catalog.all @ [ lint_entry; profile_entry ]))
 
-let run () = Cmd.eval command
+let run () = Cmd.eval' command
 
 let eval_value ~argv = Cmd.eval_value ~argv command
 
@@ -183,7 +183,8 @@ let eval_for_test args =
   let out = In_channel.with_open_bin tmp In_channel.input_all in
   Sys.remove tmp;
   match result with
-  | Ok (`Ok () | `Help | `Version) -> Ok { status = 0; out }
+  | Ok (`Ok status) -> Ok { status; out }
+  | Ok (`Help | `Version) -> Ok { status = 0; out }
   | Error `Parse -> Error `Parse
   | Error `Term -> Error `Term
   | Error `Exn -> Error `Exn

@@ -89,13 +89,10 @@ type t = {
   mutable submissions : int; (* parallel submissions; submitting domain only *)
   seq_runs : int Atomic.t; (* sequential-fallback runs, any domain *)
   nested_runs : int Atomic.t; (* subset of seq_runs from nested calls *)
-  quarantines : int Atomic.t; (* [submit] calls that exhausted their retry policy *)
 }
 
 let m_submissions = Obs.Metrics.counter "pool.submissions"
 let m_sequential = Obs.Metrics.counter "pool.sequential_runs"
-let m_quarantined = Obs.Metrics.counter "pool.quarantined"
-let m_retries = Obs.Metrics.counter "pool.submit_retries"
 
 let h_submit_ns = Obs.Hist.create "pool.submit_latency_ns"
 
@@ -186,7 +183,6 @@ let create ?domains () =
       submissions = 0;
       seq_runs = Atomic.make 0;
       nested_runs = Atomic.make 0;
-      quarantines = Atomic.make 0;
     }
   in
   pool.workers <- Array.init (domains - 1) (fun i -> spawn_worker pool wstats.(i + 1) 0);
@@ -334,79 +330,6 @@ let parallel_reduce ?workers ?chunk pool ~init ~map ~combine n =
         partials.(c) <- !acc);
     Array.fold_left combine init partials
   end
-
-(* --- retrying submissions ---------------------------------------------- *)
-
-(* The retry policy is the shared failure vocabulary of the execution
-   and simulation paths: [Mapreduce.Scheduler.config] holds this record,
-   so the simulated scheduler's task re-execution and the pool's real
-   submissions are configured with the same type.  Delays are in
-   seconds here and in simulated time units there. *)
-
-type retry = {
-  max_attempts : int;
-  base_delay : float;
-  max_delay : float;
-  deadline : float option;
-}
-
-let default_retry =
-  { max_attempts = 3; base_delay = 0.; max_delay = 30.; deadline = None }
-
-let backoff_delay r ~attempt =
-  if attempt < 1 then invalid_arg "Pool.backoff_delay: attempt must be >= 1";
-  if r.base_delay <= 0. then 0.
-  else Float.min r.max_delay (r.base_delay *. Float.pow 2. (float_of_int (attempt - 1)))
-
-type quarantine = {
-  attempts : int;  (* attempts actually made *)
-  elapsed : float;  (* seconds from first attempt to giving up *)
-  deadline_hit : bool;
-  error : exn;  (* last exception *)
-}
-
-let validate_retry r =
-  if r.max_attempts < 1 then invalid_arg "Pool.submit: retry.max_attempts must be >= 1";
-  if r.base_delay < 0. || r.max_delay < 0. then
-    invalid_arg "Pool.submit: retry delays must be >= 0";
-  match r.deadline with
-  | Some d when d < 0. -> invalid_arg "Pool.submit: retry.deadline must be >= 0"
-  | _ -> ()
-
-let quarantined pool = Atomic.get pool.quarantines
-
-let submit ?(retry = default_retry) pool f =
-  validate_retry retry;
-  let t0 = Obs.Clock.now_ns () in
-  let elapsed () = float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9 in
-  let give_up ~deadline_hit ~attempts error =
-    Atomic.incr pool.quarantines;
-    Obs.Metrics.incr_counter m_quarantined;
-    Obs.Trace.instant "pool.quarantine";
-    Error { attempts; elapsed = elapsed (); deadline_hit; error }
-  in
-  let rec attempt k =
-    match f () with
-    | v -> Ok v
-    | exception e ->
-        if k >= retry.max_attempts then give_up ~deadline_hit:false ~attempts:k e
-        else begin
-          let delay = backoff_delay retry ~attempt:k in
-          let over_deadline =
-            match retry.deadline with
-            | None -> false
-            | Some d -> elapsed () +. delay > d
-          in
-          if over_deadline then give_up ~deadline_hit:true ~attempts:k e
-          else begin
-            Obs.Metrics.incr_counter m_retries;
-            Obs.Trace.instant "pool.submit_retry";
-            if delay > 0. then Unix.sleepf delay;
-            attempt (k + 1)
-          end
-        end
-  in
-  attempt 1
 
 (* --- stats ------------------------------------------------------------- *)
 

@@ -69,49 +69,6 @@ val parallel_reduce :
     including floating-point rounding — is identical at any domain
     count. *)
 
-(** {2 Retrying submissions}
-
-    The retry record is the shared failure vocabulary of the real and
-    simulated execution paths: [Mapreduce.Scheduler.config] holds it,
-    so the scheduler's task re-execution and [Pool.submit] are
-    configured with the same type.  Delays are seconds here, simulated
-    time units there. *)
-
-type retry = {
-  max_attempts : int;  (** total tries, >= 1 *)
-  base_delay : float;  (** delay before the first retry; 0 = immediate *)
-  max_delay : float;  (** cap on the exponential backoff *)
-  deadline : float option;  (** stop retrying once this much time has elapsed *)
-}
-
-val default_retry : retry
-(** 3 attempts, no delay, no deadline. *)
-
-val backoff_delay : retry -> attempt:int -> float
-(** Capped exponential backoff: [base_delay * 2^(attempt-1)], at most
-    [max_delay]; 0 when [base_delay = 0].  [attempt] is the 1-based
-    index of the attempt that just failed. *)
-
-type quarantine = {
-  attempts : int;  (** attempts actually made *)
-  elapsed : float;  (** seconds from first attempt to giving up *)
-  deadline_hit : bool;  (** the deadline, not the attempt cap, stopped us *)
-  error : exn;  (** the last exception raised *)
-}
-
-val submit : ?retry:retry -> t -> (unit -> 'a) -> ('a, quarantine) result
-(** [submit ~retry pool f] runs [f ()] (typically a closure performing
-    {!parallel_for} submissions on [pool]) on the calling domain,
-    retrying with capped exponential backoff when it raises.  After
-    [retry.max_attempts] failures — or as soon as the next retry would
-    overrun [retry.deadline] — the task is {e quarantined}: the pool's
-    {!quarantined} counter is bumped, a ["pool.quarantine"] instant /
-    metric is emitted, and the last exception is returned in the
-    [Error].  Raises [Invalid_argument] on a malformed policy. *)
-
-val quarantined : t -> int
-(** Number of {!submit} calls quarantined since [create]. *)
-
 val get_global : ?at_least:int -> unit -> t
 (** The process-wide shared pool, created on first use (sized
     {!default_domains}, or [at_least] if larger) and torn down via

@@ -260,40 +260,34 @@ let serve =
   in
   let cache =
     Arg.(
-      value & opt int Serve.Batch.default_config.Serve.Batch.cache_capacity
-      & info [ "cache" ] ~docv:"N" ~doc:"Response-cache capacity (LRU entries).")
-  in
-  let max_inflight =
-    Arg.(
       value
-      & opt (some int) None
-      & info [ "max-inflight" ] ~docv:"N"
-          ~doc:"Domains evaluating a batch concurrently (default: pool size).")
+      & opt Registry.positive_int Serve.Batch.default_config.Serve.Batch.cache_capacity
+      & info [ "cache" ] ~docv:"N" ~doc:"Response-cache capacity (LRU entries).")
   in
   let queue_depth =
     Arg.(
-      value & opt int Serve.Batch.default_config.Serve.Batch.queue_depth
+      value
+      & opt Registry.positive_int Serve.Batch.default_config.Serve.Batch.queue_depth
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:"Cache misses admitted per batch; overflow is rejected.")
+  in
+  let seconds =
+    let parse s =
+      match float_of_string_opt s with
+      | Some d when d >= 0. && Float.is_finite d -> Ok d
+      | _ ->
+          Error (`Msg (Printf.sprintf "expected a non-negative number of seconds, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
   in
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "deadline" ] ~docv:"S" ~doc:"Per-request wall-clock budget in seconds.")
   in
-  let run socket http cache max_inflight queue_depth deadline domains () =
-    let batch =
-      {
-        Serve.Batch.cache_capacity = cache;
-        max_inflight =
-          (match max_inflight with
-          | Some n -> n
-          | None -> Serve.Batch.default_config.Serve.Batch.max_inflight);
-        queue_depth;
-        deadline_s = deadline;
-      }
-    in
+  let run socket http cache_capacity queue_depth deadline_s domains () =
+    let batch = { Serve.Batch.cache_capacity; queue_depth; deadline_s } in
     let socket_path =
       match socket with Some p -> p | None -> Serve.Daemon.default_socket_path ()
     in
@@ -324,8 +318,7 @@ let serve =
        socket (or --http), canonical Api.Response lines back, repeats answered \
        from a bounded LRU."
     Term.(
-      const run $ socket_arg $ http $ cache $ max_inflight $ queue_depth $ deadline
-      $ Registry.domains)
+      const run $ socket_arg $ http $ cache $ queue_depth $ deadline $ Registry.domains)
 
 let query =
   let inline =
@@ -357,21 +350,23 @@ let query =
           prerr_endline "nldl query: nothing to do; give --inline JSON or a FILE";
           None
     in
-    match lines with
-    | None -> (None, 2)
-    | Some lines ->
-        (match socket with
-        | Some path ->
-            let c = Serve.Client.connect_unix path in
+    match (lines, socket) with
+    | None, _ -> (None, 2)
+    | Some lines, None ->
+        List.iter (fun l -> print_endline (Api.Response.to_line (Api.Eval.eval_line l))) lines;
+        (None, 0)
+    | Some lines, Some path -> (
+        match Serve.Client.connect_unix path with
+        | exception Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "nldl query: cannot connect to %s: %s\n%!" path
+              (Unix.error_message e);
+            (None, 2)
+        | c ->
             Fun.protect
               ~finally:(fun () -> Serve.Client.close c)
               (fun () ->
-                List.iter (fun l -> print_endline (Serve.Client.request c l)) lines)
-        | None ->
-            List.iter
-              (fun l -> print_endline (Api.Response.to_line (Api.Eval.eval_line l)))
-              lines);
-        (None, 0)
+                List.iter (fun l -> print_endline (Serve.Client.request c l)) lines);
+            (None, 0))
   in
   Registry.gated ~name:"query"
     ~synopsis:

@@ -59,7 +59,7 @@ let profile =
 
 let trials ?(default = 100) () =
   Arg.(
-    value & opt int default
+    value & opt positive_int default
     & info [ "trials" ] ~docv:"T" ~doc:"Repetitions per data point.")
 
 let seed =
@@ -189,8 +189,8 @@ let to_cmd e =
     dump e.name out csv json;
     finish_obs obs;
     (* Gated commands (nldl lint) carry the gate result in their exit
-       code; exiting after the flushes keeps --trace/--json intact. *)
-    if status <> 0 then exit status
+       code, returned after the flushes so --trace/--json stay intact. *)
+    status
   in
   Cmd.v
     (Cmd.info e.name ~doc:e.synopsis)

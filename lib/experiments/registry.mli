@@ -46,8 +46,8 @@ val entry : name:string -> synopsis:string -> (unit -> output option) Cmdliner.T
 
 val gated : name:string -> synopsis:string -> (unit -> output option * int) Cmdliner.Term.t -> entry
 (** Command whose thunk also decides the process exit status (e.g.
-    [nldl lint] failing on new findings); a non-zero status is applied
-    with [exit] after the trace/metrics/csv/json flushes. *)
+    [nldl lint] failing on new findings); {!to_cmd} returns it after
+    the trace/metrics/csv/json flushes. *)
 
 (** {1 Shared argument terms} *)
 
@@ -59,7 +59,7 @@ val profile : Platform.Profiles.t Cmdliner.Term.t
     defaults to the paper's uniform profile. *)
 
 val trials : ?default:int -> unit -> int Cmdliner.Term.t
-(** [--trials T], default 100. *)
+(** [--trials T], a {!positive_int}, default 100. *)
 
 val seed : int Cmdliner.Term.t
 (** [--seed S], default 20130520. *)
@@ -73,9 +73,9 @@ val domains : int option Cmdliner.Term.t
 
 (** {1 Driver assembly} *)
 
-val to_cmd : entry -> unit Cmdliner.Cmd.t
-(** Wrap an entry into a complete subcommand: logging and
-    trace/metrics setup run before the body, the trace/metrics files
-    are flushed after it, and [--csv]/[--json] write the returned
-    table (a diagnostic is printed when the flag is given but the
-    command returned no table). *)
+val to_cmd : entry -> int Cmdliner.Cmd.t
+(** Wrap an entry into a complete subcommand evaluating to its exit
+    status: logging and trace/metrics setup run before the body, the
+    trace/metrics files are flushed after it, and [--csv]/[--json]
+    write the returned table (a diagnostic is printed when the flag is
+    given but the command returned no table). *)

@@ -130,7 +130,7 @@ let parallel_prim path =
       | "parallel_for" | "parallel_map_array" | "parallel_reduce"
         when qualifies ->
           Some (String.concat "." path)
-      | ("submit" | "run" | "handle_batch" | "handle_line")
+      | ("run" | "handle_batch" | "handle_line")
         when (match rest with m :: _ -> List.mem m fanout_modules | [] -> false)
         ->
           Some (String.concat "." path)

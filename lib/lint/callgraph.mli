@@ -80,7 +80,7 @@ val extract :
 type node = {
   n_id : int;
   n_names : string list;
-  n_path : string list;  (** qualified path, e.g. [\["Exec";"Pool";"submit"\]] *)
+  n_path : string list;  (** qualified path, e.g. [\["Exec";"Pool";"parallel_for"\]] *)
   n_file : string;
   n_pos : pos;
   n_frag : int;

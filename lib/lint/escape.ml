@@ -1,7 +1,7 @@
 (* Parallel-escape analysis: which functions can run on a pool domain?
 
    Roots are the definitions referenced from inside an argument of a
-   parallel primitive ([Exec.Pool.parallel_for]/[submit]/...,
+   parallel primitive ([Exec.Pool.parallel_for]/[parallel_map_array]/...,
    [Domain.spawn], [Serve.Batch] fan-out, [Numerics.Parallel] wrappers);
    the escape set is their forward closure over the call graph.  A plain
    breadth-first fixpoint suffices — edges are static and cycles are
@@ -9,8 +9,8 @@
 
    Each escaping node keeps a witness: the primitive and root that first
    reached it, so findings can say *why* a function counts as parallel
-   ("reachable from closure passed to Exec.Pool.submit via
-   Serve.Batch.eval_miss"). *)
+   ("reachable from closure passed to Exec.Pool.parallel_map_array via
+   Api.Eval.eval"). *)
 
 type witness = {
   w_prim : string;  (* the parallel primitive at the root *)

@@ -8,20 +8,24 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type policy = Fifo | Affinity
 type speculation = Off | At_idle | Late of { threshold : float }
 
+type retry = { max_attempts : int; base_delay : float; max_delay : float }
+
+let default_retry = { max_attempts = 3; base_delay = 0.5; max_delay = 8. }
+
+let backoff_delay r ~attempt =
+  if attempt < 1 then invalid_arg "Scheduler.backoff_delay: attempt must be >= 1";
+  if r.base_delay <= 0. then 0.
+  else Float.min r.max_delay (r.base_delay *. Float.pow 2. (float_of_int (attempt - 1)))
+
 type config = {
   policy : policy;
   speculation : speculation;
-  retry : Exec.Pool.retry;
+  retry : retry;
   fetch_timeout : float;
 }
 
 let default_config =
-  {
-    policy = Fifo;
-    speculation = Off;
-    retry = { Exec.Pool.default_retry with base_delay = 0.5; max_delay = 8. };
-    fetch_timeout = 0.5;
-  }
+  { policy = Fifo; speculation = Off; retry = default_retry; fetch_timeout = 0.5 }
 
 type assignment = {
   task : int;
@@ -319,7 +323,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     then begin
       retry_pending.(i) <- true;
       incr retries;
-      let delay = Exec.Pool.backoff_delay retry ~attempt:(min attempts.(i) 30) in
+      let delay = backoff_delay retry ~attempt:(min attempts.(i) 30) in
       if obs_on then rec_s sh_retry_delay delay;
       Fault.Clock.record clock
         (Task_retry { task = i; attempt = attempts.(i); time = now +. delay });
@@ -376,7 +380,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
               deciding := false
             end
             else begin
-              ft.(0) <- detected +. Exec.Pool.backoff_delay retry ~attempt:!k;
+              ft.(0) <- detected +. backoff_delay retry ~attempt:!k;
               incr k
             end
           end

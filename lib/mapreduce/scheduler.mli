@@ -44,20 +44,34 @@ type speculation =
           below [threshold] times the mean rate of all running copies.
           [threshold] in (0, 1]; 0.7 is a reasonable default. *)
 
+type retry = {
+  max_attempts : int;  (** total tries, >= 1 *)
+  base_delay : float;  (** delay before the first retry; 0 = immediate *)
+  max_delay : float;  (** cap on the exponential backoff *)
+}
+(** Backoff for task re-execution and fetch retries; delays are in
+    simulated time units. *)
+
+val default_retry : retry
+(** 3 attempts, backoff base 0.5 capped at 8 time units. *)
+
+val backoff_delay : retry -> attempt:int -> float
+(** Capped exponential backoff: [base_delay * 2^(attempt-1)], at most
+    [max_delay]; 0 when [base_delay = 0].  [attempt] is the 1-based
+    index of the attempt that just failed. *)
+
 type config = {
   policy : policy;
   speculation : speculation;
-  retry : Exec.Pool.retry;
-      (** backoff for task re-execution and fetch retries (delays in
-          simulated time units; [deadline] is ignored here) *)
+  retry : retry;
   fetch_timeout : float;
       (** a failed fetch attempt occupies the worker for
           [fetch_timeout *. transfer_time] before it is detected *)
 }
 
 val default_config : config
-(** [Fifo], no speculation, 3 fetch/retry attempts with backoff base
-    0.5 capped at 8 time units, fetch timeout 0.5: plain MapReduce. *)
+(** [Fifo], no speculation, {!default_retry}, fetch timeout 0.5: plain
+    MapReduce. *)
 
 type assignment = {
   task : int;  (** task id *)

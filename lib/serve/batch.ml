@@ -2,18 +2,15 @@ module Json = Obs.Json
 
 type config = {
   cache_capacity : int;
-  max_inflight : int;
   queue_depth : int;
   deadline_s : float option;
 }
 
-let default_config =
-  {
-    cache_capacity = 1024;
-    max_inflight = Exec.Pool.default_domains ();
-    queue_depth = 256;
-    deadline_s = None;
-  }
+let default_config = { cache_capacity = 1024; queue_depth = 256; deadline_s = None }
+
+(* Misses fan out as wide as the host has domains: under a one-CPU
+   affinity pin this is 1, and misses are solved on the calling domain. *)
+let fanout = Exec.Pool.default_domains ()
 
 type t = {
   cfg : config;
@@ -27,7 +24,6 @@ type t = {
 }
 
 let create ?pool cfg =
-  if cfg.max_inflight <= 0 then invalid_arg "Batch.create: max_inflight must be positive";
   if cfg.queue_depth <= 0 then invalid_arg "Batch.create: queue_depth must be positive";
   let pool = match pool with Some p -> p | None -> Exec.Pool.get_global () in
   {
@@ -56,58 +52,11 @@ let count_rejected t =
   t.rejected_count <- t.rejected_count + 1;
   Obs.Metrics.incr_counter t.metric_rejected
 
-let solve_guarded t ~t0 req =
-  if expired t ~t0 then begin
-    count_rejected t;
-    Api.Response.error ~code:"deadline" "per-request deadline exceeded before solve"
-  end
-  else
-    let retry = { Exec.Pool.default_retry with deadline = t.cfg.deadline_s } in
-    match Exec.Pool.submit ~retry t.pool (fun () -> Api.Eval.eval req) with
-    | Ok resp -> resp
-    | Error q ->
-        let code = if q.Exec.Pool.deadline_hit then "deadline" else "solver_failure" in
-        if q.Exec.Pool.deadline_hit then count_rejected t;
-        Api.Response.error ~code (Printexc.to_string q.Exec.Pool.error)
-
 let count_request t =
   t.request_count <- t.request_count + 1;
   Obs.Metrics.incr_counter t.metric_requests
 
 let record_latency t t0 = Obs.Hist.record t.latency (Obs.Clock.now_ns () - t0)
-
-let handle_miss t ~t0 ~raw req key =
-  let resp = solve_guarded t ~t0 req in
-  let line = Api.Response.to_line resp in
-  if not (Api.Response.is_error resp) then begin
-    Cache.insert t.cache ~key ~line;
-    Cache.memoize t.cache ~raw ~key
-  end;
-  line
-
-let slow_path t ~t0 raw =
-  let line =
-    match Api.Request.of_line raw with
-    | Error msg -> error_line ~solver:"api.parse" ~code:"bad_request" msg
-    | Ok req -> (
-        let key = Api.Fingerprint.of_request req in
-        match Cache.find t.cache key with
-        | line ->
-            Cache.memoize t.cache ~raw ~key;
-            line
-        | exception Cache.Miss -> handle_miss t ~t0 ~raw req key)
-  in
-  record_latency t t0;
-  line
-
-let handle_line t raw =
-  let t0 = Obs.Clock.now_ns () in
-  count_request t;
-  match Cache.find_memo t.cache raw with
-  | line ->
-      record_latency t t0;
-      line
-  | exception Cache.Miss -> slow_path t ~t0 raw
 
 type pending = {
   p_index : int;
@@ -171,11 +120,8 @@ let handle_batch t lines =
   done;
   let miss_arr = Array.of_list (List.rev !misses) in
   let solved =
-    Exec.Pool.parallel_map_array ~workers:t.cfg.max_inflight t.pool
-      (fun p ->
-        ( p,
-          try Api.Eval.eval p.p_req
-          with e -> Api.Response.error ~code:"solver_failure" (Printexc.to_string e) ))
+    Exec.Pool.parallel_map_array ~workers:fanout t.pool
+      (fun p -> (p, Api.Eval.eval p.p_req))
       miss_arr
   in
   Array.iter
@@ -194,6 +140,19 @@ let handle_batch t lines =
     solved;
   record_latency t t0;
   out
+
+(* The memo probe is the only single-line specialisation: it answers a
+   byte-identical repeat without allocating.  Anything else goes down
+   the batch path, so a line gets the same bytes (and the same
+   counters) whichever entry point it arrives through. *)
+let handle_line t raw =
+  let t0 = Obs.Clock.now_ns () in
+  match Cache.find_memo t.cache raw with
+  | line ->
+      count_request t;
+      record_latency t t0;
+      line
+  | exception Cache.Miss -> (handle_batch t [| raw |]).(0)
 
 let hits t = Cache.hits t.cache
 let misses t = Cache.misses t.cache

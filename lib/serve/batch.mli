@@ -8,34 +8,34 @@
 
 type config = {
   cache_capacity : int;  (** LRU entries; > 0 *)
-  max_inflight : int;  (** domains evaluating a batch concurrently; > 0 *)
   queue_depth : int;  (** cache misses admitted per batch; overflow is rejected *)
   deadline_s : float option;  (** per-request wall-clock budget *)
 }
 
 val default_config : config
-(** 1024 entries, pool-sized inflight, depth 256, no deadline. *)
+(** 1024 entries, depth 256, no deadline. *)
 
 type t
 
 val create : ?pool:Exec.Pool.t -> config -> t
 (** [pool] defaults to {!Exec.Pool.get_global}.  Raises
-    [Invalid_argument] on a non-positive capacity, inflight or
-    depth. *)
+    [Invalid_argument] on a non-positive capacity or depth. *)
+
+val handle_batch : t -> string array -> string array
+(** Answer a batch: hits resolve first; semantically-equal spellings
+    hit the fingerprint LRU.  Misses are deduplicated by fingerprint,
+    those beyond [queue_depth] are rejected with an ["overloaded"]
+    error and those past the deadline with ["deadline"]; the admitted
+    ones are answered by {!Api.Eval.eval} concurrently on the pool
+    ({!Exec.Pool.default_domains} wide).  Successful answers are
+    cached; error answers (a raising solver gives ["solver_failure"])
+    are not.  Responses are in request order. *)
 
 val handle_line : t -> string -> string
 (** Answer one raw request line (no trailing newline).  Repeats of a
     byte-identical line are answered from the memo with zero
-    allocation; semantically-equal spellings hit the fingerprint LRU.
-    Misses are solved under [Exec.Pool.submit ~retry] with the
-    configured deadline; failures come back as [Error]-body response
-    lines, never exceptions. *)
-
-val handle_batch : t -> string array -> string array
-(** Answer a batch: hits resolve first, then the admitted misses are
-    evaluated concurrently on the pool ([max_inflight] wide) and
-    inserted into the cache.  Misses beyond [queue_depth] are rejected
-    with an ["overloaded"] error.  Responses are in request order. *)
+    allocation; anything else is [(handle_batch t [| raw |]).(0)], so
+    both entry points give the same bytes. *)
 
 val hits : t -> int
 val misses : t -> int

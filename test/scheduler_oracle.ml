@@ -19,7 +19,7 @@ type speculation = Off | At_idle | Late of { threshold : float }
 type config = {
   policy : policy;
   speculation : speculation;
-  retry : Exec.Pool.retry;
+  retry : Mapreduce.Scheduler.retry;
   fetch_timeout : float;
 }
 
@@ -27,7 +27,7 @@ let default_config =
   {
     policy = Fifo;
     speculation = Off;
-    retry = { Exec.Pool.default_retry with base_delay = 0.5; max_delay = 8. };
+    retry = Mapreduce.Scheduler.default_retry;
     fetch_timeout = 0.5;
   }
 
@@ -182,7 +182,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     then begin
       retry_pending.(i) <- true;
       incr retries;
-      let delay = Exec.Pool.backoff_delay retry ~attempt:(min attempts.(i) 30) in
+      let delay = Mapreduce.Scheduler.backoff_delay retry ~attempt:(min attempts.(i) 30) in
       Fault.Clock.record clock
         (Task_retry { task = i; attempt = attempts.(i); time = now +. delay });
       Event_queue.push queue ~priority:(now +. delay) (Retry_t i)
@@ -212,7 +212,7 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
             (Fetch_failure { worker = w; task = i; attempt = k; time = detected });
           incr retries;
           if k >= retry.max_attempts then `Exhausted detected
-          else fetch (detected +. Exec.Pool.backoff_delay retry ~attempt:k) (k + 1)
+          else fetch (detected +. Mapreduce.Scheduler.backoff_delay retry ~attempt:k) (k + 1)
         end
       end
     in

@@ -121,6 +121,34 @@ let test_trace_budgets_positive () =
       [ "profile"; "mrsim"; "--trace-events"; "0" ];
     ]
 
+let test_serve_cache_positive () =
+  List.iter expect_parse_error [ [ "serve"; "--cache"; "0" ]; [ "serve"; "--cache=-4" ] ]
+
+let test_serve_queue_depth_positive () =
+  List.iter expect_parse_error
+    [ [ "serve"; "--queue-depth"; "0" ]; [ "serve"; "--queue-depth=-1" ] ]
+
+let test_serve_deadline_non_negative () =
+  List.iter expect_parse_error
+    [ [ "serve"; "--deadline=-1" ]; [ "serve"; "--deadline"; "nan" ]; [ "serve"; "--deadline"; "inf" ] ]
+
+let test_trials_positive () =
+  List.iter expect_parse_error
+    [ [ "fig4"; "--trials"; "0" ]; [ "time"; "--trials"; "0" ]; [ "faults"; "--trials=-2" ] ]
+
+let test_query_no_daemon () =
+  (* Nothing listens on the socket: a diagnostic and status 2, the
+     status query uses for bad input, not an uncaught Unix_error. *)
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nldl-absent-%d.sock" (Unix.getpid ()))
+  in
+  match Cli.eval_for_test [ "query"; "--socket"; path; "--inline"; "{}" ] with
+  | Ok { Cli.status; out } ->
+      Alcotest.(check int) "status 2" 2 status;
+      Alcotest.(check string) "no answer printed" "" out
+  | Error _ -> Alcotest.fail "query without a daemon must not crash"
+
 let test_verbose_accepted () = expect_ok [ "partition"; "--speeds"; "1,2"; "-v" ]
 
 let suites =
@@ -143,6 +171,13 @@ let suites =
         Alcotest.test_case "bad profile" `Quick test_bad_profile;
         Alcotest.test_case "bad number" `Quick test_bad_number;
         Alcotest.test_case "trace budgets must be positive" `Quick test_trace_budgets_positive;
+        Alcotest.test_case "serve --cache must be positive" `Quick test_serve_cache_positive;
+        Alcotest.test_case "serve --queue-depth must be positive" `Quick
+          test_serve_queue_depth_positive;
+        Alcotest.test_case "serve --deadline must be non-negative" `Quick
+          test_serve_deadline_non_negative;
+        Alcotest.test_case "--trials must be positive" `Quick test_trials_positive;
+        Alcotest.test_case "query --socket with no daemon" `Quick test_query_no_daemon;
         Alcotest.test_case "verbose flag" `Quick test_verbose_accepted;
       ] );
   ]

@@ -1,5 +1,5 @@
 (* The fault-injection layer: deterministic plans, the fault-aware
-   scheduler semantics, and Pool.submit's retry/quarantine path. *)
+   scheduler semantics and its retry backoff. *)
 
 module Plan = Fault.Plan
 module Clock = Fault.Clock
@@ -290,67 +290,13 @@ let test_clock_arm_schedules_plan () =
   checki "tally crashes" 1 tally.Clock.crashes;
   checki "tally recoveries" 1 tally.Clock.recoveries
 
-(* --- Pool.submit retry/quarantine --- *)
-
-let test_pool_submit_retry_succeeds () =
-  let pool = Exec.Pool.get_global () in
-  let calls = ref 0 in
-  let flaky () =
-    incr calls;
-    if !calls < 3 then failwith "flaky" else 42
-  in
-  let retry = { Exec.Pool.default_retry with max_attempts = 5 } in
-  (match Exec.Pool.submit ~retry pool flaky with
-  | Ok v -> checki "value" 42 v
-  | Error _ -> Alcotest.fail "expected success after retries");
-  checki "two failures then success" 3 !calls
-
-let test_pool_submit_quarantine_after_n_throws () =
-  let pool = Exec.Pool.get_global () in
-  let before = Exec.Pool.quarantined pool in
-  let calls = ref 0 in
-  let always_fails () =
-    incr calls;
-    failwith "boom"
-  in
-  let retry = { Exec.Pool.default_retry with max_attempts = 3 } in
-  (match Exec.Pool.submit ~retry pool always_fails with
-  | Ok _ -> Alcotest.fail "expected quarantine"
-  | Error q ->
-      checki "n attempts made" 3 q.Exec.Pool.attempts;
-      checkb "deadline not the cause" false q.Exec.Pool.deadline_hit;
-      checkb "original exception kept" true
-        (match q.Exec.Pool.error with Failure m -> m = "boom" | _ -> false));
-  checki "exactly max_attempts calls" 3 !calls;
-  checki "quarantine counted" (before + 1) (Exec.Pool.quarantined pool)
-
-let test_pool_submit_deadline () =
-  let pool = Exec.Pool.get_global () in
-  let retry =
-    { Exec.Pool.max_attempts = 50; base_delay = 0.05; max_delay = 0.05; deadline = Some 0.02 }
-  in
-  (match Exec.Pool.submit ~retry pool (fun () -> failwith "slow") with
-  | Ok _ -> Alcotest.fail "expected deadline giveup"
-  | Error q ->
-      checkb "deadline flagged" true q.Exec.Pool.deadline_hit;
-      checkb "gave up early" true (q.Exec.Pool.attempts < 50));
-  (* Invalid policies are rejected up front. *)
-  checkb "invalid retry rejected" true
-    (match
-       Exec.Pool.submit ~retry:{ retry with max_attempts = 0 } pool (fun () -> ())
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_pool_backoff_delay () =
-  let r =
-    { Exec.Pool.max_attempts = 10; base_delay = 1.; max_delay = 5.; deadline = None }
-  in
-  checkf "first" 1. (Exec.Pool.backoff_delay r ~attempt:1);
-  checkf "doubles" 2. (Exec.Pool.backoff_delay r ~attempt:2);
-  checkf "capped" 5. (Exec.Pool.backoff_delay r ~attempt:5);
+let test_backoff_delay () =
+  let r = { Mapreduce.Scheduler.max_attempts = 10; base_delay = 1.; max_delay = 5. } in
+  checkf "first" 1. (Mapreduce.Scheduler.backoff_delay r ~attempt:1);
+  checkf "doubles" 2. (Mapreduce.Scheduler.backoff_delay r ~attempt:2);
+  checkf "capped" 5. (Mapreduce.Scheduler.backoff_delay r ~attempt:5);
   checkf "zero base means no sleep" 0.
-    (Exec.Pool.backoff_delay { r with base_delay = 0. } ~attempt:7)
+    (Mapreduce.Scheduler.backoff_delay { r with base_delay = 0. } ~attempt:7)
 
 let qcheck_faulted_runs_terminate =
   QCheck.Test.make
@@ -589,13 +535,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_faulted_runs_terminate;
         Alcotest.test_case "byte-identity vs pre-rewrite oracle" `Quick
           test_scheduler_byte_identity;
-      ] );
-    ( "pool submit",
-      [
-        Alcotest.test_case "retry then succeed" `Quick test_pool_submit_retry_succeeds;
-        Alcotest.test_case "quarantine after N throws" `Quick
-          test_pool_submit_quarantine_after_n_throws;
-        Alcotest.test_case "deadline gives up" `Quick test_pool_submit_deadline;
-        Alcotest.test_case "backoff delays" `Quick test_pool_backoff_delay;
+        Alcotest.test_case "backoff delays" `Quick test_backoff_delay;
       ] );
   ]

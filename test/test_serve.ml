@@ -145,24 +145,9 @@ let test_queue_overflow () =
   checki "admitted solved" 2 (cache_size b)
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identity with the one-shot CLI.                                *)
+(* Daemon over a real socket.                                          *)
 
-let test_byte_identity_with_cli () =
-  let line = ratio_line 13 in
-  let b = batch () in
-  let daemon_answer = Serve.Batch.handle_line b line in
-  let daemon_cached = Serve.Batch.handle_line b line in
-  match Cli.eval_for_test [ "query"; "--inline"; line ] with
-  | Error _ -> Alcotest.fail "nldl query --inline failed"
-  | Ok { status; out } ->
-      checki "cli exit 0" 0 status;
-      checks "cold daemon answer = one-shot CLI" (daemon_answer ^ "\n") out;
-      checks "cached daemon answer = one-shot CLI" (daemon_cached ^ "\n") out
-
-(* ------------------------------------------------------------------ *)
-(* Daemon over a real socket, concurrent clients.                      *)
-
-let test_daemon_concurrent_clients () =
+let start_daemon () =
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "nldl-test-%d.sock" (Unix.getpid ()))
@@ -185,6 +170,79 @@ let test_daemon_concurrent_clients () =
     Unix.sleepf 0.01
   done;
   checkb "daemon came up" true (Atomic.get ready);
+  (socket_path, daemon)
+
+let stop_daemon ctl daemon =
+  checks "shutdown ack" {|{"control":"ok"}|}
+    (Serve.Client.request ctl {|{"control":"shutdown"}|});
+  Serve.Client.close ctl;
+  Domain.join daemon
+
+(* ------------------------------------------------------------------ *)
+(* One byte-identity law over every surface.                           *)
+
+let normal_lines =
+  [
+    ratio_line 13;
+    {|{"kind":"schedule","platform":{"speeds":[1,2,4]},"workload":{"power":1.5},"total":50}|};
+    {|{"kind":"plan","platform":{"speeds":[2,3]},"comm_model":"one_port","total":9}|};
+    {|{"kind":"multi_load","platform":{"speeds":[1,2,3]},"loads":[0.5,1]}|};
+    "{definitely not json";
+  ]
+
+(* Requests that validate but drive a solver out of range: a latency
+   that swamps any makespan bracket, speeds and a load at the ends of
+   the float range, and a bandwidth so small the one-port cost model's
+   own precondition fails. *)
+let raising_lines =
+  [
+    {|{"kind":"ratio","platform":{"speeds":[1,2]},"latency":1e308,"workload":{"power":2},"total":5}|};
+    {|{"kind":"schedule","platform":{"speeds":[1e-300,1e300]},"workload":{"power":1000},"total":1e308}|};
+    {|{"kind":"plan","platform":{"speeds":[1,2]},"bandwidth":1e-320,"comm_model":"one_port","workload":{"power":2},"total":5}|};
+  ]
+
+let cli_answer line =
+  match Cli.eval_for_test [ "query"; "--inline"; line ] with
+  | Ok { status = 0; out } -> out
+  | Ok { status; _ } -> Alcotest.failf "nldl query --inline exited %d on %s" status line
+  | Error _ -> Alcotest.failf "nldl query --inline failed on %s" line
+
+let test_byte_identity_every_surface () =
+  let lines = normal_lines @ raising_lines in
+  let socket_path, daemon = start_daemon () in
+  let client = Serve.Client.connect_unix socket_path in
+  List.iter
+    (fun line ->
+      let cli = cli_answer line in
+      let b = batch () in
+      let single = Serve.Batch.handle_line b line in
+      let single_warm = Serve.Batch.handle_line b line in
+      let batched = (Serve.Batch.handle_batch (batch ()) [| line |]).(0) in
+      let daemon_cold = Serve.Client.request client line in
+      let daemon_warm = Serve.Client.request client line in
+      checks "handle_line = one-shot CLI" cli (single ^ "\n");
+      checks "handle_line repeat = handle_line" single single_warm;
+      checks "handle_batch = handle_line" single batched;
+      checks "daemon = handle_line" single daemon_cold;
+      checks "daemon repeat = handle_line" single daemon_warm)
+    lines;
+  ignore (stop_daemon client daemon : Serve.Batch.t);
+  List.iter
+    (fun line ->
+      Alcotest.(check (option string))
+        "solver failure is typed" (Some "solver_failure")
+        (error_code (cli_answer line));
+      (* Errors are never cached: a repeat solves again. *)
+      let b = batch () in
+      ignore (Serve.Batch.handle_line b line);
+      let misses = Serve.Batch.misses b and size = cache_size b in
+      ignore (Serve.Batch.handle_line b line);
+      checki "repeat is a miss" (misses + 1) (Serve.Batch.misses b);
+      checki "cache size unchanged" size (cache_size b))
+    raising_lines
+
+let test_daemon_concurrent_clients () =
+  let socket_path, daemon = start_daemon () in
   (* Four clients, each issuing the same small query mix; half the
      traffic repeats, so the cache must register hits. *)
   let queries = Array.init 8 (fun i -> ratio_line (30 + (i mod 4))) in
@@ -212,10 +270,7 @@ let test_daemon_concurrent_clients () =
       (match Obs.Json.member "cache_hits" j with
       | Some (Obs.Json.Int h) -> checkb "cache hits observed" true (h > 0)
       | _ -> Alcotest.fail "stats missing cache_hits"));
-  checks "shutdown ack" {|{"control":"ok"}|}
-    (Serve.Client.request ctl {|{"control":"shutdown"}|});
-  Serve.Client.close ctl;
-  let engine = Domain.join daemon in
+  let engine = stop_daemon ctl daemon in
   checkb "daemon served everything" true (Serve.Batch.requests engine >= 32);
   checkb "socket unlinked" false (Sys.file_exists socket_path)
 
@@ -239,7 +294,10 @@ let suites =
         Alcotest.test_case "queue overflow" `Quick test_queue_overflow;
       ] );
     ( "serve.identity",
-      [ Alcotest.test_case "daemon = one-shot CLI, bytes" `Quick test_byte_identity_with_cli ] );
+      [
+        Alcotest.test_case "daemon = one-shot CLI = both batch entry points, bytes" `Quick
+          test_byte_identity_every_surface;
+      ] );
     ( "serve.daemon",
       [ Alcotest.test_case "concurrent clients over a socket" `Quick test_daemon_concurrent_clients ] );
   ]
