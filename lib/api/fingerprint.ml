@@ -1,12 +1,8 @@
-let quantize f =
-  let s = Printf.sprintf "%.15g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let add_floats buf a =
   Array.iter
     (fun f ->
       Buffer.add_char buf ',';
-      Buffer.add_string buf (quantize f))
+      Buffer.add_string buf (Obs.Json.float_compact f))
     a
 
 let of_request (r : Request.t) =
@@ -31,18 +27,18 @@ let of_request (r : Request.t) =
   | Dlt.Cost_model.N_log_n -> Buffer.add_string buf "nlogn"
   | Dlt.Cost_model.Power alpha ->
       Buffer.add_string buf "pow:";
-      Buffer.add_string buf (quantize alpha));
+      Buffer.add_string buf (Obs.Json.float_compact alpha));
   Buffer.add_string buf "|bw:";
-  Buffer.add_string buf (quantize r.bandwidth);
+  Buffer.add_string buf (Obs.Json.float_compact r.bandwidth);
   Buffer.add_string buf "|lat:";
-  Buffer.add_string buf (quantize r.latency);
+  Buffer.add_string buf (Obs.Json.float_compact r.latency);
   (match r.kind with
   | Request.Multi_load loads ->
       Buffer.add_string buf "|loads:";
       add_floats buf loads
   | Request.Schedule | Request.Ratio | Request.Plan ->
       Buffer.add_string buf "|total:";
-      Buffer.add_string buf (quantize r.total));
+      Buffer.add_string buf (Obs.Json.float_compact r.total));
   Buffer.add_string buf "|speeds:";
   add_floats buf (Platform.Star.speeds star);
   Buffer.contents buf

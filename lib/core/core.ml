@@ -47,7 +47,6 @@ module Fraction = Dlt.Fraction
 module Dlt_bounds = Dlt.Bounds
 module Affine_dlt = Dlt.Affine
 module Dlt_ordering = Dlt.Ordering
-module Return_messages = Dlt.Return_messages
 module Steady_state = Dlt.Steady_state
 module Dlt_simulate = Dlt.Simulate
 module Tree_dlt = Dlt.Tree
@@ -66,7 +65,6 @@ module Timed_strategies = Partition.Timed
 module Sample_sort = Sortlib.Sample_sort
 module Hetero_sort = Sortlib.Hetero_sort
 module Sort_model = Sortlib.Parallel_model
-module Concentration = Sortlib.Concentration
 module Histogram_sort = Sortlib.Histogram_sort
 module Multicore_sort = Sortlib.Multicore
 module Psrs = Sortlib.Psrs
@@ -77,7 +75,6 @@ module Matrix = Linalg.Matrix
 module Zone = Linalg.Zone
 module Outer_product = Linalg.Outer_product
 module Matmul = Linalg.Matmul
-module Block_cyclic = Linalg.Block_cyclic
 module Summa = Linalg.Summa
 module C25d = Linalg.C25d
 module Poly = Linalg.Poly
@@ -91,7 +88,6 @@ module Cholesky = Linalg.Cholesky
 module Image = Workloads.Image
 module Database = Workloads.Database
 module Stream = Workloads.Stream
-module Montecarlo = Workloads.Montecarlo
 
 (* MapReduce runtime (§1.1, §4, conclusion). *)
 module Mr_task = Mapreduce.Task
@@ -100,7 +96,6 @@ module Mr_engine = Mapreduce.Engine
 module Mr_jobs = Mapreduce.Jobs
 module Mr_shuffle = Mapreduce.Shuffle
 module Mr_timeline = Mapreduce.Timeline
-module Mr_pipeline = Mapreduce.Pipeline
 
 (** [partition_for_speeds speeds] is the communication-minimizing
     Heterogeneous Blocks layout (PERI-SUM column partition) for workers

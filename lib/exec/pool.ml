@@ -305,32 +305,6 @@ let parallel_map_array ?workers ?chunk pool f a =
     out
   end
 
-let default_reduce_chunks = 64
-
-let parallel_reduce ?workers ?chunk pool ~init ~map ~combine n =
-  if n <= 0 then init
-  else begin
-    (* Chunk geometry depends only on [n] (and [?chunk]) — never on the
-       worker count — and partials are combined in chunk order, so the
-       result is identical at any domain count. *)
-    let chunk_size =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 ((n + default_reduce_chunks - 1) / default_reduce_chunks)
-    in
-    let chunk_count = (n + chunk_size - 1) / chunk_size in
-    let partials = Array.make chunk_count init in
-    parallel_for ?workers ~chunk:1 pool chunk_count (fun c ->
-        let start = c * chunk_size in
-        let stop = min n (start + chunk_size) in
-        let acc = ref (map start) in
-        for i = start + 1 to stop - 1 do
-          acc := combine !acc (map i)
-        done;
-        partials.(c) <- !acc);
-    Array.fold_left combine init partials
-  end
-
 (* --- stats ------------------------------------------------------------- *)
 
 type worker_stats = { tasks : int; chunks : int; busy_ns : int; parked_ns : int }

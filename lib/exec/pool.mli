@@ -53,22 +53,6 @@ val parallel_map_array :
   ?workers:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Element-wise map with the same contract as {!parallel_for}. *)
 
-val parallel_reduce :
-  ?workers:int ->
-  ?chunk:int ->
-  t ->
-  init:'a ->
-  map:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  int ->
-  'a
-(** [parallel_reduce pool ~init ~map ~combine n] is
-    [fold_left combine init (map 0 .. map (n-1))] for associative
-    [combine].  Chunk geometry depends only on [n] (and [?chunk]), and
-    per-chunk partials are combined in chunk order, so the result —
-    including floating-point rounding — is identical at any domain
-    count. *)
-
 val get_global : ?at_least:int -> unit -> t
 (** The process-wide shared pool, created on first use (sized
     {!default_domains}, or [at_least] if larger) and torn down via

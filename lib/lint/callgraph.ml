@@ -127,10 +127,9 @@ let parallel_prim path =
         | m :: _ -> List.mem m fanout_modules
       in
       match last with
-      | "parallel_for" | "parallel_map_array" | "parallel_reduce"
-        when qualifies ->
+      | ("parallel_for" | "parallel_map_array") when qualifies ->
           Some (String.concat "." path)
-      | ("run" | "handle_batch" | "handle_line")
+      | ("handle_batch" | "handle_line")
         when (match rest with m :: _ -> List.mem m fanout_modules | [] -> false)
         ->
           Some (String.concat "." path)

@@ -1,8 +1,8 @@
 (* Parallel-escape analysis: which functions can run on a pool domain?
 
    Roots are the definitions referenced from inside an argument of a
-   parallel primitive ([Exec.Pool.parallel_for]/[parallel_map_array]/...,
-   [Domain.spawn], [Serve.Batch] fan-out, [Numerics.Parallel] wrappers);
+   parallel primitive ([Exec.Pool.parallel_for]/[parallel_map_array],
+   [Domain.spawn], [Serve.Batch] fan-out, [Numerics.Parallel.parallel_for]);
    the escape set is their forward closure over the call graph.  A plain
    breadth-first fixpoint suffices — edges are static and cycles are
    harmless (a visited-set BFS terminates on any graph).

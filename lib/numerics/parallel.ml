@@ -1,6 +1,6 @@
-(* Thin facade over the persistent domain pool in [Exec.Pool]: same
-   signatures as the original spawn-per-call helpers, but the worker
-   domains are spawned once and reused across every call. *)
+(* Thin facade over the shared domain pool in [Exec.Pool]: a
+   [parallel_for] keyed by a domain count instead of a pool handle, with
+   the worker domains spawned once and reused across every call. *)
 
 let default_domains = Exec.Pool.default_domains
 
@@ -17,27 +17,6 @@ let parallel_for ?domains n body =
     Exec.Pool.parallel_for ~workers:domains
       (Exec.Pool.get_global ~at_least:domains ())
       n body
-
-let parallel_map_array ?domains f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let first = f a.(0) in
-    let out = Array.make n first in
-    parallel_for ?domains (n - 1) (fun i -> out.(i + 1) <- f a.(i + 1));
-    out
-  end
-
-let parallel_reduce ?domains ?chunk ~init ~map ~combine n =
-  let domains = resolve domains in
-  if domains <= 1 then
-    Exec.Pool.parallel_reduce ~workers:1 ?chunk
-      (Exec.Pool.get_global ())
-      ~init ~map ~combine n
-  else
-    Exec.Pool.parallel_reduce ~workers:domains ?chunk
-      (Exec.Pool.get_global ~at_least:domains ())
-      ~init ~map ~combine n
 
 let warm_up ?domains () =
   let domains = resolve domains in

@@ -20,23 +20,6 @@ val parallel_for : ?domains:int -> int -> (int -> unit) -> unit
     exception raised by a body cancels the remaining chunks and is
     re-raised in the caller. *)
 
-val parallel_map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Element-wise map with the same partitioning contract. *)
-
-val parallel_reduce :
-  ?domains:int ->
-  ?chunk:int ->
-  init:'a ->
-  map:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  int ->
-  'a
-(** [parallel_reduce ~init ~map ~combine n] is
-    [fold_left combine init (map 0 .. map (n-1))] for associative
-    [combine].  Chunk geometry depends only on [n] (and [?chunk]), so
-    the result — including floating-point rounding — is identical at
-    any domain count. *)
-
 val warm_up : ?domains:int -> unit -> unit
 (** Ensure the shared pool exists with at least [domains] workers, so a
     subsequent timed call does not pay the one-off spawn cost. *)

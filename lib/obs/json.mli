@@ -22,6 +22,11 @@ val to_compact : t -> string
     line-delimited query-plane wire format.  Non-finite floats emit as
     [null], like {!to_string}. *)
 
+val float_compact : float -> string
+(** The float rendering {!to_compact} uses: the [%.15g] form when it
+    parses back to the same double, else [%.17g]; ["null"] for NaN and
+    infinities. *)
+
 val write_file : string -> t -> unit
 
 val of_string : string -> (t, string) result

@@ -1,7 +1,7 @@
 let check areas =
   if Array.length areas > 10 then
-    invalid_arg "Partition.Exact: exhaustive search limited to 10 areas";
-  if Array.length areas = 0 then invalid_arg "Partition.Exact: empty areas"
+    invalid_arg "Exact: exhaustive search limited to 10 areas";
+  if Array.length areas = 0 then invalid_arg "Exact: empty areas"
 
 (* Enumerate set partitions: [visit groups] is called for every
    partition of indices [0..n-1] into non-empty groups (as lists). *)

@@ -2,10 +2,10 @@
     of grouping the zones into columns, contiguous in sorted order or
     not — for small instances.
 
-    Used to validate that the O(p²) dynamic program of
-    {!Column_partition} (which only searches contiguous groups of the
-    sorted areas) is exact within the class, per the structure theorem
-    of Beaumont-Boudet-Rastello-Robert. *)
+    Frozen test oracle: [Test_wave3] uses it to validate that the O(p²)
+    dynamic program of [Partition.Column_partition] (which only searches
+    contiguous groups of the sorted areas) is exact within the class,
+    per the structure theorem of Beaumont-Boudet-Rastello-Robert. *)
 
 val peri_sum_cost : areas:float array -> float
 (** Minimum [Σ_c (k_c·w_c + 1)] over all set partitions of the areas

@@ -126,9 +126,10 @@ let test_fingerprint_kind_sensitivity () =
   checkb "ratio <> schedule" false (k Api.Request.Ratio = k Api.Request.Schedule)
 
 let test_quantize_boundaries () =
-  (* Shortest round-trippable rendering: distinct doubles never merge,
-     and parsing the rendering returns the exact double. *)
-  let q = Api.Fingerprint.quantize in
+  (* Fingerprints quantize floats through the wire codec's rendering:
+     distinct doubles never merge, and parsing the rendering returns the
+     exact double. *)
+  let q = Obs.Json.float_compact in
   checkb "0.1+0.2 <> 0.3" false (q (0.1 +. 0.2) = q 0.3);
   checks "1.0 renders short" "1" (q 1.);
   List.iter
@@ -161,7 +162,7 @@ let qcheck_quantize_roundtrip =
     QCheck.(float_bound_exclusive 1e6)
     (fun f ->
       let f = Float.abs f +. 1e-9 in
-      float_of_string (Api.Fingerprint.quantize f) = f)
+      float_of_string (Obs.Json.float_compact f) = f)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation sanity.                                                  *)

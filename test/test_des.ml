@@ -287,6 +287,34 @@ let test_trace_gantt () =
     let lines = String.split_on_char '\n' gantt in
     List.exists (fun l -> String.length l >= 2 && l.[0] = 'w') lines)
 
+let test_engine_every () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let cancel =
+    Engine.every engine ~period:2. (fun e -> fired := Engine.now e :: !fired)
+  in
+  Engine.schedule engine ~time:7. (fun _ -> cancel ());
+  Engine.run engine;
+  Alcotest.(check (list (float 0.))) "three ticks then cancelled" [ 2.; 4.; 6. ]
+    (List.rev !fired)
+
+let test_engine_every_start () =
+  let engine = Engine.create () in
+  let count = ref 0 in
+  let cancel = Engine.every engine ~period:1. ~start:0.5 (fun _ -> incr count) in
+  Engine.schedule engine ~time:3. (fun _ -> cancel ());
+  Engine.run engine;
+  (* Fires at 0.5, 1.5, 2.5. *)
+  Alcotest.(check int) "three firings" 3 !count
+
+let test_engine_every_bad_period () =
+  let engine = Engine.create () in
+  checkb "non-positive period rejected" true
+    (try
+       ignore (Engine.every engine ~period:0. (fun _ -> ()) : Engine.cancel);
+       false
+     with Engine.Causality _ -> true)
+
 let suites =
   [
     ( "event queue",
@@ -322,6 +350,12 @@ let suites =
         Alcotest.test_case "cascade" `Quick test_engine_cascade;
         Alcotest.test_case "causality" `Quick test_engine_causality;
         Alcotest.test_case "horizon" `Quick test_engine_horizon;
+      ] );
+    ( "recurring events",
+      [
+        Alcotest.test_case "every + cancel" `Quick test_engine_every;
+        Alcotest.test_case "explicit start" `Quick test_engine_every_start;
+        Alcotest.test_case "bad period" `Quick test_engine_every_bad_period;
       ] );
     ( "trace",
       [

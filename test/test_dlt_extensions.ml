@@ -1,12 +1,11 @@
-(* Affine one-port DLT (latencies + participation), dispatch-order
-   analysis, and return-message schedules — the classical extensions the
-   paper's model deliberately strips away. *)
+(* Affine one-port DLT (latencies + participation) and dispatch-order
+   analysis — the classical extensions the paper's model deliberately
+   strips away. *)
 
 module Star = Platform.Star
 module Processor = Platform.Processor
 module Affine = Dlt.Affine
 module Ordering = Dlt.Ordering
-module Return_messages = Dlt.Return_messages
 module Linear = Dlt.Linear
 
 let checkb = Alcotest.(check bool)
@@ -165,51 +164,6 @@ let test_exhaustive_size_guard () =
        false
      with Invalid_argument _ -> true)
 
-let test_returns_extend_makespan () =
-  let allocation = Linear.one_port_allocation star_no_latency ~total:60. in
-  let base = Linear.one_port_makespan star_no_latency ~total:60. in
-  let fifo = Return_messages.makespan Return_messages.Fifo star_no_latency ~allocation in
-  checkb "returns cost time" true (fifo > base)
-
-let test_returns_zero_delta_free () =
-  let allocation = Linear.one_port_allocation star_no_latency ~total:60. in
-  let base = Linear.one_port_makespan star_no_latency ~total:60. in
-  checkf "delta = 0 changes nothing" ~eps:1e-6 base
-    (Return_messages.makespan ~delta:0. Return_messages.Fifo star_no_latency ~allocation)
-
-let test_returns_port_exclusive () =
-  let allocation = [| 10.; 10.; 10. |] in
-  let result = Return_messages.run Return_messages.Fifo star_no_latency ~allocation in
-  (* No two return transfers overlap. *)
-  let intervals =
-    List.map (fun e -> (e.Return_messages.return_start, e.Return_messages.return_end))
-      result.Return_messages.events
-    |> List.sort compare
-  in
-  let rec check = function
-    | (_, fin) :: ((start, _) :: _ as rest) ->
-        checkb "returns serialized" true (start >= fin -. 1e-9);
-        check rest
-    | [ _ ] | [] -> ()
-  in
-  check intervals
-
-let test_returns_after_compute () =
-  let allocation = [| 5.; 20.; 10. |] in
-  let result = Return_messages.run Return_messages.Lifo star_no_latency ~allocation in
-  List.iter
-    (fun e ->
-      checkb "return after compute" true
-        (e.Return_messages.return_start >= e.Return_messages.compute_end -. 1e-9))
-    result.Return_messages.events
-
-let test_best_policy_returns_minimum () =
-  let allocation = Linear.one_port_allocation star_no_latency ~total:60. in
-  let _, best = Return_messages.best_policy star_no_latency ~allocation in
-  let fifo = Return_messages.makespan Return_messages.Fifo star_no_latency ~allocation in
-  let lifo = Return_messages.makespan Return_messages.Lifo star_no_latency ~allocation in
-  checkf "min of both" best (Float.min fifo lifo)
-
 let qcheck_affine_participants_positive =
   QCheck.Test.make ~name:"affine solver: participants have positive shares" ~count:100
     QCheck.(
@@ -255,13 +209,5 @@ let suites =
         Alcotest.test_case "heuristics are permutations" `Quick
           test_heuristic_orders_are_permutations;
         Alcotest.test_case "exhaustive size guard" `Quick test_exhaustive_size_guard;
-      ] );
-    ( "return messages",
-      [
-        Alcotest.test_case "returns extend makespan" `Quick test_returns_extend_makespan;
-        Alcotest.test_case "zero delta free" `Quick test_returns_zero_delta_free;
-        Alcotest.test_case "port exclusive" `Quick test_returns_port_exclusive;
-        Alcotest.test_case "after compute" `Quick test_returns_after_compute;
-        Alcotest.test_case "best policy" `Quick test_best_policy_returns_minimum;
       ] );
   ]

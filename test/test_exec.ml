@@ -162,32 +162,6 @@ let test_pool_stats_nested_and_ensure () =
         (Array.sub (Array.map (fun w -> w.Pool.chunks) s'.Pool.per_domain) 0 2 = before);
       checki "new slot zeroed" 0 s'.Pool.per_domain.(2).Pool.chunks)
 
-let test_parallel_reduce_sum () =
-  with_pool ~domains:4 (fun pool ->
-      let n = 10_000 in
-      let total =
-        Pool.parallel_reduce pool ~init:0 ~map:(fun i -> i) ~combine:( + ) n
-      in
-      checki "sum 0..n-1" (n * (n - 1) / 2) total)
-
-let test_parallel_reduce_deterministic () =
-  (* Float summation: chunk geometry depends only on n, so the rounding
-     is identical at any worker count. *)
-  let n = 4_097 in
-  let map i = sin (float_of_int i) *. 1e-3 in
-  let run workers =
-    with_pool ~domains:4 (fun pool ->
-        Pool.parallel_reduce ~workers pool ~init:0. ~map ~combine:( +. ) n)
-  in
-  Alcotest.(check (float 0.)) "bit-identical across worker counts" (run 1) (run 4)
-
-let test_parallel_reduce_facade () =
-  let n = 1_000 in
-  let total =
-    Parallel.parallel_reduce ~domains:2 ~init:0 ~map:(fun i -> 2 * i) ~combine:( + ) n
-  in
-  checki "facade reduce" (n * (n - 1)) total
-
 let test_facade_determinism_sort () =
   let rng = Rng.create ~seed:2024 () in
   let keys = Array.init 20_000 (fun _ -> Rng.float rng) in
@@ -243,9 +217,6 @@ let suites =
           test_pool_stats_consistent;
         Alcotest.test_case "stats: nested and ensure" `Quick
           test_pool_stats_nested_and_ensure;
-        Alcotest.test_case "reduce sum" `Quick test_parallel_reduce_sum;
-        Alcotest.test_case "reduce deterministic" `Quick test_parallel_reduce_deterministic;
-        Alcotest.test_case "reduce facade" `Quick test_parallel_reduce_facade;
       ] );
     ( "exec determinism",
       [

@@ -80,16 +80,6 @@ let steady_state_bounds_batch =
       let throughput = (Dlt.Steady_state.one_port star).Dlt.Steady_state.throughput in
       Dlt.Linear.one_port_makespan star ~total:100. >= (100. /. throughput) -. 1e-6)
 
-(* Return messages only add time, and delta = 0 is free. *)
-let returns_monotone =
-  qtest "return volume only increases the makespan" (fun seed ->
-      let star = random_star seed in
-      let allocation = Dlt.Linear.one_port_allocation star ~total:40. in
-      let span delta =
-        Dlt.Return_messages.makespan ~delta Dlt.Return_messages.Fifo star ~allocation
-      in
-      span 0. <= span 0.5 +. 1e-9 && span 0.5 <= span 2. +. 1e-9)
-
 (* The sorting gap formula agrees with the measured divisible fraction
    for equal buckets. *)
 let sorting_gap_consistency =
@@ -149,7 +139,6 @@ let suites =
           peri_sum_guarantee;
           zones_track_layout;
           steady_state_bounds_batch;
-          returns_monotone;
           sorting_gap_consistency;
           multi_round_base_case;
           fluid_dedicated_links;

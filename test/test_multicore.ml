@@ -26,12 +26,14 @@ let test_parallel_for_empty () =
 
 let test_parallel_map () =
   let a = Array.init 257 (fun i -> i) in
-  let doubled = Parallel.parallel_map_array ~domains:3 (fun x -> 2 * x) a in
+  let pool = Exec.Pool.get_global ~at_least:3 () in
+  let doubled = Exec.Pool.parallel_map_array ~workers:3 pool (fun x -> 2 * x) a in
   Alcotest.(check (array int)) "map" (Array.map (fun x -> 2 * x) a) doubled
 
 let test_parallel_map_empty () =
   Alcotest.(check (array int)) "empty map" [||]
-    (Parallel.parallel_map_array ~domains:2 (fun x -> x) [||])
+    (Exec.Pool.parallel_map_array ~workers:2 (Exec.Pool.get_global ~at_least:2 ()) (fun x -> x)
+       [||])
 
 let test_multicore_sort_correct () =
   let rng = Rng.create ~seed:121 () in

@@ -2,7 +2,6 @@
    selection, bucketing, and the concentration measurements. *)
 
 module Sample_sort = Sortlib.Sample_sort
-module Concentration = Sortlib.Concentration
 module Rng = Numerics.Rng
 
 let checkb = Alcotest.(check bool)
@@ -139,29 +138,46 @@ let test_max_bucket_ratio_uniform () =
   in
   Alcotest.(check (float 1e-9)) "balanced ratio" 1. (Sample_sort.max_bucket_ratio buckets)
 
+(* E2's concentration check (Theorem B.4): the largest bucket over
+   [trials] seeded splitter draws, as a multiple of N/p, with the
+   paper's default oversampling. *)
+let max_bucket_ratios rng ~keys ~n ~p ~trials =
+  let s = Sample_sort.default_oversampling ~n in
+  Array.init trials (fun _ ->
+      let trial_rng = Rng.split rng in
+      let population = keys trial_rng n in
+      let splitters = Sample_sort.choose_splitters ~cmp:Float.compare trial_rng population ~p ~s in
+      Sample_sort.max_bucket_ratio
+        (Sample_sort.partition ~cmp:Float.compare population ~splitters))
+
 let test_concentration_envelope () =
   (* With the paper's oversampling, exceeding the envelope should be
      rare (probability O(n^-1/3)); at n = 20000 and 40 trials we allow a
      small number of violations. *)
   let rng = Rng.create ~seed:11 () in
-  let report =
-    Concentration.run rng ~keys:Concentration.uniform_keys ~n:20_000 ~p:8 ~trials:40
+  let n = 20_000 in
+  let ratios =
+    max_bucket_ratios rng ~keys:(fun rng n -> Array.init n (fun _ -> Rng.float rng)) ~n ~p:8
+      ~trials:40
   in
-  checkb "mostly within envelope" true (report.Concentration.exceed_count <= 4);
-  checkb "mean ratio sane" true
-    (report.Concentration.ratios.Numerics.Stats.mean > 1.
-    && report.Concentration.ratios.Numerics.Stats.mean < report.Concentration.envelope)
+  let envelope = Sample_sort.theoretical_envelope ~n in
+  let exceed = Array.fold_left (fun acc r -> if r > envelope then acc + 1 else acc) 0 ratios in
+  checkb "mostly within envelope" true (exceed <= 4);
+  let mean = Numerics.Stats.mean ratios in
+  checkb "mean ratio sane" true (mean > 1. && mean < envelope)
 
 let test_concentration_skewed_keys () =
   (* Sample sort is distribution-independent: skewed populations behave
-     like uniform ones. *)
+     like uniform ones.  Keys are concentrated near 0 by an
+     inverse-power transform of a uniform draw. *)
   let rng = Rng.create ~seed:12 () in
-  let report =
-    Concentration.run rng ~keys:(Concentration.zipf_like_keys ~skew:3.) ~n:20_000 ~p:8
-      ~trials:20
+  let n = 20_000 in
+  let ratios =
+    max_bucket_ratios rng ~keys:(fun rng n -> Array.init n (fun _ -> Rng.float rng ** 3.)) ~n
+      ~p:8 ~trials:20
   in
   checkb "skew does not break concentration" true
-    (report.Concentration.ratios.Numerics.Stats.mean < report.Concentration.envelope)
+    (Numerics.Stats.mean ratios < Sample_sort.theoretical_envelope ~n)
 
 let qcheck_sort_correct =
   QCheck.Test.make ~name:"sample sort sorts arbitrary int arrays" ~count:100

@@ -1,7 +1,6 @@
 (* Exhaustive column-partition validation, polynomial multiplication,
    and steady-state throughput. *)
 
-module Exact = Partition.Exact
 module Column_partition = Partition.Column_partition
 module Poly = Linalg.Poly
 module Zone = Linalg.Zone

@@ -1,10 +1,8 @@
-(* Cholesky and the Monte-Carlo workload. *)
+(* Blocked Cholesky factorization. *)
 
 module Cholesky = Linalg.Cholesky
 module Matrix = Linalg.Matrix
-module Montecarlo = Workloads.Montecarlo
 module Rng = Numerics.Rng
-module Star = Platform.Star
 
 let checkb = Alcotest.(check bool)
 let checkf msg ?(eps = 1e-9) expected actual =
@@ -88,41 +86,6 @@ let qcheck_cholesky =
       let a = spd rng n in
       Matrix.approx_equal ~tol:1e-7 (Cholesky.reconstruct (Cholesky.factorize ~block:4 a)) a)
 
-(* --- Monte Carlo --- *)
-
-let test_pi_estimate () =
-  let rng = Rng.create ~seed:176 () in
-  let e = Montecarlo.pi rng ~samples:200_000 in
-  checkb "close to pi" true (Float.abs (e.Montecarlo.value -. Float.pi) < 0.02);
-  checkb "within 4 sigma" true
-    (Float.abs (e.Montecarlo.value -. Float.pi) < 4. *. e.Montecarlo.std_error)
-
-let test_std_error_shrinks () =
-  let e n = (Montecarlo.pi (Rng.create ~seed:177 ()) ~samples:n).Montecarlo.std_error in
-  checkb "error ~ 1/sqrt(n)" true (e 100_000 < e 1_000 /. 5.)
-
-let test_distributed_pools_exactly () =
-  let rng = Rng.create ~seed:178 () in
-  let star = Star.of_speeds [ 1.; 2.; 5. ] in
-  let f x y = if (x *. x) +. (y *. y) < 1. then 4. else 0. in
-  let d = Montecarlo.distributed_estimate rng star ~f ~samples:100_000 in
-  Alcotest.(check int) "sample counts pool" 100_000
-    (Array.fold_left ( + ) 0 d.Montecarlo.per_worker);
-  checkb "estimate sane" true (Float.abs (d.Montecarlo.combined.Montecarlo.value -. Float.pi) < 0.05);
-  checkb "near-perfect efficiency" true (d.Montecarlo.efficiency > 0.95)
-
-let test_distributed_shares_follow_speeds () =
-  let rng = Rng.create ~seed:179 () in
-  let star = Star.of_speeds [ 1.; 4. ] in
-  let d = Montecarlo.distributed_estimate rng star ~f:(fun x _ -> x) ~samples:10_000 in
-  Alcotest.(check int) "fast worker 4x samples" 8_000 d.Montecarlo.per_worker.(1)
-
-let test_constant_function () =
-  let rng = Rng.create ~seed:180 () in
-  let e = Montecarlo.estimate rng ~f:(fun _ _ -> 7.) ~samples:100 in
-  checkf "exact for constants" 7. e.Montecarlo.value;
-  checkf "zero error" 0. e.Montecarlo.std_error
-
 let suites =
   [
     ( "cholesky",
@@ -135,13 +98,5 @@ let suites =
         Alcotest.test_case "indefinite rejected" `Quick test_cholesky_rejects_indefinite;
         Alcotest.test_case "agrees with LU" `Quick test_cholesky_agrees_with_lu;
         QCheck_alcotest.to_alcotest qcheck_cholesky;
-      ] );
-    ( "monte carlo workload",
-      [
-        Alcotest.test_case "pi" `Quick test_pi_estimate;
-        Alcotest.test_case "error shrinks" `Quick test_std_error_shrinks;
-        Alcotest.test_case "distributed pools" `Quick test_distributed_pools_exactly;
-        Alcotest.test_case "shares follow speeds" `Quick test_distributed_shares_follow_speeds;
-        Alcotest.test_case "constant function" `Quick test_constant_function;
       ] );
   ]

@@ -1,43 +1,10 @@
-(* The two-job sort pipeline and online statistics. *)
+(* Online statistics. *)
 
-module Pipeline = Mapreduce.Pipeline
-module Star = Platform.Star
 module Rng = Numerics.Rng
 module Online = Numerics.Stats.Online
 
-let checkb = Alcotest.(check bool)
 let checkf msg ?(eps = 1e-9) expected actual =
   Alcotest.(check (float eps)) msg expected actual
-
-let test_sort_pipeline () =
-  let rng = Rng.create ~seed:181 () in
-  let keys = Array.init 8_000 (fun _ -> Rng.float rng) in
-  let star = Star.of_speeds [ 1.; 2.; 4. ] in
-  let sorted, stats =
-    Pipeline.run star ~init:keys ~steps:(Pipeline.sort ~keys ~chunk:500 ~p:8)
-  in
-  let reference = Array.copy keys in
-  Array.sort Float.compare reference;
-  Alcotest.(check (array (float 0.))) "sorted" reference sorted;
-  Alcotest.(check (list string)) "two jobs"
-    [ "sample + select splitters"; "bucket + sort" ]
-    (List.map (fun (n, _, _) -> n) stats.Pipeline.steps)
-
-let test_sort_pipeline_duplicates () =
-  let rng = Rng.create ~seed:182 () in
-  let keys = Array.init 2_000 (fun _ -> float_of_int (Rng.int rng 7)) in
-  let star = Star.of_speeds [ 1.; 1. ] in
-  let sorted, _ = Pipeline.run star ~init:keys ~steps:(Pipeline.sort ~keys ~chunk:200 ~p:4) in
-  let reference = Array.copy keys in
-  Array.sort Float.compare reference;
-  Alcotest.(check (array (float 0.))) "duplicates" reference sorted
-
-let test_sort_pipeline_validation () =
-  checkb "bad chunk rejected" true
-    (try
-       ignore (Pipeline.sort ~keys:(Array.make 10 0.) ~chunk:3 ~p:2);
-       false
-     with Invalid_argument _ -> true)
 
 let test_online_matches_batch () =
   let rng = Rng.create ~seed:183 () in
@@ -81,12 +48,6 @@ let qcheck_online =
 
 let suites =
   [
-    ( "sort pipeline",
-      [
-        Alcotest.test_case "sorts" `Quick test_sort_pipeline;
-        Alcotest.test_case "duplicates" `Quick test_sort_pipeline_duplicates;
-        Alcotest.test_case "validation" `Quick test_sort_pipeline_validation;
-      ] );
     ( "online statistics",
       [
         Alcotest.test_case "matches batch" `Quick test_online_matches_batch;

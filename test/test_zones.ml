@@ -1,7 +1,6 @@
-(* Integer zones and the block-cyclic distribution. *)
+(* Integer zones. *)
 
 module Zone = Linalg.Zone
-module Block_cyclic = Linalg.Block_cyclic
 module Star = Platform.Star
 module Rng = Numerics.Rng
 
@@ -80,46 +79,6 @@ let qcheck_zone_areas_close =
           Float.abs (float_of_int (Zone.area z) -. exact) <= float_of_int (2 * n))
         zones x)
 
-let test_block_cyclic_owner () =
-  let d = Block_cyclic.create ~grid_rows:2 ~grid_cols:2 ~block:2 ~n:8 in
-  Alcotest.(check int) "origin owner" 0 (Block_cyclic.owner d ~row:0 ~col:0);
-  Alcotest.(check int) "block (0,1) owner" 1 (Block_cyclic.owner d ~row:0 ~col:2);
-  Alcotest.(check int) "block (1,0) owner" 2 (Block_cyclic.owner d ~row:2 ~col:0);
-  Alcotest.(check int) "wraps" 0 (Block_cyclic.owner d ~row:4 ~col:4)
-
-let test_block_cyclic_load_balanced () =
-  let d = Block_cyclic.create ~grid_rows:2 ~grid_cols:2 ~block:2 ~n:8 in
-  let loads = Block_cyclic.load d in
-  Array.iter (fun l -> Alcotest.(check int) "16 cells each" 16 l) loads;
-  Alcotest.(check int) "covers matrix" 64 (Array.fold_left ( + ) 0 loads)
-
-let test_block_cyclic_comm_matches_blocked () =
-  (* A q×q cyclic distribution moves the same volume as q×q square
-     zones: n·Σ(rows+cols) = n·(q·n/q + q·n/q)·... = 2n²·q. *)
-  let n = 16 and q = 4 in
-  let d = Block_cyclic.create ~grid_rows:q ~grid_cols:q ~block:2 ~n in
-  Alcotest.(check int) "volume 2n²q" (2 * n * n * q) (Block_cyclic.communication_volume d)
-
-let test_block_cyclic_owner_bounds () =
-  let d = Block_cyclic.create ~grid_rows:2 ~grid_cols:3 ~block:4 ~n:10 in
-  Alcotest.check_raises "row OOB" (Invalid_argument "Block_cyclic.owner: out of bounds")
-    (fun () -> ignore (Block_cyclic.owner d ~row:10 ~col:0))
-
-let qcheck_block_cyclic_partition =
-  QCheck.Test.make ~name:"block-cyclic loads partition the matrix" ~count:100
-    QCheck.(triple (int_range 1 4) (int_range 1 4) (pair (int_range 1 5) (int_range 4 32)))
-    (fun (q, r, (block, n)) ->
-      let d = Block_cyclic.create ~grid_rows:q ~grid_cols:r ~block ~n in
-      (* Count ownership cell by cell and compare with load. *)
-      let counted = Array.make (q * r) 0 in
-      for row = 0 to n - 1 do
-        for col = 0 to n - 1 do
-          let o = Block_cyclic.owner d ~row ~col in
-          counted.(o) <- counted.(o) + 1
-        done
-      done;
-      counted = Block_cyclic.load d)
-
 let suites =
   [
     ( "zones",
@@ -132,13 +91,5 @@ let suites =
         Alcotest.test_case "gap caught" `Quick test_validate_catches_gap;
         QCheck_alcotest.to_alcotest qcheck_zones_tile;
         QCheck_alcotest.to_alcotest qcheck_zone_areas_close;
-      ] );
-    ( "block cyclic",
-      [
-        Alcotest.test_case "owner" `Quick test_block_cyclic_owner;
-        Alcotest.test_case "load balanced" `Quick test_block_cyclic_load_balanced;
-        Alcotest.test_case "comm matches blocked" `Quick test_block_cyclic_comm_matches_blocked;
-        Alcotest.test_case "owner bounds" `Quick test_block_cyclic_owner_bounds;
-        QCheck_alcotest.to_alcotest qcheck_block_cyclic_partition;
       ] );
   ]
