@@ -32,10 +32,12 @@ let table =
   [
     (* Ratios of two timings taken in the same process, so machine
        speed cancels out: the memoized serve path against the solve
-       path, the observability stack on against off (DESIGN.md s14),
-       the two-phase lint against the per-file pass and a warm digest
-       cache against a cold one. *)
+       path, the wire float printer against one libc sprintf, the
+       observability stack on against off (DESIGN.md s14), the
+       two-phase lint against the per-file pass and a warm digest cache
+       against a cold one. *)
     row "serve_throughput" [ "warm_over_cold" ] At_least 10.;
+    row "json_codec" [ "compact_over_sprintf17" ] At_most 0.5;
     row "obs_overhead" [ "overhead_ratio" ] At_most 1.05;
     row "obs_overhead" [ "disabled_path_fraction" ] At_most 0.01;
     row "lint_time" [ "full_over_per_file" ] At_most 2.;
@@ -52,7 +54,8 @@ let table =
    may grow 10%.  Allocation counts are gated rather than ns/run because
    they are pinned by fixed inputs and domain counts, so they compare
    across machines; timings on shared runners are too noisy. *)
-let ratcheted = [ "psrs_sort"; "histogram_splitters"; "multicore_sort"; "event_heap_push_pop" ]
+let ratcheted =
+  [ "psrs_sort"; "histogram_splitters"; "multicore_sort"; "event_heap_push_pop"; "response_to_line" ]
 
 let alloc_rows baseline =
   List.concat_map

@@ -673,6 +673,40 @@ let report_serve_throughput () =
       ("cache_misses", Obs.Json.Int (Serve.Batch.misses batch));
     ]
 
+(* --- json codec: the wire float printer against one libc call ----------- *)
+
+(* Obs.Json.float_compact renders every wire and fingerprint float.  It
+   is timed against a single [sprintf "%.17g"] on the same seeded
+   uniform doubles in this process, so machine speed cancels out.  The
+   three-libc-call body it replaced reads 1.8-2.4 on a 2-vCPU x86 host,
+   the digit generator about 0.35.  Each side keeps its best of three
+   alternating passes. *)
+let report_json_codec () =
+  Printf.printf "\n-- json codec (float_compact vs sprintf %%.17g) --\n%!";
+  let rng = Core.Rng.create ~seed:31 () in
+  let values = Array.init 100_000 (fun _ -> Core.Rng.float rng) in
+  let pass render =
+    let t0 = Obs.Clock.now_ns () in
+    Array.iter (fun f -> ignore (Sys.opaque_identity (render f))) values;
+    Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0)
+  in
+  let best_compact = ref Float.infinity and best_sprintf = ref Float.infinity in
+  for _ = 1 to 3 do
+    best_compact := Float.min !best_compact (pass Obs.Json.float_compact);
+    best_sprintf := Float.min !best_sprintf (pass (Printf.sprintf "%.17g"))
+  done;
+  let per_call s = s /. float_of_int (Array.length values) *. 1e9 in
+  let ratio = !best_compact /. !best_sprintf in
+  Printf.printf "float_compact %.0f ns/value, sprintf %%.17g %.0f ns/value: %.2fx\n%!"
+    (per_call !best_compact) (per_call !best_sprintf) ratio;
+  Obs.Json.Obj
+    [
+      ("values", Obs.Json.Int (Array.length values));
+      ("compact_ns", Obs.Json.Float (per_call !best_compact));
+      ("sprintf17_ns", Obs.Json.Float (per_call !best_sprintf));
+      ("compact_over_sprintf17", Obs.Json.Float ratio);
+    ]
+
 (* --- lint time: two-phase pipeline vs per-file baseline --------------- *)
 
 (* Three driver runs over the committed tree: the PR-5 per-file
@@ -773,6 +807,17 @@ let alloc_kernels () =
   let vb = Array.init n_vec (fun _ -> Core.Rng.float mat_rng) in
   let vzones = Core.Zone.for_platform star ~n:n_vec in
   let heap = Des.Event_heap.create ~initial_capacity:10_000 () in
+  (* The encode-bound serve answers: a p=32 schedule (one row per
+     worker) and a p=64 plan, solved once outside the kernel. *)
+  let answer p kind =
+    let grid = Core.Rng.create ~seed:(25 + p) () in
+    let speeds = Array.init p (fun _ -> Float.round (Core.Rng.uniform grid 0.5 8. *. 1000.) /. 1000.) in
+    match Api.Request.make ~total:4321.5 ~platform:(Api.Request.Speeds speeds) ~kind () with
+    | Ok r -> Api.Eval.eval r
+    | Error e -> failwith ("response_to_line request: " ^ e)
+  in
+  let schedule = answer 32 Api.Request.Schedule and plan = answer 64 Api.Request.Plan in
+  assert (not (Api.Response.is_error schedule || Api.Response.is_error plan));
   [
     ( "scatter_partition_floats",
       fun () -> ignore (Core.Scatter.partition_floats keys ~splitters) );
@@ -791,6 +836,10 @@ let alloc_kernels () =
       fun () -> ignore (Core.Outer_product.distributed ~zones:vzones va vb) );
     ("parallel_matmul", fun () -> ignore (Core.Parallel_matmul.multiply ~domains:2 a b));
     ("event_heap_push_pop", fun () -> Des.Event_heap.exercise heap ~rounds:1 ~batch:10_000);
+    ( "response_to_line",
+      fun () ->
+        ignore (Sys.opaque_identity (Api.Response.to_line schedule));
+        ignore (Sys.opaque_identity (Api.Response.to_line plan)) );
   ]
 
 let report_allocations () =
@@ -971,6 +1020,7 @@ let () =
   let obs_overhead, best_mr_seconds = report_obs_overhead () in
   let des_throughput = report_des_throughput ~best_mr_seconds () in
   let serve_throughput = report_serve_throughput () in
+  let json_codec = report_json_codec () in
   let lint_time = report_lint_time () in
   let alloc_measured, allocations = report_allocations () in
   (match write_alloc_path with
@@ -1000,6 +1050,7 @@ let () =
          ("fig4_scaling", fig4_scaling);
          ("des_throughput", des_throughput);
          ("serve_throughput", serve_throughput);
+         ("json_codec", json_codec);
          ("lint_time", lint_time);
          ("obs_overhead", obs_overhead);
          ("allocations", allocations);

@@ -13,21 +13,25 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Append [s] as a JSON string body; a string with nothing to escape
+   (every object key this repo writes) goes in whole. *)
+let add_escaped buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
 
 let rec emit buf indent v =
   let pad n = String.make n ' ' in
@@ -40,7 +44,7 @@ let rec emit buf indent v =
       else Buffer.add_string buf "null"
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List [] -> Buffer.add_string buf "[]"
   | List items ->
@@ -62,7 +66,7 @@ let rec emit buf indent v =
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf (pad (indent + 2));
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\": ";
           emit buf (indent + 2) item)
         fields;
@@ -76,15 +80,13 @@ let to_string v =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* Shortest decimal form that parses back to the same float: %.6g is
-   fine for human-facing reports but loses bits, and the query-plane
-   wire format (Api/Serve line protocol) needs byte-stable, lossless
-   values. *)
-let float_compact f =
-  if not (Float.is_finite f) then "null"
-  else
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+(* %.6g is fine for human-facing reports but loses bits; the
+   query-plane wire format (Api/Serve line protocol) needs byte-stable,
+   lossless values.  The rule is libc's %.15g when it parses back to the
+   same double, else %.17g -- lossless, though not always the shortest
+   such decimal (5e-324 renders as 4.94065645841247e-324).  Float_print
+   generates those digits without calling libc. *)
+let float_compact f = if Float.is_finite f then Float_print.render f else "null"
 
 let rec emit_compact buf v =
   match v with
@@ -94,7 +96,7 @@ let rec emit_compact buf v =
   | Float f -> Buffer.add_string buf (float_compact f)
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List items ->
       Buffer.add_char buf '[';
@@ -110,7 +112,7 @@ let rec emit_compact buf v =
         (fun i (k, item) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           emit_compact buf item)
         fields;
@@ -183,7 +185,7 @@ let of_string s =
               if !pos + 4 > n then fail "truncated \\u escape";
               let code = int_of_string ("0x" ^ String.sub s !pos 4) in
               pos := !pos + 4;
-              (* Codepoints above 0x7f are emitted raw by [escape], so a
+              (* Codepoints above 0x7f are emitted raw by [add_escaped], so a
                  plain byte round-trips everything this repo writes. *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)
               else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);

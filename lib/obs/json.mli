@@ -17,15 +17,18 @@ val to_string : t -> string
     floats are emitted as [null] (JSON has no NaN/inf). *)
 
 val to_compact : t -> string
-(** Single-line rendering with no whitespace and lossless floats (the
-    shortest decimal that parses back to the same value), for the
-    line-delimited query-plane wire format.  Non-finite floats emit as
-    [null], like {!to_string}. *)
+(** Single-line rendering with no whitespace and lossless floats
+    ({!float_compact}), for the line-delimited query-plane wire format.
+    Non-finite floats emit as [null], like {!to_string}. *)
 
 val float_compact : float -> string
-(** The float rendering {!to_compact} uses: the [%.15g] form when it
-    parses back to the same double, else [%.17g]; ["null"] for NaN and
-    infinities. *)
+(** The float rendering {!to_compact} uses: the correctly rounded
+    [%.15g] text when it parses back to the same double, else [%.17g]
+    (exact decimal ties round to even, as in glibc); ["null"] for NaN
+    and infinities.  Lossless, but not always the shortest decimal that
+    parses back: [5e-324] renders as [4.94065645841247e-324].  The
+    digits are generated without libc, byte-identical to the [sprintf]
+    rule. *)
 
 val write_file : string -> t -> unit
 

@@ -132,6 +132,7 @@ let test_quantize_boundaries () =
   let q = Obs.Json.float_compact in
   checkb "0.1+0.2 <> 0.3" false (q (0.1 +. 0.2) = q 0.3);
   checks "1.0 renders short" "1" (q 1.);
+  checks "lossless, not shortest" "4.94065645841247e-324" (q 5e-324);
   List.iter
     (fun f -> Alcotest.(check (float 0.)) "parse round-trip" f (float_of_string (q f)))
     [ 0.1; 0.1 +. 0.2; 1e-300; 1.7976931348623157e308; 4.9e-324; 1. /. 3. ]

@@ -53,6 +53,7 @@ let test_table_pins_thresholds () =
   let expected =
     [
       ("serve_throughput.warm_over_cold", ">=", 10., "const");
+      ("json_codec.compact_over_sprintf17", "<=", 0.5, "const");
       ("obs_overhead.overhead_ratio", "<=", 1.05, "const");
       ("obs_overhead.disabled_path_fraction", "<=", 0.01, "const");
       ("lint_time.full_over_per_file", "<=", 2., "const");
@@ -64,7 +65,13 @@ let test_table_pins_thresholds () =
   checkb "gate table" true (shown = expected);
   checkb "ratcheted kernels" true
     (Gates.ratcheted
-    = [ "psrs_sort"; "histogram_splitters"; "multicore_sort"; "event_heap_push_pop" ])
+    = [
+        "psrs_sort";
+        "histogram_splitters";
+        "multicore_sort";
+        "event_heap_push_pop";
+        "response_to_line";
+      ])
 
 let test_limit_is_inclusive () =
   List.iter
