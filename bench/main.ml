@@ -98,7 +98,7 @@ let test_sample_sort =
   Test.make ~name:"sample sort (N=1e5, p=16)"
     (Staged.stage (fun () ->
          let rng = Core.Rng.create ~seed:5 () in
-         ignore (Core.Sample_sort.sort ~cmp:Float.compare rng keys ~p:16)))
+         ignore (Core.Multicore_sort.sort ~domains:1 rng keys ~p:16)))
 
 let test_distributed_matmul =
   let rng = Core.Rng.create ~seed:6 () in
@@ -791,7 +791,7 @@ let alloc_kernels () =
   let rng = Core.Rng.create ~seed:21 () in
   let keys = Array.init n_keys (fun _ -> Core.Rng.float rng) in
   let splitters =
-    Core.Sample_sort.choose_splitters ~cmp:Float.compare
+    Core.Sample_sort.choose_splitters_floats
       (Core.Rng.create ~seed:22 ())
       keys ~p
       ~s:(Core.Sample_sort.default_oversampling ~n:n_keys)

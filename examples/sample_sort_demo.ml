@@ -14,22 +14,25 @@ let () =
   Printf.printf "Sorting N = %d keys on p = %d workers, oversampling s = %d\n\n" n p s;
 
   (* Phase 1: splitters from an oversampled random sample. *)
-  let splitters = Core.Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p ~s in
+  let splitters = Core.Sample_sort.choose_splitters_floats rng keys ~p ~s in
   Printf.printf "Phase 1 - splitters (p-1 = %d):\n  " (Array.length splitters);
   Array.iter (fun x -> Printf.printf "%.3f " x) splitters;
 
   (* Phase 2: bucket the keys. *)
-  let buckets = Core.Sample_sort.partition ~cmp:Float.compare keys ~splitters in
-  let sizes = Array.map Array.length buckets.Core.Sample_sort.contents in
+  let flat = Core.Scatter.partition_floats keys ~splitters in
+  let sizes = Core.Scatter.bucket_sizes flat in
   Printf.printf "\n\nPhase 2 - bucket sizes (ideal %d each):\n  " (n / p);
   Array.iter (Printf.printf "%d ") sizes;
   Printf.printf "\n  max/avg ratio %.4f, w.h.p. envelope %.4f\n"
-    (Core.Sample_sort.max_bucket_ratio buckets)
+    (Core.Sample_sort.max_bucket_ratio sizes)
     (Core.Sample_sort.theoretical_envelope ~n);
 
   (* Phase 3: local sorts (executed for real). *)
-  Array.iter (Array.sort Float.compare) buckets.Core.Sample_sort.contents;
-  let sorted = Array.concat (Array.to_list buckets.Core.Sample_sort.contents) in
+  for b = 0 to p - 1 do
+    Core.Seg_sort.sort_floats flat.Core.Scatter.data ~lo:(Core.Scatter.bucket_lo flat b)
+      ~len:(Core.Scatter.bucket_len flat b)
+  done;
+  let sorted = flat.Core.Scatter.data in
   let ok = ref true in
   for i = 0 to n - 2 do
     if sorted.(i) > sorted.(i + 1) then ok := false

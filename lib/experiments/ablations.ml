@@ -114,21 +114,18 @@ let splitters ?(n = 100_000) ?(processor_counts = [ 8; 32 ]) ?(seed = 33) () =
     (fun p ->
       let keys = Array.init n (fun _ -> Rng.float rng) in
       let s = Sortlib.Sample_sort.default_oversampling ~n in
-      let sample_splitters =
-        Sortlib.Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p ~s
-      in
-      let buckets =
-        Sortlib.Sample_sort.partition ~cmp:Float.compare keys ~splitters:sample_splitters
-      in
+      let sample_splitters = Sortlib.Sample_sort.choose_splitters_floats rng keys ~p ~s in
+      let sample_sizes = Kernels.Scatter.histogram_floats keys ~splitters:sample_splitters in
       let histogram = Sortlib.Histogram_sort.splitters ~tolerance:0.01 keys ~p in
       let psrs = Sortlib.Psrs.sort keys ~p in
       {
         n;
         p;
-        sample_ratio = Sortlib.Sample_sort.max_bucket_ratio buckets;
-        histogram_ratio = Sortlib.Histogram_sort.max_bucket_ratio histogram;
+        sample_ratio = Sortlib.Sample_sort.max_bucket_ratio sample_sizes;
+        histogram_ratio =
+          Sortlib.Sample_sort.max_bucket_ratio histogram.Sortlib.Histogram_sort.bucket_sizes;
         histogram_passes = histogram.Sortlib.Histogram_sort.passes;
-        psrs_ratio = Sortlib.Psrs.max_bucket_ratio psrs;
+        psrs_ratio = Sortlib.Sample_sort.max_bucket_ratio psrs.Sortlib.Psrs.bucket_sizes;
       })
     processor_counts
 

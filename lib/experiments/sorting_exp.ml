@@ -33,11 +33,8 @@ let run ?(sizes = [ 10_000; 100_000; 1_000_000 ]) ?(processor_counts = [ 4; 16; 
           let trial_rng = Rng.split rng in
           let keys = Array.init n (fun _ -> Rng.float trial_rng) in
           let s = Sample_sort.default_oversampling ~n in
-          let splitters =
-            Sample_sort.choose_splitters ~cmp:Float.compare trial_rng keys ~p ~s
-          in
-          let buckets = Sample_sort.partition ~cmp:Float.compare keys ~splitters in
-          let bucket_sizes = Array.map Array.length buckets.Sample_sort.contents in
+          let splitters = Sample_sort.choose_splitters_floats trial_rng keys ~p ~s in
+          let bucket_sizes = Kernels.Scatter.histogram_floats keys ~splitters in
           let star = Profiles.generate trial_rng ~p Profiles.paper_homogeneous in
           let timing = Sortlib.Parallel_model.evaluate star ~bucket_sizes ~s in
           rows :=
@@ -47,7 +44,7 @@ let run ?(sizes = [ 10_000; 100_000; 1_000_000 ]) ?(processor_counts = [ 4; 16; 
               s;
               predicted_gap = Dlt.Fraction.sorting_gap ~n:(float_of_int n) ~p;
               measured_gap = 1. -. timing.Sortlib.Parallel_model.divisible_fraction;
-              max_bucket_ratio = Sample_sort.max_bucket_ratio buckets;
+              max_bucket_ratio = Sample_sort.max_bucket_ratio bucket_sizes;
               envelope = Sample_sort.theoretical_envelope ~n;
               speedup = timing.Sortlib.Parallel_model.speedup;
               ideal_speedup = Platform.Star.total_speed star;

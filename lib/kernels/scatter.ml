@@ -1,15 +1,16 @@
 (* Counting-based scatter kernels: bucket-index histogram, exclusive
    prefix sum, stable scatter into one preallocated array.  See the .mli
-   for the determinism contract; the float-specialized clones exist
-   because generic access to an unboxed [float array] boxes every read,
-   which would reintroduce the O(n) allocation this layer removes. *)
+   for the determinism contract.  Every kernel is monomorphic on
+   [float array]: generic access to an unboxed float array boxes every
+   read, which would reintroduce the O(n) allocation this layer
+   removes. *)
 
 [@@@nldl.unsafe_zone
   "binary-search cursors stay in [0, |splitters|] by the loop invariant, and \
    scatter writes land inside the preallocated [data] because cursors come from \
    histogram + exclusive prefix sums over the same keys (U-audit 2026-08)"]
 
-type 'a t = { data : 'a array; offsets : int array }
+type t = { data : float array; offsets : int array }
 type slice = { mutable lo : int; mutable len : int }
 
 let slice_make () = { lo = 0; len = 0 }
@@ -22,54 +23,33 @@ let bucket_slice t b s =
   s.len <- t.offsets.(b + 1) - s.lo
 
 let bucket_sizes t = Array.init (num_buckets t) (fun b -> bucket_len t b)
-let bucket t b = Array.sub t.data (bucket_lo t b) (bucket_len t b)
 
-let bucket_index ?(cmp = compare) splitters key =
-  (* Smallest i with key < splitters.(i); p-1 when none. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cmp key splitters.(mid) < 0 then search lo mid else search (mid + 1) hi
-  in
-  search 0 (Array.length splitters)
-
-(* The float hot loops below inline this binary search as a while loop
-   over local refs (which the compiler keeps in registers): calling out
-   to a function would box the float key and allocate the closure of a
-   local [let rec] on every key, putting O(n) words right back on the
-   minor heap.  [key < s] is [Float.compare key s < 0] for non-NaN keys,
-   which is all the random-key workloads ever route. *)
-let bucket_index_floats (splitters : float array) (key : float) =
-  let lo = ref 0 and hi = ref (Array.length splitters) in
+(* The one splitter search: smallest i < m with key < splitters.(i), m
+   when none.  Inlined at every call site, so the loop runs over local
+   refs (kept in registers) and the float key is never boxed; callers
+   hoist [m = Array.length splitters] out of their key loops. *)
+let[@inline] search (splitters : float array) m (key : float) =
+  let lo = ref 0 and hi = ref m in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if key < Array.unsafe_get splitters mid then hi := mid else lo := mid + 1
   done;
   !lo
 
-let histogram ?(cmp = compare) keys ~splitters =
-  let counts = Array.make (Array.length splitters + 1) 0 in
-  Array.iter
-    (fun key ->
-      let b = bucket_index ~cmp splitters key in
-      counts.(b) <- counts.(b) + 1)
-    keys;
-  counts
+let bucket_index_floats (splitters : float array) (key : float) =
+  search splitters (Array.length splitters) key
 
-let histogram_floats_into counts (keys : float array) ~(splitters : float array) =
+(* [search] returns a bucket in [0, m], and the entry check guarantees
+   [counts] has at least [m + 1] entries. *)
+let[@nldl.bounds_validated "Scatter.search"] histogram_floats_into counts
+    (keys : float array) ~(splitters : float array) =
   let m = Array.length splitters in
   if Array.length counts < m + 1 then
     invalid_arg "Scatter.histogram_floats_into: counts shorter than p";
   Array.fill counts 0 (m + 1) 0;
   for i = 0 to Array.length keys - 1 do
-    let key = Array.unsafe_get keys i in
-    let lo = ref 0 and hi = ref m in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if key < Array.unsafe_get splitters mid then hi := mid else lo := mid + 1
-    done;
-    Array.unsafe_set counts !lo (Array.unsafe_get counts !lo + 1)
+    let b = search splitters m (Array.unsafe_get keys i) in
+    Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
   done
 
 let histogram_floats (keys : float array) ~(splitters : float array) =
@@ -86,28 +66,6 @@ let exclusive_prefix counts =
   offsets
 
 let empty_result ~p = { data = [||]; offsets = Array.make (p + 1) 0 }
-
-let partition ?(cmp = compare) keys ~splitters =
-  let n = Array.length keys in
-  let p = Array.length splitters + 1 in
-  if n = 0 then empty_result ~p
-  else begin
-    Obs.Trace.begin_span "scatter.histogram";
-    let cursors = histogram ~cmp keys ~splitters in
-    let offsets = exclusive_prefix cursors in
-    Obs.Trace.end_span "scatter.histogram";
-    Array.blit offsets 0 cursors 0 p;
-    Obs.Trace.begin_span "scatter.scatter";
-    let data = Array.make n keys.(0) in
-    for i = 0 to n - 1 do
-      let key = keys.(i) in
-      let b = bucket_index ~cmp splitters key in
-      data.(cursors.(b)) <- key;
-      cursors.(b) <- cursors.(b) + 1
-    done;
-    Obs.Trace.end_span "scatter.scatter";
-    { data; offsets }
-  end
 
 (* Cursor targets stay inside [data]: [exclusive_prefix] turns the
    histogram into bucket starts summing to [n], and each bucket's cursor
@@ -128,20 +86,16 @@ let[@nldl.bounds_validated "Scatter.exclusive_prefix"] partition_floats
     let m = Array.length splitters in
     for i = 0 to n - 1 do
       let key = Array.unsafe_get keys i in
-      let lo = ref 0 and hi = ref m in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if key < Array.unsafe_get splitters mid then hi := mid else lo := mid + 1
-      done;
-      let at = Array.unsafe_get cursors !lo in
+      let b = search splitters m key in
+      let at = Array.unsafe_get cursors b in
       Array.unsafe_set data at key;
-      Array.unsafe_set cursors !lo (at + 1)
+      Array.unsafe_set cursors b (at + 1)
     done;
     Obs.Trace.end_span "scatter.scatter";
     { data; offsets }
   end
 
-(* Slice geometry for the pool variants: a function of [n] only — never
+(* Slice geometry for the pool variant: a function of [n] only — never
    of the worker count — so the merged prefix, and therefore the output,
    cannot depend on how many domains run. *)
 let slice_count n = if n < 16_384 then 1 else min 64 (n / 8_192)
@@ -165,42 +119,8 @@ let merge_cursors counts ~slices ~p =
   offsets.(p) <- !total;
   offsets
 
-let partition_pool ?(cmp = compare) ?workers pool keys ~splitters =
-  let n = Array.length keys in
-  let p = Array.length splitters + 1 in
-  if n = 0 then empty_result ~p
-  else begin
-    let slices = slice_count n in
-    if slices = 1 then partition ~cmp keys ~splitters
-    else begin
-      let counts = Array.make (slices * p) 0 in
-      Obs.Trace.begin_span "scatter.pool.count";
-      Exec.Pool.parallel_for ?workers pool slices (fun s ->
-          let lo = slice_lo ~n ~slices s and hi = slice_lo ~n ~slices (s + 1) in
-          let base = s * p in
-          for i = lo to hi - 1 do
-            let b = bucket_index ~cmp splitters keys.(i) in
-            counts.(base + b) <- counts.(base + b) + 1
-          done);
-      Obs.Trace.end_span "scatter.pool.count";
-      let offsets = merge_cursors counts ~slices ~p in
-      let data = Array.make n keys.(0) in
-      Obs.Trace.begin_span "scatter.pool.scatter";
-      Exec.Pool.parallel_for ?workers pool slices (fun s ->
-          let lo = slice_lo ~n ~slices s and hi = slice_lo ~n ~slices (s + 1) in
-          let base = s * p in
-          for i = lo to hi - 1 do
-            let key = keys.(i) in
-            let b = bucket_index ~cmp splitters key in
-            data.(counts.(base + b)) <- key;
-            counts.(base + b) <- counts.(base + b) + 1
-          done);
-      { data; offsets }
-    end
-  end
-
 (* Per-slice cursor bases come from [merge_cursors] (global exclusive
-   prefix over the slice histograms), so every [base + !lo] write lands
+   prefix over the slice histograms), so every [base + b] write lands
    in that slice's disjoint span of [data]. *)
 let[@nldl.bounds_validated "Scatter.merge_cursors"] partition_floats_pool
     ?workers pool (keys : float array) ~(splitters : float array) =
@@ -217,13 +137,8 @@ let[@nldl.bounds_validated "Scatter.merge_cursors"] partition_floats_pool
           let i0 = slice_lo ~n ~slices s and i1 = slice_lo ~n ~slices (s + 1) in
           let base = s * p in
           for i = i0 to i1 - 1 do
-            let key = Array.unsafe_get keys i in
-            let lo = ref 0 and hi = ref m in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if key < Array.unsafe_get splitters mid then hi := mid else lo := mid + 1
-            done;
-            Array.unsafe_set counts (base + !lo) (Array.unsafe_get counts (base + !lo) + 1)
+            let c = base + search splitters m (Array.unsafe_get keys i) in
+            Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
           done);
       let offsets = merge_cursors counts ~slices ~p in
       let data = Array.make n 0. in
@@ -232,14 +147,10 @@ let[@nldl.bounds_validated "Scatter.merge_cursors"] partition_floats_pool
           let base = s * p in
           for i = i0 to i1 - 1 do
             let key = Array.unsafe_get keys i in
-            let lo = ref 0 and hi = ref m in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if key < Array.unsafe_get splitters mid then hi := mid else lo := mid + 1
-            done;
-            let at = Array.unsafe_get counts (base + !lo) in
+            let c = base + search splitters m key in
+            let at = Array.unsafe_get counts c in
             Array.unsafe_set data at key;
-            Array.unsafe_set counts (base + !lo) (at + 1)
+            Array.unsafe_set counts c (at + 1)
           done);
       { data; offsets }
     end

@@ -8,18 +8,18 @@
     — with [O(p)] auxiliary allocation beyond the output array itself.
 
     The scatter is {e stable}: within each bucket, keys keep their input
-    order.  Stability is what makes the pool-parallel variants
+    order.  Stability is what makes the pool-parallel variant
     byte-identical to the sequential kernel at any domain count: slice
     [s]'s keys for bucket [b] always land before slice [s + 1]'s, so the
     output is independent of how slices are scheduled.
 
-    Float-specialized entry points ([..._floats]) are compiled
-    monomorphically: generic access to an unboxed [float array] boxes
-    every element it reads, which would put the [O(n)] allocation right
-    back.  Use them for [float array] keys. *)
+    Keys are [float]s, the only key type the sort pipelines route.  The
+    kernels are monomorphic because generic access to an unboxed
+    [float array] boxes every element it reads, which would put the
+    [O(n)] allocation right back. *)
 
-type 'a t = {
-  data : 'a array;
+type t = {
+  data : float array;
       (** All keys, bucket-contiguous and stable within each bucket. *)
   offsets : int array;
       (** [p + 1] entries; bucket [b] is [data.(offsets.(b)) ..
@@ -36,39 +36,31 @@ type slice = { mutable lo : int; mutable len : int }
 val slice_make : unit -> slice
 (** A fresh slice record ([lo = 0], [len = 0]). *)
 
-val num_buckets : 'a t -> int
+val num_buckets : t -> int
 (** [Array.length offsets - 1]. *)
 
-val bucket_lo : 'a t -> int -> int
+val bucket_lo : t -> int -> int
 (** Offset of bucket [b] inside [t.data] — an unallocated int read. *)
 
-val bucket_len : 'a t -> int -> int
+val bucket_len : t -> int -> int
 (** Length of bucket [b] — an unallocated int read. *)
 
-val bucket_slice : 'a t -> int -> slice -> unit
+val bucket_slice : t -> int -> slice -> unit
 (** [bucket_slice t b s] overwrites [s] with bucket [b]'s geometry. *)
 
-val bucket_sizes : 'a t -> int array
+val bucket_sizes : t -> int array
 (** Length of every bucket (fresh [O(p)] array). *)
 
-val bucket : 'a t -> int -> 'a array
-(** [bucket t b] copies bucket [b] out into a fresh array. *)
-
-val bucket_index : ?cmp:('a -> 'a -> int) -> 'a array -> 'a -> int
-(** [bucket_index splitters key]: smallest [i] with
-    [cmp key splitters.(i) < 0], or [Array.length splitters] when none —
-    [O(log p)] comparisons.  Splitters must be sorted. *)
-
 val bucket_index_floats : float array -> float -> int
-(** Monomorphic {!bucket_index} with [Float.compare] ordering. *)
-
-val histogram : ?cmp:('a -> 'a -> int) -> 'a array -> splitters:'a array -> int array
-(** Bucket sizes in one counting pass — no scatter, [O(p)] allocation.
-    (Generic: boxes each key read from an unboxed float array; use
-    {!histogram_floats} for floats.) *)
+(** [bucket_index_floats splitters key]: smallest [i] with
+    [key < splitters.(i)], or [Array.length splitters] when none —
+    [O(log p)] comparisons (phase 2's [N log p] master cost).  Splitters
+    must be sorted.  The order is [<], not [Float.compare]: a NaN key
+    compares false against every splitter and goes to the last
+    bucket. *)
 
 val histogram_floats : float array -> splitters:float array -> int array
-(** Monomorphic {!histogram}. *)
+(** Bucket sizes in one counting pass — no scatter, [O(p)] allocation. *)
 
 val histogram_floats_into : int array -> float array -> splitters:float array -> unit
 (** {!histogram_floats} into a caller-owned [counts] buffer of at least
@@ -76,22 +68,15 @@ val histogram_floats_into : int array -> float array -> splitters:float array ->
     alone) — the refinement loops of histogram sort reuse one buffer
     across every pass instead of allocating per sweep. *)
 
-val partition : ?cmp:('a -> 'a -> int) -> 'a array -> splitters:'a array -> 'a t
+val partition_floats : float array -> splitters:float array -> t
 (** Two-pass sequential scatter.  Beyond the output [data] array, it
     allocates two [p + 1] int arrays — nothing per key. *)
 
-val partition_floats : float array -> splitters:float array -> float t
-(** Monomorphic {!partition}: zero per-key allocation on float keys. *)
-
-val partition_pool :
-  ?cmp:('a -> 'a -> int) -> ?workers:int -> Exec.Pool.t -> 'a array -> splitters:'a array -> 'a t
-(** Pool-parallel scatter: per-worker local histograms over disjoint
+val partition_floats_pool :
+  ?workers:int -> Exec.Pool.t -> float array -> splitters:float array -> t
+(** Pool-parallel scatter: per-slice local histograms over disjoint
     slices, merged prefix, parallel scatter into disjoint regions.  The
     slice geometry depends only on [Array.length keys], and the scatter
-    is stable, so the result is byte-identical to {!partition} at any
-    pool size (including a torn-down pool).  Auxiliary allocation is
+    is stable, so the result is byte-identical to {!partition_floats} at
+    any pool size (including a torn-down pool).  Auxiliary allocation is
     [O(slices · p)] ints. *)
-
-val partition_floats_pool :
-  ?workers:int -> Exec.Pool.t -> float array -> splitters:float array -> float t
-(** Monomorphic {!partition_pool}. *)

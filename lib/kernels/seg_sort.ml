@@ -1,17 +1,16 @@
-(* In-place introsort over an array segment, generic and
-   float-specialized.  The two clones exist for the same reason as in
-   [Scatter]: generic access to an unboxed [float array] boxes every
-   element, so a shared polymorphic implementation would allocate O(len)
-   words per sort. *)
+(* In-place introsort over a float array segment.  Monomorphic for the
+   same reason as [Scatter]: generic access to an unboxed [float array]
+   boxes every element, so a polymorphic implementation would allocate
+   O(len) words per sort. *)
 
 [@@@nldl.unsafe_zone
   "every entry point runs check_bounds on (lo, len) before the unchecked \
    introsort/heapsort/insertion loops, whose indices stay inside the validated \
    segment by the partition invariants (U-audit 2026-08)"]
 
-let check_bounds name data ~lo ~len =
+let check_bounds data ~lo ~len =
   if lo < 0 || len < 0 || lo + len > Array.length data then
-    invalid_arg (name ^ ": segment out of bounds")
+    invalid_arg "Seg_sort.sort_floats: segment out of bounds"
 
 let depth_budget len =
   let d = ref 0 in
@@ -22,101 +21,7 @@ let depth_budget len =
   done;
   2 * !d
 
-(* --- generic ----------------------------------------------------------- *)
-
-let insertion cmp data lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = data.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && cmp data.(!j) x > 0 do
-      data.(!j + 1) <- data.(!j);
-      decr j
-    done;
-    data.(!j + 1) <- x
-  done
-
-let heapsort cmp data lo hi =
-  let len = hi - lo in
-  let sift root last =
-    let r = ref root in
-    let continue = ref true in
-    while !continue do
-      let child = (2 * !r) + 1 in
-      if child > last then continue := false
-      else begin
-        let child =
-          if child + 1 <= last && cmp data.(lo + child) data.(lo + child + 1) < 0 then
-            child + 1
-          else child
-        in
-        if cmp data.(lo + !r) data.(lo + child) < 0 then begin
-          let tmp = data.(lo + !r) in
-          data.(lo + !r) <- data.(lo + child);
-          data.(lo + child) <- tmp;
-          r := child
-        end
-        else continue := false
-      end
-    done
-  in
-  for root = (len / 2) - 1 downto 0 do
-    sift root (len - 1)
-  done;
-  for last = len - 1 downto 1 do
-    let tmp = data.(lo) in
-    data.(lo) <- data.(lo + last);
-    data.(lo + last) <- tmp;
-    sift 0 (last - 1)
-  done
-
-let rec intro cmp data lo hi depth =
-  if hi - lo <= 16 then insertion cmp data lo hi
-  else if depth <= 0 then heapsort cmp data lo hi
-  else begin
-    let mid = lo + ((hi - lo) / 2) in
-    let a = data.(lo) and b = data.(mid) and c = data.(hi - 1) in
-    let pivot =
-      if cmp a b < 0 then
-        if cmp b c < 0 then b else if cmp a c < 0 then c else a
-      else if cmp a c < 0 then a
-      else if cmp b c < 0 then c
-      else b
-    in
-    (* Hoare partition: safe because [pivot] is a value of the segment,
-       so both scans stop before running off the end. *)
-    let i = ref (lo - 1) and j = ref hi in
-    let continue = ref true in
-    while !continue do
-      incr i;
-      while cmp data.(!i) pivot < 0 do
-        incr i
-      done;
-      decr j;
-      while cmp data.(!j) pivot > 0 do
-        decr j
-      done;
-      if !i >= !j then continue := false
-      else begin
-        let tmp = data.(!i) in
-        data.(!i) <- data.(!j);
-        data.(!j) <- tmp
-      end
-    done;
-    intro cmp data lo (!j + 1) (depth - 1);
-    intro cmp data (!j + 1) hi (depth - 1)
-  end
-
-let sort ?(cmp = compare) data ~lo ~len =
-  check_bounds "Seg_sort.sort" data ~lo ~len;
-  if len > 1 then begin
-    Obs.Trace.begin_span "segsort.sort";
-    intro cmp data lo (lo + len) (depth_budget len);
-    Obs.Trace.end_span "segsort.sort"
-  end
-
-(* --- float-specialized ------------------------------------------------- *)
-
-let insertion_f (data : float array) lo hi =
+let insertion (data : float array) lo hi =
   for i = lo + 1 to hi - 1 do
     let x = Array.unsafe_get data i in
     let j = ref (i - 1) in
@@ -127,7 +32,7 @@ let insertion_f (data : float array) lo hi =
     Array.unsafe_set data (!j + 1) x
   done
 
-let heapsort_f (data : float array) lo hi =
+let heapsort (data : float array) lo hi =
   let len = hi - lo in
   let sift root last =
     let r = ref root in
@@ -165,10 +70,10 @@ let heapsort_f (data : float array) lo hi =
 
 (* [mid] ∈ [lo, hi) and [lo, hi) ⊆ [0, length data): the public entry
    runs [check_bounds] once, and recursion only narrows the segment. *)
-let[@nldl.bounds_validated "Seg_sort.check_bounds"] rec intro_f
+let[@nldl.bounds_validated "Seg_sort.check_bounds"] rec intro
     (data : float array) lo hi depth =
-  if hi - lo <= 16 then insertion_f data lo hi
-  else if depth <= 0 then heapsort_f data lo hi
+  if hi - lo <= 16 then insertion data lo hi
+  else if depth <= 0 then heapsort data lo hi
   else begin
     let mid = lo + ((hi - lo) / 2) in
     let a = Array.unsafe_get data lo
@@ -180,6 +85,8 @@ let[@nldl.bounds_validated "Seg_sort.check_bounds"] rec intro_f
       else if b < c then c
       else b
     in
+    (* Hoare partition: safe because [pivot] is a value of the segment,
+       so both scans stop before running off the end. *)
     let i = ref (lo - 1) and j = ref hi in
     let continue = ref true in
     while !continue do
@@ -198,14 +105,14 @@ let[@nldl.bounds_validated "Seg_sort.check_bounds"] rec intro_f
         Array.unsafe_set data !j tmp
       end
     done;
-    intro_f data lo (!j + 1) (depth - 1);
-    intro_f data (!j + 1) hi (depth - 1)
+    intro data lo (!j + 1) (depth - 1);
+    intro data (!j + 1) hi (depth - 1)
   end
 
 let sort_floats data ~lo ~len =
-  check_bounds "Seg_sort.sort_floats" data ~lo ~len;
+  check_bounds data ~lo ~len;
   if len > 1 then begin
     Obs.Trace.begin_span "segsort.sort_floats";
-    intro_f data lo (lo + len) (depth_budget len);
+    intro data lo (lo + len) (depth_budget len);
     Obs.Trace.end_span "segsort.sort_floats"
   end

@@ -94,7 +94,7 @@ let distributed_sort ~keys ~chunk ~splitters =
   let execute t =
     let pairs = ref [] in
     for i = t * chunk to ((t + 1) * chunk) - 1 do
-      let bucket = Sortlib.Sample_sort.bucket_index ~cmp:Float.compare splitters keys.(i) in
+      let bucket = Kernels.Scatter.bucket_index_floats splitters keys.(i) in
       pairs := (bucket, [| keys.(i) |]) :: !pairs
     done;
     List.rev !pairs

@@ -98,9 +98,3 @@ let sort ?tolerance keys ~p =
     Obs.Trace.end_span "histsort.bucket_sort";
     data
   end
-
-let max_bucket_ratio result =
-  let n = Array.fold_left ( + ) 0 result.bucket_sizes in
-  let p = Array.length result.bucket_sizes in
-  let ideal = float_of_int n /. float_of_int p in
-  float_of_int (Array.fold_left max 0 result.bucket_sizes) /. ideal

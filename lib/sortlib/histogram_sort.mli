@@ -22,6 +22,3 @@ val splitters :
 
 val sort : ?tolerance:float -> float array -> p:int -> float array
 (** Full pipeline: refine splitters, bucket, sort buckets, concatenate. *)
-
-val max_bucket_ratio : result -> float
-(** Largest bucket relative to the ideal [N/p]. *)

@@ -6,9 +6,11 @@
 
 val sort :
   ?domains:int -> ?s:int -> Numerics.Rng.t -> float array -> p:int -> float array
-(** Same contract as {!Sample_sort.sort} specialized to floats, with
-    the per-bucket sorts dispatched over [domains] (default
-    [Domain.recommended_domain_count]).  Deterministic: the domain count
+(** The full pipeline of {!Sample_sort} (phases 1-3); returns a sorted
+    copy.  [s] defaults to {!Sample_sort.default_oversampling}; requires
+    [p >= 1].  The scatter and the per-bucket sorts are dispatched over
+    [domains] (default [Domain.recommended_domain_count]); [~domains:1]
+    runs every phase sequentially.  Deterministic: the domain count
     affects timing only, never the output. *)
 
 val speedup :

@@ -96,11 +96,3 @@ let sort keys ~p =
     Obs.Trace.end_span "psrs.merge";
     { splitters; bucket_sizes; sorted }
   end
-
-let max_bucket_ratio result =
-  let n = Array.fold_left ( + ) 0 result.bucket_sizes in
-  let p = Array.length result.bucket_sizes in
-  if n = 0 then 0.
-  else
-    float_of_int (Array.fold_left max 0 result.bucket_sizes)
-    /. (float_of_int n /. float_of_int p)

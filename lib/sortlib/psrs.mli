@@ -17,7 +17,3 @@ type result = {
 val sort : float array -> p:int -> result
 (** Requires [p >= 1]; with fewer than [p] keys the degenerate buckets
     are empty but the output is still sorted. *)
-
-val max_bucket_ratio : result -> float
-(** Largest bucket over the ideal [N/p]; the PSRS guarantee bounds this
-    by 2 for distinct keys. *)

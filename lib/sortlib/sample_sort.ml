@@ -1,25 +1,11 @@
 module Rng = Numerics.Rng
 
-type 'a buckets = { splitters : 'a array; contents : 'a array array }
-
 let default_oversampling ~n =
   let l = log (float_of_int (max 2 n)) /. log 2. in
   max 1 (int_of_float (Float.round (l *. l)))
 
-let take_sample rng keys count =
-  Array.init count (fun _ -> keys.(Rng.int rng (Array.length keys)))
-
-let choose_splitters ?(cmp = compare) rng keys ~p ~s =
-  if p < 1 then invalid_arg "Sample_sort.choose_splitters: p must be >= 1";
-  if s < 1 then invalid_arg "Sample_sort.choose_splitters: s must be >= 1";
-  if Array.length keys = 0 then invalid_arg "Sample_sort.choose_splitters: empty input";
-  let sample = take_sample rng keys (s * p) in
-  Array.sort cmp sample;
-  Array.init (p - 1) (fun j -> sample.((j + 1) * s))
-
-(* Float clone of [take_sample]: a plain fill loop into an unboxed
-   float array — [Array.init] routes every drawn key through the
-   closure's boxed return value. *)
+(* A plain fill loop into an unboxed float array: [Array.init] routes
+   every drawn key through the closure's boxed return value. *)
 let take_sample_floats rng (keys : float array) sample count =
   let n = Array.length keys in
   for i = 0 to count - 1 do
@@ -30,10 +16,9 @@ let choose_splitters_floats rng (keys : float array) ~p ~s =
   if p < 1 then invalid_arg "Sample_sort.choose_splitters_floats: p must be >= 1";
   if s < 1 then invalid_arg "Sample_sort.choose_splitters_floats: s must be >= 1";
   if Array.length keys = 0 then invalid_arg "Sample_sort.choose_splitters_floats: empty input";
-  (* Same draws, same ranks as the generic path, but the sample is
-     sorted in place by the monomorphic introsort — [Array.sort
-     Float.compare] boxes both floats of every comparison, which made
-     phase 1 allocate more than the scatter it feeds. *)
+  (* The sample is sorted in place by the monomorphic introsort —
+     [Array.sort Float.compare] boxes both floats of every comparison,
+     which made phase 1 allocate more than the scatter it feeds. *)
   let sample = Array.make (s * p) 0. in
   take_sample_floats rng keys sample (s * p);
   Kernels.Seg_sort.sort_floats sample ~lo:0 ~len:(s * p);
@@ -63,73 +48,12 @@ let weighted_splitters_floats rng (keys : float array) ~weights ~s =
       in
       sample.(min (max rank 0) (sample_size - 1)))
 
-let weighted_splitters ?(cmp = compare) rng keys ~weights ~s =
-  let p = Array.length weights in
-  if p < 1 then invalid_arg "Sample_sort.weighted_splitters: empty weights";
-  if s < 1 then invalid_arg "Sample_sort.weighted_splitters: s must be >= 1";
-  if Array.length keys = 0 then invalid_arg "Sample_sort.weighted_splitters: empty input";
-  Array.iter
-    (fun w -> if w <= 0. || Float.is_nan w then invalid_arg "Sample_sort.weighted_splitters: bad weight")
-    weights;
-  let total = Numerics.Kahan.sum weights in
-  let sample_size = s * p in
-  let sample = take_sample rng keys sample_size in
-  Array.sort cmp sample;
-  let cumulative = ref 0. in
-  Array.init (p - 1) (fun j ->
-      cumulative := !cumulative +. weights.(j);
-      let rank =
-        int_of_float (Float.round (!cumulative /. total *. float_of_int sample_size))
-      in
-      sample.(min (max rank 0) (sample_size - 1)))
-
-let bucket_index = Kernels.Scatter.bucket_index
-
-let partition_flat ?cmp keys ~splitters = Kernels.Scatter.partition ?cmp keys ~splitters
-
-let partition ?(cmp = compare) keys ~splitters =
-  (* Compatibility view over the flat counting kernel: same contents in
-     the same (stable) order as the original cons-per-key path, but the
-     only per-bucket allocation is the [Array.sub] copy-out. *)
-  let flat = partition_flat ~cmp keys ~splitters in
-  let contents =
-    Array.init (Kernels.Scatter.num_buckets flat) (fun b -> Kernels.Scatter.bucket flat b)
-  in
-  { splitters; contents }
-
-let sort ?(cmp = compare) ?s rng keys ~p =
-  if p < 1 then invalid_arg "Sample_sort.sort: p must be >= 1";
-  if Array.length keys = 0 then [||]
-  else if p = 1 then begin
-    let out = Array.copy keys in
-    Array.sort cmp out;
-    out
-  end
-  else begin
-    let s = match s with Some s -> s | None -> default_oversampling ~n:(Array.length keys) in
-    Obs.Trace.begin_span "samplesort.splitters";
-    let splitters = choose_splitters ~cmp rng keys ~p ~s in
-    Obs.Trace.end_span "samplesort.splitters";
-    Obs.Trace.begin_span "samplesort.partition";
-    let flat = partition_flat ~cmp keys ~splitters in
-    Obs.Trace.end_span "samplesort.partition";
-    let data = flat.Kernels.Scatter.data in
-    Obs.Trace.begin_span "samplesort.bucket_sort";
-    let sl = Kernels.Scatter.slice_make () in
-    for b = 0 to Kernels.Scatter.num_buckets flat - 1 do
-      Kernels.Scatter.bucket_slice flat b sl;
-      Kernels.Seg_sort.sort ~cmp data ~lo:sl.Kernels.Scatter.lo ~len:sl.Kernels.Scatter.len
-    done;
-    Obs.Trace.end_span "samplesort.bucket_sort";
-    data
-  end
-
-let max_bucket_ratio buckets =
-  let sizes = Array.map Array.length buckets.contents in
+let max_bucket_ratio sizes =
   let total = Array.fold_left ( + ) 0 sizes in
-  let p = Array.length sizes in
-  let expected = float_of_int total /. float_of_int p in
-  float_of_int (Array.fold_left max 0 sizes) /. expected
+  if total = 0 then 0.
+  else
+    float_of_int (Array.fold_left max 0 sizes)
+    /. (float_of_int total /. float_of_int (Array.length sizes))
 
 let theoretical_envelope ~n =
   1. +. ((1. /. log (float_of_int (max 3 n))) ** (1. /. 3.))

@@ -6,72 +6,36 @@
     + pick [s·p] random keys, sort them, keep every [s]-th as a splitter
       ([p - 1] splitters);
     + route every key to its bucket by binary search among the
-      splitters;
-    + sort each bucket independently (one bucket per worker).
+      splitters ({!Kernels.Scatter});
+    + sort each bucket independently (one bucket per worker,
+      {!Kernels.Seg_sort}).
 
     With oversampling ratio [s = log² N], the largest bucket is
     [(N/p)(1 + (1/log N)^(1/3))] with probability [1 - O(N^(-1/3))], so
     phase 3 — the only parallel phase — carries asymptotically all the
-    [N log N] work. *)
-
-type 'a buckets = {
-  splitters : 'a array;  (** [p - 1] sorted splitter keys *)
-  contents : 'a array array;  (** [p] buckets, in key order *)
-}
+    [N log N] work.  This module owns phase 1 and the concentration
+    statistics; {!Multicore.sort} runs the whole pipeline. *)
 
 val default_oversampling : n:int -> int
 (** The paper's [s = (log₂ n)²], at least 1. *)
 
-val choose_splitters :
-  ?cmp:('a -> 'a -> int) ->
-  Numerics.Rng.t -> 'a array -> p:int -> s:int -> 'a array
+val choose_splitters_floats : Numerics.Rng.t -> float array -> p:int -> s:int -> float array
 (** Phase 1 on equal-speed buckets: sample [s·p] keys uniformly with
     replacement, sort the sample, return the keys of sample ranks
-    [s, 2s, …, (p-1)s].  Requires [p >= 1], [s >= 1] and a non-empty
-    input. *)
+    [s, 2s, …, (p-1)s].  The sample fill and sort never box a key, so
+    phase 1 allocates [O(s·p)] words.  Requires [p >= 1], [s >= 1] and a
+    non-empty input. *)
 
-val weighted_splitters :
-  ?cmp:('a -> 'a -> int) ->
-  Numerics.Rng.t -> 'a array -> weights:float array -> s:int -> 'a array
+val weighted_splitters_floats :
+  Numerics.Rng.t -> float array -> weights:float array -> s:int -> float array
 (** Heterogeneous variant (Section 3.2): bucket [i] should receive a
     fraction [weights.(i)] of the keys (weights need not be normalized),
     so splitter [i] is the sample key of rank
     [round(cum_i · sample_size)]. *)
 
-val choose_splitters_floats : Numerics.Rng.t -> float array -> p:int -> s:int -> float array
-(** Monomorphic {!choose_splitters}: same draws and ranks, but the
-    sample fill and sort never box a key ([Array.sort Float.compare]
-    boxes both sides of every comparison), so phase 1 allocates [O(s·p)]
-    instead of [O(s·p·log(s·p))] words. *)
-
-val weighted_splitters_floats :
-  Numerics.Rng.t -> float array -> weights:float array -> s:int -> float array
-(** Monomorphic {!weighted_splitters}. *)
-
-val bucket_index : ?cmp:('a -> 'a -> int) -> 'a array -> 'a -> int
-(** [bucket_index splitters key]: the bucket of [key], by binary search
-    — [O(log p)] comparisons (phase 2's [N log p] master cost). *)
-
-val partition_flat :
-  ?cmp:('a -> 'a -> int) -> 'a array -> splitters:'a array -> 'a Kernels.Scatter.t
-(** Phase 2 on the counting kernel: all keys scattered, stably, into one
-    bucket-contiguous array with an offset table as a zero-copy view —
-    [O(p)] auxiliary allocation instead of a cons cell per key.  This is
-    the hot path; see {!Kernels.Scatter}. *)
-
-val partition : ?cmp:('a -> 'a -> int) -> 'a array -> splitters:'a array -> 'a buckets
-(** Phase 2: route all keys.  Compatibility wrapper over
-    {!partition_flat} that copies each bucket out into its own array;
-    bucket contents are in input order (stable), as before. *)
-
-val sort :
-  ?cmp:('a -> 'a -> int) ->
-  ?s:int -> Numerics.Rng.t -> 'a array -> p:int -> 'a array
-(** The full pipeline (phases 1-3 run sequentially); returns a sorted
-    copy.  [s] defaults to {!default_oversampling}. *)
-
-val max_bucket_ratio : 'a buckets -> float
-(** [MaxSize / (N/p)]: the concentration statistic of Theorem B.4. *)
+val max_bucket_ratio : int array -> float
+(** [MaxSize / (N/p)] over bucket sizes: the concentration statistic of
+    Theorem B.4.  [0.] when every bucket is empty. *)
 
 val theoretical_envelope : n:int -> float
 (** [1 + (1/ln n)^(1/3)], the w.h.p. bound on {!max_bucket_ratio} for

@@ -83,6 +83,27 @@ let test_e2_gap_matches () =
         (r.Sorting_exp.max_bucket_ratio < r.Sorting_exp.envelope +. 0.3))
     rows
 
+(* Exact E2 numbers, recorded as hex floats: any change to the sampling
+   draws, the splitter ranks or the bucket routing shows up here before
+   it silently moves the paper's table. *)
+let test_e2_pinned_values () =
+  let hex = Printf.sprintf "%h" in
+  let rows = Sorting_exp.run ~sizes:[ 10_000 ] ~processor_counts:[ 4; 16 ] () in
+  Alcotest.(check (list (pair string string)))
+    "E2 max_bucket_ratio, measured_gap"
+    [
+      ("0x1.1758e219652bdp+0", "0x1.33c7a6b70bf1cp-3");
+      ("0x1.15b573eab367ap+0", "0x1.3410ec81573b2p-2");
+    ]
+    (List.map
+       (fun (r : Sorting_exp.row) -> (hex r.max_bucket_ratio, hex r.measured_gap))
+       rows);
+  let ablation = Experiments.Ablations.splitters ~n:20_000 () in
+  Alcotest.(check (list string))
+    "splitter ablation sample_ratio"
+    [ "0x1.34bc6a7ef9db2p+0"; "0x1.1f8a0902de00dp+0" ]
+    (List.map (fun (r : Experiments.Ablations.splitter_row) -> hex r.sample_ratio) ablation)
+
 let test_e2_hetero_improves () =
   let rows = Sorting_exp.run_hetero ~sizes:[ 50_000 ] ~processor_counts:[ 8 ] ~trials:2 () in
   List.iter
@@ -131,6 +152,7 @@ let suites =
         Alcotest.test_case "E1 exactness" `Quick test_e1_exactness;
         Alcotest.test_case "E1 vanishing" `Quick test_e1_vanishing_with_p;
         Alcotest.test_case "E2 gap" `Quick test_e2_gap_matches;
+        Alcotest.test_case "E2 pinned values" `Quick test_e2_pinned_values;
         Alcotest.test_case "E2 hetero splitters" `Quick test_e2_hetero_improves;
         Alcotest.test_case "E3 bimodal" `Quick test_e3_bimodal_bound;
         Alcotest.test_case "E3 general" `Quick test_e3_general_bound;

@@ -160,7 +160,7 @@ let test_histogram_balance () =
   let rng = Rng.create ~seed:97 () in
   let keys = Array.init 50_000 (fun _ -> Rng.float rng) in
   let result = Histogram_sort.splitters ~tolerance:0.01 keys ~p:16 in
-  checkb "tight balance" true (Histogram_sort.max_bucket_ratio result <= 1.011);
+  checkb "tight balance" true (Sortlib.Sample_sort.max_bucket_ratio result.Histogram_sort.bucket_sizes <= 1.011);
   checkb "needed a few passes" true (result.Histogram_sort.passes > 1)
 
 let test_histogram_beats_sample_sort_balance () =
@@ -169,19 +169,17 @@ let test_histogram_beats_sample_sort_balance () =
   let rng = Rng.create ~seed:98 () in
   let keys = Array.init 50_000 (fun _ -> Rng.float rng) in
   let histogram = Histogram_sort.splitters ~tolerance:0.01 keys ~p:16 in
-  let splitters =
-    Sortlib.Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p:16 ~s:64
-  in
-  let buckets = Sortlib.Sample_sort.partition ~cmp:Float.compare keys ~splitters in
+  let splitters = Sortlib.Sample_sort.choose_splitters_floats rng keys ~p:16 ~s:64 in
+  let sizes = Kernels.Scatter.histogram_floats keys ~splitters in
   checkb "histogram tighter" true
-    (Histogram_sort.max_bucket_ratio histogram
-    <= Sortlib.Sample_sort.max_bucket_ratio buckets +. 1e-9)
+    (Sortlib.Sample_sort.max_bucket_ratio histogram.Histogram_sort.bucket_sizes
+    <= Sortlib.Sample_sort.max_bucket_ratio sizes +. 1e-9)
 
 let test_histogram_skewed_input () =
   let rng = Rng.create ~seed:99 () in
   let keys = Array.init 30_000 (fun _ -> Rng.float rng ** 4.) in
   let result = Histogram_sort.splitters ~tolerance:0.02 keys ~p:8 in
-  checkb "skew handled" true (Histogram_sort.max_bucket_ratio result <= 1.03)
+  checkb "skew handled" true (Sortlib.Sample_sort.max_bucket_ratio result.Histogram_sort.bucket_sizes <= 1.03)
 
 let test_histogram_p1 () =
   let result = Histogram_sort.splitters [| 3.; 1.; 2. |] ~p:1 in

@@ -207,7 +207,7 @@ let test_sample_sort_byte_identical () =
         let r = Rng.create ~seed:44 () in
         Array.init n (fun _ -> Rng.float r)
       in
-      let sorted = Sortlib.Sample_sort.sort ~s:4 rng keys ~p in
+      let sorted = Sortlib.Multicore.sort ~domains:1 ~s:4 rng keys ~p in
       checkb
         (Printf.sprintf "sample n=%d" n)
         true

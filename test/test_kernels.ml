@@ -25,25 +25,38 @@ let multiset_equal a b =
   Array.sort compare b;
   a = b
 
-(* The pre-kernel implementation of [Sample_sort.partition]: a cons cell
-   per key, [List.rev] per bucket — kept here as the byte-identity
+(* The bucket of [key] by linear scan: smallest [i] with
+   [key < splitters.(i)], [p - 1] when none.  Independent of the
+   kernel's binary search, so it checks that search too. *)
+let linear_bucket splitters key =
+  let rec scan i =
+    if i >= Array.length splitters || key < splitters.(i) then i else scan (i + 1)
+  in
+  scan 0
+
+(* The pre-kernel implementation of the sample-sort partition: a cons
+   cell per key, [List.rev] per bucket — kept here as the byte-identity
    reference (the kernel's stable scatter must reproduce it exactly). *)
-let list_based_partition ~cmp keys ~splitters =
+let list_based_partition keys ~splitters =
   let p = Array.length splitters + 1 in
   let cells = Array.make p [] in
   Array.iter
     (fun key ->
-      let b = Scatter.bucket_index ~cmp splitters key in
+      let b = linear_bucket splitters key in
       cells.(b) <- key :: cells.(b))
     keys;
   Array.map (fun cell -> Array.of_list (List.rev cell)) cells
+
+(* Bit patterns, so that [-0.] and [0.] (equal under [<] and under
+   Alcotest's float check) are told apart. *)
+let bits a = Array.map Int64.bits_of_float a
 
 let float_keys ~seed n =
   let rng = Rng.create ~seed () in
   Array.init n (fun _ -> Rng.float rng)
 
 let float_splitters ~seed keys ~p =
-  Sample_sort.choose_splitters ~cmp:Float.compare (Rng.create ~seed ()) keys ~p ~s:32
+  Sample_sort.choose_splitters_floats (Rng.create ~seed ()) keys ~p ~s:32
 
 (* --- partition invariants ---------------------------------------------- *)
 
@@ -76,43 +89,41 @@ let test_partition_respects_splitters () =
 let test_partition_matches_list_based () =
   let keys = float_keys ~seed:5 10_000 in
   let splitters = float_splitters ~seed:6 keys ~p:16 in
-  let reference = list_based_partition ~cmp:Float.compare keys ~splitters in
+  let reference = list_based_partition keys ~splitters in
   let flat = Scatter.partition_floats keys ~splitters in
-  Alcotest.(check (array (float 0.)))
+  Alcotest.(check (array int64))
     "flat data = reference concat"
-    (Array.concat (Array.to_list reference))
-    flat.Scatter.data;
-  Array.iteri
-    (fun b bucket ->
-      Alcotest.(check (array (float 0.)))
-        (Printf.sprintf "bucket %d" b)
-        bucket (Scatter.bucket flat b))
-    reference;
-  (* The generic kernel and the [Sample_sort.partition] compatibility
-     wrapper reproduce the same bytes. *)
-  let generic = Scatter.partition ~cmp:Float.compare keys ~splitters in
-  Alcotest.(check (array (float 0.))) "generic = float kernel" flat.Scatter.data
-    generic.Scatter.data;
-  let compat = Sample_sort.partition ~cmp:Float.compare keys ~splitters in
-  Array.iteri
-    (fun b bucket ->
-      Alcotest.(check (array (float 0.)))
-        (Printf.sprintf "compat bucket %d" b)
-        bucket compat.Sample_sort.contents.(b))
-    reference
-
-let test_partition_generic_ints () =
-  let rng = Rng.create ~seed:7 () in
-  let keys = Array.init 4_000 (fun _ -> Rng.int rng 1_000) in
-  let splitters = [| 100; 250; 500; 900 |] in
-  let reference = list_based_partition ~cmp:Int.compare keys ~splitters in
-  let flat = Scatter.partition ~cmp:Int.compare keys ~splitters in
-  Alcotest.(check (array int))
-    "generic int data = reference concat"
-    (Array.concat (Array.to_list reference))
-    flat.Scatter.data;
+    (bits (Array.concat (Array.to_list reference)))
+    (bits flat.Scatter.data);
   Alcotest.(check (array int)) "bucket sizes" (Array.map Array.length reference)
     (Scatter.bucket_sizes flat)
+
+(* Stability, seen through keys that are equal under [<] but not
+   bit-identical: a mix of [-0.] and [0.] (and a [-0.] splitter) must
+   come out of every bucket in input order, sequentially and from the
+   pool at 1, 2 and 3 domains.  n >= 16384, so the pool really slices. *)
+let test_partition_stable_signed_zeros () =
+  let rng = Rng.create ~seed:7 () in
+  let keys =
+    Array.init 40_000 (fun _ ->
+        match Rng.int rng 4 with
+        | 0 -> -0.
+        | 1 -> 0.
+        | _ -> (Rng.float rng *. 4.) -. 2.)
+  in
+  let splitters = [| -1.; -0.; 0.5; 1. |] in
+  let expected = bits (Array.concat (Array.to_list (list_based_partition keys ~splitters))) in
+  Alcotest.(check (array int64)) "sequential" expected
+    (bits (Scatter.partition_floats keys ~splitters).Scatter.data);
+  List.iter
+    (fun domains ->
+      let pool = Exec.Pool.create ~domains () in
+      let parallel = Scatter.partition_floats_pool pool keys ~splitters in
+      Exec.Pool.teardown pool;
+      Alcotest.(check (array int64))
+        (Printf.sprintf "pool at %d domains" domains)
+        expected (bits parallel.Scatter.data))
+    [ 1; 2; 3 ]
 
 let test_partition_empty_and_degenerate () =
   let flat = Scatter.partition_floats [||] ~splitters:[| 0.5 |] in
@@ -128,17 +139,14 @@ let test_histogram_matches_partition () =
   let splitters = float_splitters ~seed:9 keys ~p:12 in
   let flat = Scatter.partition_floats keys ~splitters in
   Alcotest.(check (array int)) "float histogram = bucket sizes" (Scatter.bucket_sizes flat)
-    (Scatter.histogram_floats keys ~splitters);
-  Alcotest.(check (array int)) "generic histogram agrees" (Scatter.bucket_sizes flat)
-    (Scatter.histogram ~cmp:Float.compare keys ~splitters)
+    (Scatter.histogram_floats keys ~splitters)
 
 let test_bucket_index_floats_agrees () =
   let keys = float_keys ~seed:10 2_000 in
   let splitters = float_splitters ~seed:11 keys ~p:9 in
   Array.iter
     (fun key ->
-      checki "monomorphic = generic bucket index"
-        (Scatter.bucket_index ~cmp:Float.compare splitters key)
+      checki "binary search = linear scan" (linear_bucket splitters key)
         (Scatter.bucket_index_floats splitters key))
     keys
 
@@ -164,19 +172,6 @@ let test_pool_partition_identical_any_domains () =
         (Printf.sprintf "offsets identical at %d domains" domains)
         sequential.Scatter.offsets parallel.Scatter.offsets)
     [ 1; 2; 3 ]
-
-let test_pool_partition_generic_identical () =
-  let rng = Rng.create ~seed:14 () in
-  let keys = Array.init 40_000 (fun _ -> Rng.int rng 10_000) in
-  let splitters = [| 1_000; 3_000; 7_500 |] in
-  let sequential = Scatter.partition ~cmp:Int.compare keys ~splitters in
-  let pool = Exec.Pool.create ~domains:3 () in
-  let parallel = Scatter.partition_pool ~cmp:Int.compare pool keys ~splitters in
-  Exec.Pool.teardown pool;
-  Alcotest.(check (array int)) "generic pool data identical" sequential.Scatter.data
-    parallel.Scatter.data;
-  Alcotest.(check (array int)) "generic pool offsets identical" sequential.Scatter.offsets
-    parallel.Scatter.offsets
 
 let test_multicore_sort_identical_forced_domains () =
   let keys = float_keys ~seed:15 50_000 in
@@ -233,22 +228,22 @@ let test_seg_sort_bounds_checked () =
   Alcotest.check_raises "overrun" (Invalid_argument "Seg_sort.sort_floats: segment out of bounds")
     (fun () -> Seg_sort.sort_floats data ~lo:2 ~len:2)
 
-let qcheck_seg_sort_generic =
-  QCheck.Test.make ~name:"generic segment sort matches Array.sort" ~count:200
+let qcheck_seg_sort_random_segments =
+  QCheck.Test.make ~name:"random segments match Array.sort" ~count:200
     QCheck.(
       triple
-        (array_of_size Gen.(int_range 0 200) (int_range (-500) 500))
+        (array_of_size Gen.(int_range 0 200) (float_range (-500.) 500.))
         small_nat small_nat)
     (fun (keys, a, b) ->
       let n = Array.length keys in
       let lo = if n = 0 then 0 else a mod (n + 1) in
       let len = if n - lo = 0 then 0 else b mod (n - lo + 1) in
       let data = Array.copy keys in
-      Seg_sort.sort ~cmp:Int.compare data ~lo ~len;
+      Seg_sort.sort_floats data ~lo ~len;
       let expected =
         let out = Array.copy keys in
         let seg = Array.sub keys lo len in
-        Array.sort Int.compare seg;
+        Array.sort Float.compare seg;
         Array.blit seg 0 out lo len;
         out
       in
@@ -268,10 +263,10 @@ let test_partition_allocation_o_p () =
   let splitters = float_splitters ~seed:19 keys ~p:16 in
   (* Warm-up so one-time setup is not charged. *)
   ignore (Scatter.partition_floats keys ~splitters);
-  ignore (list_based_partition ~cmp:Float.compare keys ~splitters);
+  ignore (list_based_partition keys ~splitters);
   let kernel = minor_words_of (fun () -> ignore (Scatter.partition_floats keys ~splitters)) in
   let legacy =
-    minor_words_of (fun () -> ignore (list_based_partition ~cmp:Float.compare keys ~splitters))
+    minor_words_of (fun () -> ignore (list_based_partition keys ~splitters))
   in
   (* The counting kernel's output array goes straight to the major heap
      (> Max_young_wosize), so its minor-heap footprint is the O(p)
@@ -307,13 +302,12 @@ let suites =
         Alcotest.test_case "permutation + offsets" `Quick test_partition_permutation;
         Alcotest.test_case "respects splitters" `Quick test_partition_respects_splitters;
         Alcotest.test_case "byte-identical to list-based" `Quick test_partition_matches_list_based;
-        Alcotest.test_case "generic ints" `Quick test_partition_generic_ints;
+        Alcotest.test_case "stable on signed zeros" `Quick test_partition_stable_signed_zeros;
         Alcotest.test_case "empty and degenerate" `Quick test_partition_empty_and_degenerate;
         Alcotest.test_case "histogram = bucket sizes" `Quick test_histogram_matches_partition;
         Alcotest.test_case "bucket_index_floats agrees" `Quick test_bucket_index_floats_agrees;
         Alcotest.test_case "pool identical at any domain count" `Quick
           test_pool_partition_identical_any_domains;
-        Alcotest.test_case "pool identical (generic)" `Quick test_pool_partition_generic_identical;
         Alcotest.test_case "multicore sort, forced domains" `Quick
           test_multicore_sort_identical_forced_domains;
         Alcotest.test_case "O(p) auxiliary allocation" `Quick test_partition_allocation_o_p;
@@ -323,6 +317,6 @@ let suites =
         Alcotest.test_case "sorts a segment in place" `Quick test_seg_sort_floats;
         Alcotest.test_case "adversarial inputs" `Quick test_seg_sort_adversarial;
         Alcotest.test_case "bounds checked" `Quick test_seg_sort_bounds_checked;
-        QCheck_alcotest.to_alcotest qcheck_seg_sort_generic;
+        QCheck_alcotest.to_alcotest qcheck_seg_sort_random_segments;
       ] );
   ]

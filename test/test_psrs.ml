@@ -30,21 +30,19 @@ let test_psrs_guarantee () =
   let rng = Rng.create ~seed:162 () in
   let keys = Array.init 50_000 (fun _ -> Rng.float rng) in
   let result = Psrs.sort keys ~p:16 in
-  checkb "2N/p guarantee" true (Psrs.max_bucket_ratio result <= 2.)
+  checkb "2N/p guarantee" true (Sortlib.Sample_sort.max_bucket_ratio result.Psrs.bucket_sizes <= 2.)
 
 let test_psrs_tighter_than_random_sampling () =
   let rng = Rng.create ~seed:163 () in
   let keys = Array.init 50_000 (fun _ -> Rng.float rng) in
   let psrs = Psrs.sort keys ~p:16 in
-  let splitters =
-    Sortlib.Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p:16 ~s:16
-  in
-  let buckets = Sortlib.Sample_sort.partition ~cmp:Float.compare keys ~splitters in
+  let splitters = Sortlib.Sample_sort.choose_splitters_floats rng keys ~p:16 ~s:16 in
+  let sizes = Kernels.Scatter.histogram_floats keys ~splitters in
   (* Regular sampling with p samples/worker usually beats a small random
      sample; assert it is at least not catastrophically worse. *)
   checkb "competitive balance" true
-    (Psrs.max_bucket_ratio psrs
-    <= Sortlib.Sample_sort.max_bucket_ratio buckets +. 0.5)
+    (Sortlib.Sample_sort.max_bucket_ratio psrs.Psrs.bucket_sizes
+    <= Sortlib.Sample_sort.max_bucket_ratio sizes +. 0.5)
 
 let test_psrs_edge_cases () =
   checkb "empty" true ((Psrs.sort [||] ~p:4).Psrs.sorted = [||]);

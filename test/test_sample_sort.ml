@@ -2,7 +2,11 @@
    selection, bucketing, and the concentration measurements. *)
 
 module Sample_sort = Sortlib.Sample_sort
+module Scatter = Kernels.Scatter
 module Rng = Numerics.Rng
+
+(* The whole pipeline, every phase sequential. *)
+let sort rng keys ~p = Sortlib.Multicore.sort ~domains:1 rng keys ~p
 
 let checkb = Alcotest.(check bool)
 
@@ -22,59 +26,59 @@ let multiset_equal a b =
 let test_sort_random () =
   let rng = Rng.create ~seed:1 () in
   let keys = Array.init 10_000 (fun _ -> Rng.float rng) in
-  let out = Sample_sort.sort ~cmp:Float.compare rng keys ~p:8 in
+  let out = sort rng keys ~p:8 in
   checkb "sorted" true (is_sorted Float.compare out);
   checkb "permutation" true (multiset_equal keys out)
 
 let test_sort_with_duplicates () =
   let rng = Rng.create ~seed:2 () in
   let keys = Array.init 5_000 (fun _ -> float_of_int (Rng.int rng 10)) in
-  let out = Sample_sort.sort ~cmp:Float.compare rng keys ~p:4 in
+  let out = sort rng keys ~p:4 in
   checkb "sorted with dups" true (is_sorted Float.compare out);
   checkb "dups preserved" true (multiset_equal keys out)
 
 let test_sort_already_sorted () =
   let rng = Rng.create ~seed:3 () in
   let keys = Array.init 1_000 float_of_int in
-  let out = Sample_sort.sort ~cmp:Float.compare rng keys ~p:4 in
+  let out = sort rng keys ~p:4 in
   checkb "sorted input" true (is_sorted Float.compare out)
 
 let test_sort_reverse () =
   let rng = Rng.create ~seed:4 () in
   let keys = Array.init 1_000 (fun i -> float_of_int (1_000 - i)) in
-  let out = Sample_sort.sort ~cmp:Float.compare rng keys ~p:4 in
+  let out = sort rng keys ~p:4 in
   checkb "reverse input" true (is_sorted Float.compare out)
 
 let test_sort_empty_and_tiny () =
   let rng = Rng.create ~seed:5 () in
   Alcotest.(check (array (float 0.))) "empty" [||]
-    (Sample_sort.sort ~cmp:Float.compare rng [||] ~p:4);
+    (sort rng [||] ~p:4);
   Alcotest.(check (array (float 0.))) "singleton" [| 1. |]
-    (Sample_sort.sort ~cmp:Float.compare rng [| 1. |] ~p:4);
+    (sort rng [| 1. |] ~p:4);
   Alcotest.(check (array (float 0.))) "p=1" [| 1.; 2.; 3. |]
-    (Sample_sort.sort ~cmp:Float.compare rng [| 2.; 3.; 1. |] ~p:1)
+    (sort rng [| 2.; 3.; 1. |] ~p:1)
 
 let test_sort_p_exceeds_n () =
   let rng = Rng.create ~seed:6 () in
   let keys = [| 5.; 2.; 9. |] in
-  let out = Sample_sort.sort ~cmp:Float.compare rng keys ~p:16 in
+  let out = sort rng keys ~p:16 in
   checkb "p > n still sorts" true (is_sorted Float.compare out);
   checkb "p > n permutes" true (multiset_equal keys out)
 
 let test_splitters_sorted () =
   let rng = Rng.create ~seed:7 () in
   let keys = Array.init 10_000 (fun _ -> Rng.float rng) in
-  let splitters = Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p:8 ~s:64 in
+  let splitters = Sample_sort.choose_splitters_floats rng keys ~p:8 ~s:64 in
   Alcotest.(check int) "p-1 splitters" 7 (Array.length splitters);
   checkb "splitters sorted" true (is_sorted Float.compare splitters)
 
 let test_bucket_index_bounds () =
   let splitters = [| 10.; 20.; 30. |] in
-  Alcotest.(check int) "below first" 0 (Sample_sort.bucket_index ~cmp:Float.compare splitters 5.);
-  Alcotest.(check int) "middle" 2 (Sample_sort.bucket_index ~cmp:Float.compare splitters 25.);
-  Alcotest.(check int) "above last" 3 (Sample_sort.bucket_index ~cmp:Float.compare splitters 35.);
+  Alcotest.(check int) "below first" 0 (Scatter.bucket_index_floats splitters 5.);
+  Alcotest.(check int) "middle" 2 (Scatter.bucket_index_floats splitters 25.);
+  Alcotest.(check int) "above last" 3 (Scatter.bucket_index_floats splitters 35.);
   Alcotest.(check int) "equal goes right" 1
-    (Sample_sort.bucket_index ~cmp:Float.compare splitters 10.)
+    (Scatter.bucket_index_floats splitters 10.)
 
 let qcheck_bucket_index_vs_linear =
   QCheck.Test.make ~name:"bucket_index agrees with linear scan" ~count:300
@@ -89,40 +93,34 @@ let qcheck_bucket_index_vs_linear =
         in
         scan 0
       in
-      Sample_sort.bucket_index ~cmp:Float.compare splitters key = linear)
+      Scatter.bucket_index_floats splitters key = linear)
 
 let test_partition_respects_splitters () =
   let rng = Rng.create ~seed:8 () in
   let keys = Array.init 5_000 (fun _ -> Rng.float rng) in
-  let splitters = Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p:8 ~s:32 in
-  let buckets = Sample_sort.partition ~cmp:Float.compare keys ~splitters in
-  Array.iteri
-    (fun b contents ->
-      Array.iter
-        (fun key ->
-          if b > 0 then checkb "above previous splitter" true (key >= splitters.(b - 1));
-          if b < Array.length splitters then
-            checkb "below own splitter" true (key < splitters.(b)))
-        contents)
-    buckets.Sample_sort.contents
+  let splitters = Sample_sort.choose_splitters_floats rng keys ~p:8 ~s:32 in
+  let flat = Scatter.partition_floats keys ~splitters in
+  for b = 0 to Scatter.num_buckets flat - 1 do
+    for i = Scatter.bucket_lo flat b to Scatter.bucket_lo flat b + Scatter.bucket_len flat b - 1 do
+      let key = flat.Scatter.data.(i) in
+      if b > 0 then checkb "above previous splitter" true (key >= splitters.(b - 1));
+      if b < Array.length splitters then checkb "below own splitter" true (key < splitters.(b))
+    done
+  done
 
 let test_partition_conserves () =
   let rng = Rng.create ~seed:9 () in
   let keys = Array.init 3_000 (fun _ -> Rng.float rng) in
-  let splitters = Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p:5 ~s:16 in
-  let buckets = Sample_sort.partition ~cmp:Float.compare keys ~splitters in
-  let total =
-    Array.fold_left (fun acc c -> acc + Array.length c) 0 buckets.Sample_sort.contents
-  in
+  let splitters = Sample_sort.choose_splitters_floats rng keys ~p:5 ~s:16 in
+  let flat = Scatter.partition_floats keys ~splitters in
+  let total = Array.fold_left ( + ) 0 (Scatter.bucket_sizes flat) in
   Alcotest.(check int) "all keys bucketed" 3_000 total
 
 let test_weighted_splitters_proportions () =
   let rng = Rng.create ~seed:10 () in
   let keys = Array.init 200_000 (fun _ -> Rng.float rng) in
   let weights = [| 1.; 3. |] in
-  let splitters =
-    Sample_sort.weighted_splitters ~cmp:Float.compare rng keys ~weights ~s:4096
-  in
+  let splitters = Sample_sort.weighted_splitters_floats rng keys ~weights ~s:4096 in
   Alcotest.(check int) "one splitter" 1 (Array.length splitters);
   (* Bucket 0 should get ~25% of uniform keys. *)
   checkb "splitter near first quartile" true (Float.abs (splitters.(0) -. 0.25) < 0.05)
@@ -132,11 +130,15 @@ let test_default_oversampling_grows () =
     (Sample_sort.default_oversampling ~n:1_000_000
     > Sample_sort.default_oversampling ~n:1_000)
 
-let test_max_bucket_ratio_uniform () =
-  let buckets =
-    { Sample_sort.splitters = [| 1. |]; contents = [| [| 0.; 0. |]; [| 2.; 2. |] |] }
-  in
-  Alcotest.(check (float 1e-9)) "balanced ratio" 1. (Sample_sort.max_bucket_ratio buckets)
+let test_max_bucket_ratio_table () =
+  List.iter
+    (fun (name, sizes, expected) ->
+      Alcotest.(check (float 0.)) name expected (Sample_sort.max_bucket_ratio sizes))
+    [
+      ("balanced", [| 2; 2 |], 1.);
+      ("skewed", [| 1; 2; 6; 3 |], 2.);
+      ("all empty", [| 0; 0; 0 |], 0.);
+    ]
 
 (* E2's concentration check (Theorem B.4): the largest bucket over
    [trials] seeded splitter draws, as a multiple of N/p, with the
@@ -146,9 +148,8 @@ let max_bucket_ratios rng ~keys ~n ~p ~trials =
   Array.init trials (fun _ ->
       let trial_rng = Rng.split rng in
       let population = keys trial_rng n in
-      let splitters = Sample_sort.choose_splitters ~cmp:Float.compare trial_rng population ~p ~s in
-      Sample_sort.max_bucket_ratio
-        (Sample_sort.partition ~cmp:Float.compare population ~splitters))
+      let splitters = Sample_sort.choose_splitters_floats trial_rng population ~p ~s in
+      Sample_sort.max_bucket_ratio (Scatter.histogram_floats population ~splitters))
 
 let test_concentration_envelope () =
   (* With the paper's oversampling, exceeding the envelope should be
@@ -184,9 +185,9 @@ let qcheck_sort_correct =
     QCheck.(pair small_int (array_of_size Gen.(int_range 0 500) (int_range (-1000) 1000)))
     (fun (seed, keys) ->
       let rng = Rng.create ~seed () in
-      let out = Sample_sort.sort ~cmp:Int.compare rng keys ~p:7 in
-      is_sorted Int.compare out
-      && multiset_equal (Array.map float_of_int keys) (Array.map float_of_int out))
+      let keys = Array.map float_of_int keys in
+      let out = sort rng keys ~p:7 in
+      is_sorted Float.compare out && multiset_equal keys out)
 
 let test_hetero_sort_correct () =
   let rng = Rng.create ~seed:13 () in
@@ -223,7 +224,7 @@ let suites =
         Alcotest.test_case "partition conserves" `Quick test_partition_conserves;
         Alcotest.test_case "weighted splitters" `Quick test_weighted_splitters_proportions;
         Alcotest.test_case "oversampling grows" `Quick test_default_oversampling_grows;
-        Alcotest.test_case "max bucket ratio" `Quick test_max_bucket_ratio_uniform;
+        Alcotest.test_case "max bucket ratio" `Quick test_max_bucket_ratio_table;
         QCheck_alcotest.to_alcotest qcheck_bucket_index_vs_linear;
         QCheck_alcotest.to_alcotest qcheck_sort_correct;
       ] );

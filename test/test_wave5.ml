@@ -110,7 +110,7 @@ let qcheck_strassen =
 let sort_via_mapreduce star keys chunk p =
   let rng = Rng.create ~seed:88 () in
   let s = Sortlib.Sample_sort.default_oversampling ~n:(Array.length keys) in
-  let splitters = Sortlib.Sample_sort.choose_splitters ~cmp:Float.compare rng keys ~p ~s in
+  let splitters = Sortlib.Sample_sort.choose_splitters_floats rng keys ~p ~s in
   let job = Jobs.distributed_sort ~keys ~chunk ~splitters in
   let reduce _ runs =
     let merged = Array.concat runs in
