@@ -61,54 +61,58 @@ let metrics_on = flag_present "--metrics"
 
 let elapsed_s = Obs.Clock.elapsed_s
 
+(* Spawn the shared pool's workers before a timed section, so it does
+   not pay the one-off spawn cost. *)
+let warm_up domains = if domains > 1 then ignore (Exec.Pool.get_global ~at_least:domains ())
+
 (* --- Part 1: Bechamel micro-benchmarks --------------------------------- *)
 
 let bench_platform p =
-  let rng = Core.Rng.create ~seed:99 () in
-  Core.Profiles.generate rng ~p Core.Profiles.paper_lognormal
+  let rng = Numerics.Rng.create ~seed:99 () in
+  Platform.Profiles.generate rng ~p Platform.Profiles.paper_lognormal
 
 let test_peri_sum =
   let star = bench_platform 100 in
-  let areas = Core.Star.relative_speeds star in
+  let areas = Platform.Star.relative_speeds star in
   Test.make ~name:"peri-sum DP (p=100)"
-    (Staged.stage (fun () -> ignore (Core.Column_partition.peri_sum ~areas)))
+    (Staged.stage (fun () -> ignore (Partition.Column_partition.peri_sum ~areas)))
 
 let test_peri_max =
   let star = bench_platform 100 in
-  let areas = Core.Star.relative_speeds star in
+  let areas = Platform.Star.relative_speeds star in
   Test.make ~name:"peri-max DP (p=100)"
-    (Staged.stage (fun () -> ignore (Core.Column_partition.peri_max ~areas)))
+    (Staged.stage (fun () -> ignore (Partition.Column_partition.peri_max ~areas)))
 
 let test_demand_driven =
   let star = bench_platform 100 in
   Test.make ~name:"demand-driven blocks (p=100, k=2)"
-    (Staged.stage (fun () -> ignore (Core.Block_hom.demand_driven star ~n:1e6 ~k:2)))
+    (Staged.stage (fun () -> ignore (Partition.Block_hom.demand_driven star ~n:1e6 ~k:2)))
 
 let test_nonlinear_solver =
   let star = bench_platform 64 in
   Test.make ~name:"nonlinear DLT solve (p=64, alpha=2)"
     (Staged.stage (fun () ->
          ignore
-           (Core.Nonlinear_dlt.equal_finish_allocation Core.Dlt_schedule.Parallel star
-              (Core.Cost_model.Power 2.) ~total:1e4)))
+           (Dlt.Nonlinear.equal_finish_allocation Dlt.Schedule.Parallel star
+              (Dlt.Cost_model.Power 2.) ~total:1e4)))
 
 let test_sample_sort =
-  let rng = Core.Rng.create ~seed:4 () in
-  let keys = Array.init 100_000 (fun _ -> Core.Rng.float rng) in
+  let rng = Numerics.Rng.create ~seed:4 () in
+  let keys = Array.init 100_000 (fun _ -> Numerics.Rng.float rng) in
   Test.make ~name:"sample sort (N=1e5, p=16)"
     (Staged.stage (fun () ->
-         let rng = Core.Rng.create ~seed:5 () in
-         ignore (Core.Multicore_sort.sort ~domains:1 rng keys ~p:16)))
+         let rng = Numerics.Rng.create ~seed:5 () in
+         ignore (Sortlib.Multicore.sort ~domains:1 rng keys ~p:16)))
 
 let test_distributed_matmul =
-  let rng = Core.Rng.create ~seed:6 () in
+  let rng = Numerics.Rng.create ~seed:6 () in
   let n = 96 in
-  let a = Core.Matrix.random rng ~rows:n ~cols:n in
-  let b = Core.Matrix.random rng ~rows:n ~cols:n in
+  let a = Linalg.Matrix.random rng ~rows:n ~cols:n in
+  let b = Linalg.Matrix.random rng ~rows:n ~cols:n in
   let star = bench_platform 8 in
-  let zones = Core.Zone.for_platform star ~n in
+  let zones = Linalg.Zone.for_platform star ~n in
   Test.make ~name:"distributed matmul (n=96, p=8)"
-    (Staged.stage (fun () -> ignore (Core.Matmul.distributed ~zones a b)))
+    (Staged.stage (fun () -> ignore (Linalg.Matmul.distributed ~zones a b)))
 
 let test_event_heap =
   (* [exercise] drives push+pop from inside the module, so the number
@@ -120,79 +124,81 @@ let test_event_heap =
          Des.Event_heap.exercise h ~rounds:1 ~batch:10_000))
 
 let test_strassen =
-  let rng = Core.Rng.create ~seed:7 () in
+  let rng = Numerics.Rng.create ~seed:7 () in
   let n = 128 in
-  let a = Core.Matrix.random rng ~rows:n ~cols:n in
-  let b = Core.Matrix.random rng ~rows:n ~cols:n in
+  let a = Linalg.Matrix.random rng ~rows:n ~cols:n in
+  let b = Linalg.Matrix.random rng ~rows:n ~cols:n in
   Test.make ~name:"strassen (n=128, cutoff=32)"
-    (Staged.stage (fun () -> ignore (Core.Strassen.multiply ~cutoff:32 a b)))
+    (Staged.stage (fun () -> ignore (Linalg.Strassen.multiply ~cutoff:32 a b)))
 
 let test_cannon =
-  let rng = Core.Rng.create ~seed:9 () in
+  let rng = Numerics.Rng.create ~seed:9 () in
   let n = 96 in
-  let a = Core.Matrix.random rng ~rows:n ~cols:n in
-  let b = Core.Matrix.random rng ~rows:n ~cols:n in
+  let a = Linalg.Matrix.random rng ~rows:n ~cols:n in
+  let b = Linalg.Matrix.random rng ~rows:n ~cols:n in
   Test.make ~name:"cannon (n=96, 4x4 grid)"
-    (Staged.stage (fun () -> ignore (Core.Cannon.distributed ~grid:4 a b)))
+    (Staged.stage (fun () -> ignore (Linalg.Cannon.distributed ~grid:4 a b)))
 
 let test_histogram_sort =
-  let rng = Core.Rng.create ~seed:10 () in
-  let keys = Array.init 100_000 (fun _ -> Core.Rng.float rng) in
+  let rng = Numerics.Rng.create ~seed:10 () in
+  let keys = Array.init 100_000 (fun _ -> Numerics.Rng.float rng) in
   Test.make ~name:"histogram splitters (N=1e5, p=16)"
     (Staged.stage (fun () ->
-         ignore (Core.Histogram_sort.splitters ~tolerance:0.01 keys ~p:16)))
+         ignore (Sortlib.Histogram_sort.splitters ~tolerance:0.01 keys ~p:16)))
 
 let test_lu =
-  let rng = Core.Rng.create ~seed:11 () in
+  let rng = Numerics.Rng.create ~seed:11 () in
   let n = 96 in
-  let base = Core.Matrix.random rng ~rows:n ~cols:n in
-  let a = Core.Matrix.add base (Core.Matrix.scale (float_of_int n) (Core.Matrix.identity n)) in
+  let base = Linalg.Matrix.random rng ~rows:n ~cols:n in
+  let a =
+    Linalg.Matrix.add base (Linalg.Matrix.scale (float_of_int n) (Linalg.Matrix.identity n))
+  in
   Test.make ~name:"LU factorize (n=96, block=32)"
-    (Staged.stage (fun () -> ignore (Core.Lu.factorize ~block:32 a)))
+    (Staged.stage (fun () -> ignore (Linalg.Lu.factorize ~block:32 a)))
 
 let test_cholesky =
-  let rng = Core.Rng.create ~seed:12 () in
+  let rng = Numerics.Rng.create ~seed:12 () in
   let n = 96 in
-  let m = Core.Matrix.random rng ~rows:n ~cols:n in
+  let m = Linalg.Matrix.random rng ~rows:n ~cols:n in
   let a =
-    Core.Matrix.add
-      (Core.Matrix.mul m (Core.Matrix.transpose m))
-      (Core.Matrix.scale (float_of_int n) (Core.Matrix.identity n))
+    Linalg.Matrix.add
+      (Linalg.Matrix.mul m (Linalg.Matrix.transpose m))
+      (Linalg.Matrix.scale (float_of_int n) (Linalg.Matrix.identity n))
   in
   Test.make ~name:"Cholesky factorize (n=96, block=32)"
-    (Staged.stage (fun () -> ignore (Core.Cholesky.factorize ~block:32 a)))
+    (Staged.stage (fun () -> ignore (Linalg.Cholesky.factorize ~block:32 a)))
 
 let test_karatsuba =
-  let rng = Core.Rng.create ~seed:13 () in
-  let a = Array.init 1024 (fun _ -> Core.Rng.uniform rng (-1.) 1.) in
-  let b = Array.init 1024 (fun _ -> Core.Rng.uniform rng (-1.) 1.) in
+  let rng = Numerics.Rng.create ~seed:13 () in
+  let a = Array.init 1024 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
+  let b = Array.init 1024 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
   Test.make ~name:"karatsuba (n=1024)"
-    (Staged.stage (fun () -> ignore (Core.Poly.karatsuba ~cutoff:32 a b)))
+    (Staged.stage (fun () -> ignore (Linalg.Poly.karatsuba ~cutoff:32 a b)))
 
 let test_psrs =
-  let rng = Core.Rng.create ~seed:14 () in
-  let keys = Array.init 100_000 (fun _ -> Core.Rng.float rng) in
+  let rng = Numerics.Rng.create ~seed:14 () in
+  let keys = Array.init 100_000 (fun _ -> Numerics.Rng.float rng) in
   Test.make ~name:"PSRS sort (N=1e5, p=16)"
-    (Staged.stage (fun () -> ignore (Core.Psrs.sort keys ~p:16)))
+    (Staged.stage (fun () -> ignore (Sortlib.Psrs.sort keys ~p:16)))
 
 let test_mapreduce =
-  let rng = Core.Rng.create ~seed:8 () in
-  let a = Array.init 256 (fun _ -> Core.Rng.float rng) in
-  let b = Array.init 256 (fun _ -> Core.Rng.float rng) in
+  let rng = Numerics.Rng.create ~seed:8 () in
+  let a = Array.init 256 (fun _ -> Numerics.Rng.float rng) in
+  let b = Array.init 256 (fun _ -> Numerics.Rng.float rng) in
   let star = bench_platform 8 in
   Test.make ~name:"MapReduce outer-product map phase (n=256, p=8)"
     (Staged.stage (fun () ->
-         let job = Core.Mr_jobs.outer_product ~a ~b ~chunk:32 in
+         let job = Mapreduce.Jobs.outer_product ~a ~b ~chunk:32 in
          ignore
-           (Core.Mr_scheduler.run star ~tasks:job.Core.Mr_engine.tasks
-              ~block_size:job.Core.Mr_engine.block_size)))
+           (Mapreduce.Scheduler.run star ~tasks:job.Mapreduce.Engine.tasks
+              ~block_size:job.Mapreduce.Engine.block_size)))
 
 let report_multicore () =
   (* Real-parallelism check of phase 3 (§3): host-dependent, so
      reported rather than benchmarked. *)
-  let domains = Core.Parallel.default_domains () in
+  let domains = Exec.Pool.default_domains () in
   let seq, par, speedup =
-    Core.Multicore_sort.speedup (Core.Rng.create ~seed:77 ()) ~n:500_000 ~p:16
+    Sortlib.Multicore.speedup (Numerics.Rng.create ~seed:77 ()) ~n:500_000 ~p:16
   in
   Printf.printf
     "\nMulticore sample sort (N=5e5, p=16, %d domains): %.3fs sequential, %.3fs parallel \
@@ -212,10 +218,10 @@ let report_sort_throughput () =
   let n = if quick then 200_000 else 1_000_000 in
   let p = 16 in
   let trials = if quick then 3 else 5 in
-  let rng = Core.Rng.create ~seed:31 () in
-  let keys = Array.init n (fun _ -> Core.Rng.float rng) in
-  let domains = Core.Parallel.default_domains () in
-  Core.Parallel.warm_up ~domains ();
+  let rng = Numerics.Rng.create ~seed:31 () in
+  let keys = Array.init n (fun _ -> Numerics.Rng.float rng) in
+  let domains = Exec.Pool.default_domains () in
+  warm_up domains;
   let median samples =
     let sorted = Array.copy samples in
     Array.sort Float.compare sorted;
@@ -224,9 +230,10 @@ let report_sort_throughput () =
   let pipelines =
     [
       ( "multicore",
-        fun () -> ignore (Core.Multicore_sort.sort ~domains (Core.Rng.create ~seed:32 ()) keys ~p) );
-      ("psrs", fun () -> ignore (Core.Psrs.sort keys ~p));
-      ("histogram", fun () -> ignore (Core.Histogram_sort.sort keys ~p));
+        fun () ->
+          ignore (Sortlib.Multicore.sort ~domains (Numerics.Rng.create ~seed:32 ()) keys ~p) );
+      ("psrs", fun () -> ignore (Sortlib.Psrs.sort keys ~p));
+      ("histogram", fun () -> ignore (Sortlib.Histogram_sort.sort keys ~p));
     ]
   in
   (* Untimed warm-up of each pipeline, then interleaved trials. *)
@@ -265,14 +272,14 @@ let report_sort_throughput () =
 let report_pool_overhead () =
   (* Tentpole check: submitting to the persistent pool must beat paying
      a Domain.spawn/join round-trip per call. *)
-  let d = max 2 (min 8 (Core.Parallel.default_domains ())) in
+  let d = max 2 (min 8 (Exec.Pool.default_domains ())) in
   let iters = if quick then 200 else 1000 in
-  let pool = Core.Pool.create ~domains:d () in
-  Core.Pool.parallel_for pool d (fun _ -> ());
+  let pool = Exec.Pool.create ~domains:d () in
+  Exec.Pool.parallel_for pool d (fun _ -> ());
   let (), pool_s =
     elapsed_s (fun () ->
         for _ = 1 to iters do
-          Core.Pool.parallel_for pool d (fun _ -> ())
+          Exec.Pool.parallel_for pool d (fun _ -> ())
         done)
   in
   let (), spawn_s =
@@ -282,7 +289,7 @@ let report_pool_overhead () =
           List.iter Domain.join spawned
         done)
   in
-  Core.Pool.teardown pool;
+  Exec.Pool.teardown pool;
   let pool_ns = pool_s *. 1e9 /. float_of_int iters in
   let spawn_ns = spawn_s *. 1e9 /. float_of_int iters in
   Printf.printf
@@ -314,12 +321,12 @@ let report_fig4_scaling () =
      the expected reading, not a regression. *)
   let trials = if quick then 10 else 100 in
   let processor_counts = if quick then [ 10; 20; 40 ] else Experiments.Fig4.default_processor_counts in
-  let profile = Core.Profiles.paper_lognormal in
-  let max_d = Core.Parallel.default_domains () in
+  let profile = Platform.Profiles.paper_lognormal in
+  let max_d = Exec.Pool.default_domains () in
   let domain_counts =
     List.sort_uniq compare (List.filter (fun d -> d <= max 2 max_d) [ 1; 2; 4; max_d ])
   in
-  Core.Parallel.warm_up ~domains:(List.fold_left max 1 domain_counts) ();
+  warm_up (List.fold_left max 1 domain_counts);
   let runs =
     List.map
       (fun d ->
@@ -415,17 +422,17 @@ let big_mr_workers = 100_000
 let big_mr_tasks = 1_000_000
 
 let big_mr_run () =
-  let star = Core.Star.of_speeds (List.init big_mr_workers (fun _ -> 1.)) in
+  let star = Platform.Star.of_speeds (List.init big_mr_workers (fun _ -> 1.)) in
   let tasks =
-    Array.init big_mr_tasks (fun i -> Core.Mr_task.make ~id:i ~data_ids:[| i |] ~cost:1.)
+    Array.init big_mr_tasks (fun i -> Mapreduce.Task.make ~id:i ~data_ids:[| i |] ~cost:1.)
   in
   let faults =
     Fault.Plan.generate
-      ~rng:(Core.Rng.create ~seed:42 ())
+      ~rng:(Numerics.Rng.create ~seed:42 ())
       ~p:big_mr_workers ~horizon:20. ~crash_rate:0.001 ~slowdown_rate:0.01
       ~fetch_failure:0.01 ()
   in
-  fun () -> Core.Mr_scheduler.run ~faults star ~tasks ~block_size:(fun _ -> 1.)
+  fun () -> Mapreduce.Scheduler.run ~faults star ~tasks ~block_size:(fun _ -> 1.)
 
 let report_des_throughput ~best_mr_seconds () =
   Experiments.Report.section "Discrete-event core throughput (events/sec)";
@@ -475,7 +482,7 @@ let report_des_throughput ~best_mr_seconds () =
   Gc.full_major ();
   let _, s2 = elapsed_s run_mr in
   let seconds = Float.min (Float.min s1 s2) best_mr_seconds in
-  let events = outcome.Core.Mr_scheduler.events_processed in
+  let events = outcome.Mapreduce.Scheduler.events_processed in
   let mr_rate = float_of_int events /. seconds in
   Numerics.Ascii_table.add_row table
     [
@@ -486,9 +493,9 @@ let report_des_throughput ~best_mr_seconds () =
   Numerics.Ascii_table.print table;
   Printf.printf
     "Large MapReduce: %d events, makespan %.2f, %d retries, %d crashes, %d unfinished\n%!"
-    events outcome.Core.Mr_scheduler.makespan
-    outcome.Core.Mr_scheduler.retries outcome.Core.Mr_scheduler.crashes_survived
-    (List.length outcome.Core.Mr_scheduler.unfinished);
+    events outcome.Mapreduce.Scheduler.makespan
+    outcome.Mapreduce.Scheduler.retries outcome.Mapreduce.Scheduler.crashes_survived
+    (List.length outcome.Mapreduce.Scheduler.unfinished);
   Obs.Json.Obj
     [
       ("heap_ops_per_sec_10k", Obs.Json.Float heap_rate_10k);
@@ -501,12 +508,12 @@ let report_des_throughput ~best_mr_seconds () =
             ("events_processed", Obs.Json.Int events);
             ("seconds", Obs.Json.Float seconds);
             ("events_per_sec", Obs.Json.Float mr_rate);
-            ("makespan", Obs.Json.Float outcome.Core.Mr_scheduler.makespan);
-            ("retries", Obs.Json.Int outcome.Core.Mr_scheduler.retries);
+            ("makespan", Obs.Json.Float outcome.Mapreduce.Scheduler.makespan);
+            ("retries", Obs.Json.Int outcome.Mapreduce.Scheduler.retries);
             ( "crashes_survived",
-              Obs.Json.Int outcome.Core.Mr_scheduler.crashes_survived );
+              Obs.Json.Int outcome.Mapreduce.Scheduler.crashes_survived );
             ( "unfinished",
-              Obs.Json.Int (List.length outcome.Core.Mr_scheduler.unfinished) );
+              Obs.Json.Int (List.length outcome.Mapreduce.Scheduler.unfinished) );
           ] );
     ]
 
@@ -543,7 +550,7 @@ let report_obs_overhead () =
     set_all on;
     Gc.full_major ();
     let outcome, s = elapsed_s run_mr in
-    (outcome.Core.Mr_scheduler.events_processed, s)
+    (outcome.Mapreduce.Scheduler.events_processed, s)
   in
   (* Three interleaved disabled/enabled pairs, min per side: the min is
      the noise-robust estimator for a ratio gate, and interleaving keeps
@@ -683,8 +690,8 @@ let report_serve_throughput () =
    alternating passes. *)
 let report_json_codec () =
   Printf.printf "\n-- json codec (float_compact vs sprintf %%.17g) --\n%!";
-  let rng = Core.Rng.create ~seed:31 () in
-  let values = Array.init 100_000 (fun _ -> Core.Rng.float rng) in
+  let rng = Numerics.Rng.create ~seed:31 () in
+  let values = Array.init 100_000 (fun _ -> Numerics.Rng.float rng) in
   let pass render =
     let t0 = Obs.Clock.now_ns () in
     Array.iter (fun f -> ignore (Sys.opaque_identity (render f))) values;
@@ -788,30 +795,32 @@ let report_lint_time () =
    the submitting domain, so pool-worker noise is excluded. *)
 let alloc_kernels () =
   let n_keys = 200_000 and p = 16 in
-  let rng = Core.Rng.create ~seed:21 () in
-  let keys = Array.init n_keys (fun _ -> Core.Rng.float rng) in
+  let rng = Numerics.Rng.create ~seed:21 () in
+  let keys = Array.init n_keys (fun _ -> Numerics.Rng.float rng) in
   let splitters =
-    Core.Sample_sort.choose_splitters_floats
-      (Core.Rng.create ~seed:22 ())
+    Sortlib.Sample_sort.choose_splitters_floats
+      (Numerics.Rng.create ~seed:22 ())
       keys ~p
-      ~s:(Core.Sample_sort.default_oversampling ~n:n_keys)
+      ~s:(Sortlib.Sample_sort.default_oversampling ~n:n_keys)
   in
-  let mat_rng = Core.Rng.create ~seed:23 () in
+  let mat_rng = Numerics.Rng.create ~seed:23 () in
   let n_mat = 96 in
-  let a = Core.Matrix.random mat_rng ~rows:n_mat ~cols:n_mat in
-  let b = Core.Matrix.random mat_rng ~rows:n_mat ~cols:n_mat in
+  let a = Linalg.Matrix.random mat_rng ~rows:n_mat ~cols:n_mat in
+  let b = Linalg.Matrix.random mat_rng ~rows:n_mat ~cols:n_mat in
   let star = bench_platform 8 in
-  let zones = Core.Zone.for_platform star ~n:n_mat in
+  let zones = Linalg.Zone.for_platform star ~n:n_mat in
   let n_vec = 256 in
-  let va = Array.init n_vec (fun _ -> Core.Rng.float mat_rng) in
-  let vb = Array.init n_vec (fun _ -> Core.Rng.float mat_rng) in
-  let vzones = Core.Zone.for_platform star ~n:n_vec in
+  let va = Array.init n_vec (fun _ -> Numerics.Rng.float mat_rng) in
+  let vb = Array.init n_vec (fun _ -> Numerics.Rng.float mat_rng) in
+  let vzones = Linalg.Zone.for_platform star ~n:n_vec in
   let heap = Des.Event_heap.create ~initial_capacity:10_000 () in
   (* The encode-bound serve answers: a p=32 schedule (one row per
      worker) and a p=64 plan, solved once outside the kernel. *)
   let answer p kind =
-    let grid = Core.Rng.create ~seed:(25 + p) () in
-    let speeds = Array.init p (fun _ -> Float.round (Core.Rng.uniform grid 0.5 8. *. 1000.) /. 1000.) in
+    let grid = Numerics.Rng.create ~seed:(25 + p) () in
+    let speeds =
+      Array.init p (fun _ -> Float.round (Numerics.Rng.uniform grid 0.5 8. *. 1000.) /. 1000.)
+    in
     match Api.Request.make ~total:4321.5 ~platform:(Api.Request.Speeds speeds) ~kind () with
     | Ok r -> Api.Eval.eval r
     | Error e -> failwith ("response_to_line request: " ^ e)
@@ -820,21 +829,22 @@ let alloc_kernels () =
   assert (not (Api.Response.is_error schedule || Api.Response.is_error plan));
   [
     ( "scatter_partition_floats",
-      fun () -> ignore (Core.Scatter.partition_floats keys ~splitters) );
+      fun () -> ignore (Kernels.Scatter.partition_floats keys ~splitters) );
     ( "scatter_partition_pool",
       fun () ->
         ignore
-          (Core.Scatter.partition_floats_pool ~workers:2
-             (Core.Pool.get_global ~at_least:2 ())
+          (Kernels.Scatter.partition_floats_pool ~workers:2
+             (Exec.Pool.get_global ~at_least:2 ())
              keys ~splitters) );
     ( "multicore_sort",
-      fun () -> ignore (Core.Multicore_sort.sort ~domains:2 (Core.Rng.create ~seed:24 ()) keys ~p) );
-    ("psrs_sort", fun () -> ignore (Core.Psrs.sort keys ~p));
-    ("histogram_splitters", fun () -> ignore (Core.Histogram_sort.splitters keys ~p));
-    ("matmul_distributed", fun () -> ignore (Core.Matmul.distributed ~zones a b));
+      fun () ->
+        ignore (Sortlib.Multicore.sort ~domains:2 (Numerics.Rng.create ~seed:24 ()) keys ~p) );
+    ("psrs_sort", fun () -> ignore (Sortlib.Psrs.sort keys ~p));
+    ("histogram_splitters", fun () -> ignore (Sortlib.Histogram_sort.splitters keys ~p));
+    ("matmul_distributed", fun () -> ignore (Linalg.Matmul.distributed ~zones a b));
     ( "outer_product_distributed",
-      fun () -> ignore (Core.Outer_product.distributed ~zones:vzones va vb) );
-    ("parallel_matmul", fun () -> ignore (Core.Parallel_matmul.multiply ~domains:2 a b));
+      fun () -> ignore (Linalg.Outer_product.distributed ~zones:vzones va vb) );
+    ("parallel_matmul", fun () -> ignore (Linalg.Parallel_matmul.multiply ~domains:2 a b));
     ("event_heap_push_pop", fun () -> Des.Event_heap.exercise heap ~rounds:1 ~batch:10_000);
     ( "response_to_line",
       fun () ->
@@ -967,21 +977,21 @@ let run_fig4 () =
     Experiments.Fig4.print
       ~title:
         (Printf.sprintf "Figure 4(%s): ratio to lower bound, %s speeds (%d trials/point)"
-           tag (Core.Profiles.name profile) trials)
+           tag (Platform.Profiles.name profile) trials)
       points
   in
-  figure "a" Core.Profiles.paper_homogeneous;
-  figure "b" Core.Profiles.paper_uniform;
-  figure "c" Core.Profiles.paper_lognormal
+  figure "a" Platform.Profiles.paper_homogeneous;
+  figure "b" Platform.Profiles.paper_uniform;
+  figure "c" Platform.Profiles.paper_lognormal
 
 let run_e4 () =
   let trials = if quick then 3 else 10 in
   List.iter
     (fun profile ->
       Experiments.Time_exp.print
-        ~profile:(Core.Profiles.name profile)
+        ~profile:(Platform.Profiles.name profile)
         (Experiments.Time_exp.run ~trials profile))
-    [ Core.Profiles.paper_uniform; Core.Profiles.paper_lognormal ]
+    [ Platform.Profiles.paper_uniform; Platform.Profiles.paper_lognormal ]
 
 let run_ablation () =
   let rows =
@@ -1002,7 +1012,7 @@ let run_ablation () =
   else Experiments.Ablations.print_all ()
 
 let () =
-  Printf.printf "nldl bench harness (version %s)%s\n%!" Core.version
+  Printf.printf "nldl bench harness (version %s)%s\n%!" Cli.version
     (if quick then " [quick mode]" else "");
   if trace_path <> None then Obs.Trace.set_enabled true;
   if metrics_on then begin
@@ -1040,7 +1050,7 @@ let () =
             surface. *)
          ("schema_version", Obs.Json.Int Api.Response.schema_version);
          ("provenance", Obs.Json.Obj [ ("solver", Obs.Json.String "nldl.bench") ]);
-         ("version", Obs.Json.String Core.version);
+         ("version", Obs.Json.String Cli.version);
          ("quick", Obs.Json.Bool quick);
          ( "kernels_ns_per_run",
            Obs.Json.Obj (List.map (fun (name, ns) -> (name, Obs.Json.Float ns)) kernels) );

@@ -12,59 +12,59 @@ let () =
   (* Three sites: a fast local cluster, a remote cluster behind a thin
      uplink, and a lone workstation with noticeable latency. *)
   let local =
-    Core.Topology.cluster ~bandwidth:8.
-      (List.init 4 (fun _ -> Core.Topology.worker ~bandwidth:4. ~speed:2. ()))
+    Platform.Topology.cluster ~bandwidth:8.
+      (List.init 4 (fun _ -> Platform.Topology.worker ~bandwidth:4. ~speed:2. ()))
   in
   let remote =
-    Core.Topology.cluster ~bandwidth:1.5 ~latency:0.2
-      (List.init 16 (fun _ -> Core.Topology.worker ~bandwidth:2. ~speed:1. ()))
+    Platform.Topology.cluster ~bandwidth:1.5 ~latency:0.2
+      (List.init 16 (fun _ -> Platform.Topology.worker ~bandwidth:2. ~speed:1. ()))
   in
-  let workstation = Core.Topology.worker ~bandwidth:1. ~latency:2. ~speed:3. () in
+  let workstation = Platform.Topology.worker ~bandwidth:1. ~latency:2. ~speed:3. () in
   let nodes = [ local; remote; workstation ] in
 
   Printf.printf "Raw platform: %d leaf workers, total speed %.1f\n"
-    (List.fold_left (fun acc n -> acc + Core.Topology.leaf_count n) 0 nodes)
-    (List.fold_left (fun acc n -> acc +. Core.Topology.total_speed n) 0. nodes);
+    (List.fold_left (fun acc n -> acc + Platform.Topology.leaf_count n) 0 nodes)
+    (List.fold_left (fun acc n -> acc +. Platform.Topology.total_speed n) 0. nodes);
 
-  let star = Core.Topology.flatten nodes in
-  Format.printf "@.Equivalent star (steady-state aggregation):@.%a@." Core.Star.pp star;
+  let star = Platform.Topology.flatten nodes in
+  Format.printf "@.Equivalent star (steady-state aggregation):@.%a@." Platform.Star.pp star;
   Printf.printf "Aggregation loss: %.1f%% of raw compute power is stranded behind uplinks\n\n"
-    (100. *. Core.Topology.aggregation_loss nodes);
+    (100. *. Platform.Topology.aggregation_loss nodes);
 
   (* Steady-state throughput of the flattened platform. *)
-  let steady = Core.Steady_state.one_port star in
+  let steady = Dlt.Steady_state.one_port star in
   Printf.printf "One-port steady-state throughput: %.3f load/time (efficiency %.1f%%)\n"
-    steady.Core.Steady_state.throughput
-    (100. *. Core.Steady_state.efficiency star);
+    steady.Dlt.Steady_state.throughput
+    (100. *. Dlt.Steady_state.efficiency star);
   Printf.printf "Per-site rates: ";
-  Array.iter (fun r -> Printf.printf "%.3f " r) steady.Core.Steady_state.rates;
+  Array.iter (fun r -> Printf.printf "%.3f " r) steady.Dlt.Steady_state.rates;
 
   (* A finite batch with the affine (latency-aware) solver. *)
   let total = 500. in
-  let sol = Core.Affine_dlt.solve star ~total in
+  let sol = Dlt.Affine.solve star ~total in
   Printf.printf "\n\nBatch of %.0f units, affine one-port solver:\n" total;
   Printf.printf "  participants: %s\n"
     (String.concat ", "
        (List.map
           (fun i -> Printf.sprintf "worker %d" i)
-          sol.Core.Affine_dlt.participants));
+          sol.Dlt.Affine.participants));
   Printf.printf "  shares: ";
-  Array.iter (fun n -> Printf.printf "%.1f " n) sol.Core.Affine_dlt.allocation;
-  Printf.printf "\n  makespan: %.2f\n" sol.Core.Affine_dlt.makespan;
+  Array.iter (fun n -> Printf.printf "%.1f " n) sol.Dlt.Affine.allocation;
+  Printf.printf "\n  makespan: %.2f\n" sol.Dlt.Affine.makespan;
 
   (* Does the dispatch order matter here? *)
   Printf.printf "\nDispatch-order sensitivity (worst/best - 1): %.4f\n"
-    (Core.Dlt_ordering.order_spread star ~total);
+    (Dlt.Ordering.order_spread star ~total);
 
   (* The real multi-level schedule, store-and-forward through the
      gateways. *)
-  let tree = Core.Tree_dlt.schedule nodes ~total in
+  let tree = Dlt.Tree.schedule nodes ~total in
   Printf.printf "\nTree schedule (store-and-forward through gateways):\n";
   List.iter
-    (fun (l : Core.Tree_dlt.leaf_share) ->
+    (fun (l : Dlt.Tree.leaf_share) ->
       Printf.printf "  leaf %-8s share %7.2f  finishes at %.2f\n"
-        (String.concat "." (List.map string_of_int l.Core.Tree_dlt.path))
-        l.Core.Tree_dlt.share l.Core.Tree_dlt.finish)
-    tree.Core.Tree_dlt.leaves;
-  Printf.printf "  tree makespan %.2f vs flat summary %.2f\n" tree.Core.Tree_dlt.makespan
-    (Core.Tree_dlt.flat_makespan nodes ~total)
+        (String.concat "." (List.map string_of_int l.Dlt.Tree.path))
+        l.Dlt.Tree.share l.Dlt.Tree.finish)
+    tree.Dlt.Tree.leaves;
+  Printf.printf "  tree makespan %.2f vs flat summary %.2f\n" tree.Dlt.Tree.makespan
+    (Dlt.Tree.flat_makespan nodes ~total)

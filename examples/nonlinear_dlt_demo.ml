@@ -9,8 +9,8 @@
 
 let () =
   let alpha = 2. in
-  let cost = Core.Cost_model.of_alpha alpha in
-  let star = Core.Star.of_speeds ~bandwidth:4. [ 1.; 2.; 4.; 8. ] in
+  let cost = Dlt.Cost_model.of_alpha alpha in
+  let star = Platform.Star.of_speeds ~bandwidth:4. [ 1.; 2.; 4.; 8. ] in
   let total = 1000. in
 
   Printf.printf "Scheduling an N^%.0f load of N = %.0f on speeds 1,2,4,8\n\n" alpha total;
@@ -18,30 +18,30 @@ let () =
   List.iter
     (fun (model, name) ->
       let allocation, makespan =
-        Core.Nonlinear_dlt.equal_finish_allocation model star cost ~total
+        Dlt.Nonlinear.equal_finish_allocation model star cost ~total
       in
       Printf.printf "%s model: makespan %.1f, shares:\n  " name makespan;
       Array.iter (fun x -> Printf.printf "%.1f " x) allocation;
       Printf.printf "\n";
-      let schedule = Core.Nonlinear_dlt.schedule model star cost ~total in
-      Format.printf "%a@." Core.Dlt_schedule.pp schedule;
+      let schedule = Dlt.Nonlinear.schedule model star cost ~total in
+      Format.printf "%a@." Dlt.Schedule.pp schedule;
       (* Event-driven replay of the schedule, as a Gantt chart. *)
-      print_string (Core.Dlt_simulate.gantt ~width:64 schedule);
+      print_string (Dlt.Simulate.gantt ~width:64 schedule);
       print_newline ())
-    [ (Core.Dlt_schedule.Parallel, "parallel-links"); (Core.Dlt_schedule.One_port, "one-port") ];
+    [ (Dlt.Schedule.Parallel, "parallel-links"); (Dlt.Schedule.One_port, "one-port") ];
 
   (* The futility argument. *)
   Printf.printf "Fraction of the sequential work W = N^%.0f done by one round:\n" alpha;
   List.iter
     (fun p ->
-      let hom = Core.Star.of_speeds (List.init p (fun _ -> 1.)) in
+      let hom = Platform.Star.of_speeds (List.init p (fun _ -> 1.)) in
       let allocation, _ =
-        Core.Nonlinear_dlt.equal_finish_allocation Core.Dlt_schedule.Parallel hom cost
+        Dlt.Nonlinear.equal_finish_allocation Dlt.Schedule.Parallel hom cost
           ~total
       in
       Printf.printf "  p = %4d: measured %.5f   closed form p^(1-a) = %.5f\n" p
-        (Core.Fraction.done_fraction cost ~allocation ~total)
-        (Core.Fraction.power_partial_fraction ~alpha ~p))
+        (Dlt.Fraction.done_fraction cost ~allocation ~total)
+        (Dlt.Fraction.power_partial_fraction ~alpha ~p))
     [ 2; 8; 32; 128; 512 ];
   Printf.printf
     "\nAs p grows the round does asymptotically none of the work: the sophisticated\n\
@@ -49,18 +49,18 @@ let () =
 
   (* What chunking does to the executed work (divisibility implies
      linearity). *)
-  let hom = Core.Star.of_speeds [ 1. ] in
+  let hom = Platform.Star.of_speeds [ 1. ] in
   Printf.printf "Executed work when one worker processes N = 100 in independent chunks:\n";
   List.iter
     (fun rounds ->
       let result =
-        Core.Multi_round.run Core.Dlt_schedule.Parallel hom cost ~allocation:[| 100. |]
+        Dlt.Multi_round.run Dlt.Schedule.Parallel hom cost ~allocation:[| 100. |]
           ~rounds
       in
       let work =
         List.fold_left
-          (fun acc c -> acc +. Core.Cost_model.work cost c.Core.Multi_round.data)
-          0. result.Core.Multi_round.chunks
+          (fun acc c -> acc +. Dlt.Cost_model.work cost c.Dlt.Multi_round.data)
+          0. result.Dlt.Multi_round.chunks
       in
       Printf.printf "  %4d chunks: executed work %10.1f\n" rounds work)
     [ 1; 4; 25; 100 ];

@@ -12,16 +12,16 @@
 module Process = Des.Process
 
 let () =
-  let star = Core.Star.of_speeds ~bandwidth:2. [ 1.; 1.5; 3.; 6. ] in
+  let star = Platform.Star.of_speeds ~bandwidth:2. [ 1.; 1.5; 3.; 6. ] in
   let total = 120. in
-  let allocation = Core.Linear_dlt.one_port_allocation star ~total in
-  let order = Core.Linear_dlt.one_port_order star in
+  let allocation = Dlt.Linear.one_port_allocation star ~total in
+  let order = Dlt.Linear.one_port_order star in
 
-  Format.printf "Platform:@.%a@." Core.Star.pp star;
+  Format.printf "Platform:@.%a@." Platform.Star.pp star;
   Printf.printf "One-port shares of %.0f units: " total;
   Array.iter (fun n -> Printf.printf "%.2f " n) allocation;
   Printf.printf "\nAnalytic makespan: %.4f\n\n"
-    (Core.Linear_dlt.one_port_makespan star ~total);
+    (Dlt.Linear.one_port_makespan star ~total);
 
   let world = Process.create () in
   let port = Process.resource world ~capacity:1 in
@@ -29,16 +29,16 @@ let () =
 
   Array.iter
     (fun i ->
-      let proc = Core.Star.worker star i in
-      let name = Printf.sprintf "P%d" proc.Core.Processor.id in
+      let proc = Platform.Star.worker star i in
+      let name = Printf.sprintf "P%d" proc.Platform.Processor.id in
       Process.spawn world (fun () ->
           Process.with_resource port (fun () ->
               let t0 = Process.now world in
-              Process.wait (Core.Processor.transfer_time proc ~data:allocation.(i));
+              Process.wait (Platform.Processor.transfer_time proc ~data:allocation.(i));
               Des.Trace.record trace ~resource:("link-" ^ name) ~start:t0
                 ~finish:(Process.now world) ~label:"c");
           let t1 = Process.now world in
-          Process.wait (Core.Processor.compute_time proc ~work:allocation.(i));
+          Process.wait (Platform.Processor.compute_time proc ~work:allocation.(i));
           Des.Trace.record trace ~resource:name ~start:t1 ~finish:(Process.now world)
             ~label:"x";
           Printf.printf "%s done at t = %.4f\n" name (Process.now world)))
@@ -50,4 +50,4 @@ let () =
     (Des.Trace.render_gantt ~width:60 trace);
   Printf.printf "\nSimulated makespan %.4f = closed form %.4f\n"
     (Des.Trace.makespan trace)
-    (Core.Linear_dlt.one_port_makespan star ~total)
+    (Dlt.Linear.one_port_makespan star ~total)

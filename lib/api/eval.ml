@@ -36,7 +36,7 @@ let worker_rows total (s : Dlt.Schedule.t) =
     s.Dlt.Schedule.entries
 
 let solve_exn (r : Request.t) =
-  let provenance = { Response.solver = solver_name r; cache = Response.Uncached } in
+  let provenance = { Response.solver = solver_name r } in
   let body =
     match r.kind with
     | Request.Schedule ->

@@ -1,8 +1,6 @@
 module Json = Obs.Json
 
-type cache_status = Hit | Miss | Uncached
-
-type provenance = { solver : string; cache : cache_status }
+type provenance = { solver : string }
 
 type worker_row = {
   speed : float;
@@ -32,7 +30,7 @@ type t = { body : body; provenance : provenance }
 let schema_version = 1
 
 let error ?(solver = "serve") ~code message =
-  { body = Error { code; message }; provenance = { solver; cache = Uncached } }
+  { body = Error { code; message }; provenance = { solver } }
 
 let is_error t = match t.body with Error _ -> true | _ -> false
 
@@ -229,5 +227,5 @@ let of_json json =
             Ok (Error { code; message })
         | other -> Error (Printf.sprintf "unknown response kind %S" other)
       in
-      Ok { body; provenance = { solver; cache = Uncached } }
+      Ok { body; provenance = { solver } }
   | _ -> Error "response must be a JSON object"

@@ -2,21 +2,14 @@
     surface: [nldl <exp> --json] tables, the [nldl serve] daemon's
     answers, [nldl query --inline], and the bench artifact's header.
 
-    The typed value carries full provenance — which solver produced it,
-    whether it came out of the daemon's cache, and the schema version.
-    The {e canonical} JSON rendering deliberately omits the cache
-    status: responses are pure functions of the request, so a cache hit
-    must be byte-identical to a cold solve (that identity is what the
-    serve tests assert), and hit/miss accounting is telemetry that
-    lives in [Obs.Metrics] and the daemon's [stats] control query
-    instead. *)
+    The typed value carries its provenance (which solver produced it)
+    and the schema version.  Responses are pure functions of the
+    request, so a cache hit is byte-identical to a cold solve (that
+    identity is what the serve tests assert); hit/miss accounting is
+    telemetry that lives in [Obs.Metrics] and the daemon's [stats]
+    control query. *)
 
-type cache_status =
-  | Hit  (** answered from the daemon's LRU *)
-  | Miss  (** solved, then inserted into the LRU *)
-  | Uncached  (** one-shot path, no cache involved *)
-
-type provenance = { solver : string; cache : cache_status }
+type provenance = { solver : string }
 
 type worker_row = {
   speed : float;
@@ -59,11 +52,10 @@ val is_error : t -> bool
 
 val to_json : t -> Obs.Json.t
 (** Canonical envelope: [schema_version], [kind], [provenance.solver],
-    then the body fields.  Cache status is not serialized (see above). *)
+    then the body fields. *)
 
 val to_line : t -> string
 (** Compact single-line {!to_json}, the wire format (no newline). *)
 
 val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}; the decoded cache status is always
-    [Uncached]. *)
+(** Inverse of {!to_json}. *)

@@ -146,10 +146,12 @@ let profile_entry =
        profile report (metrics + quantiles + bounded trace)."
     Term.(const run $ exp_name $ passthrough $ out $ trace_events)
 
+let version = "1.0.0"
+
 let command =
   let doc = "Non-Linear Divisible Loads: There is No Free Lunch — reproduction toolkit" in
   Cmd.group
-    (Cmd.info "nldl" ~version:Core.version ~doc)
+    (Cmd.info "nldl" ~version ~doc)
     (List.map Experiments.Registry.to_cmd
        (Experiments.Catalog.all @ [ lint_entry; profile_entry ]))
 

@@ -1,6 +1,9 @@
 (** The nldl command-line interface, as a library so the argument
     grammar is testable ({!eval_value}) and reusable. *)
 
+val version : string
+(** The toolkit's release, printed by [nldl --version]. *)
+
 val command : int Cmdliner.Cmd.t
 (** The full command group: fig4 | nonlinear | sort | ratio | partition
     | mapreduce | time | ablations | ..., each with a [-v] logging flag

@@ -70,22 +70,6 @@ let schedule_after t ~delay handler =
 
 let pending t = Event_heap.size t.heap
 
-type cancel = unit -> unit
-
-let every t ~period ?start handler =
-  if period <= 0. then
-    raise (Causality { now = t.now_cell.(0); requested = t.now_cell.(0) +. period });
-  let cancelled = ref false in
-  let rec tick engine =
-    if not !cancelled then begin
-      handler engine;
-      if not !cancelled then schedule_after engine ~delay:period tick
-    end
-  in
-  let first = match start with Some s -> s | None -> t.now_cell.(0) +. period in
-  schedule t ~time:first tick;
-  fun () -> cancelled := true
-
 let step t =
   if Event_heap.is_empty t.heap then false
   else begin

@@ -24,13 +24,6 @@ val schedule_after : t -> delay:float -> (t -> unit) -> unit
 val pending : t -> int
 (** Number of events not yet executed. *)
 
-type cancel = unit -> unit
-
-val every : t -> period:float -> ?start:float -> (t -> unit) -> cancel
-(** Recurring event: fire at [start] (default [now + period]) and then
-    every [period > 0] until the returned cancel thunk is called.
-    Cancellation takes effect at the next firing. *)
-
 val step : t -> bool
 (** Execute the next event.  [false] when the queue is empty. *)
 

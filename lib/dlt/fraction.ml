@@ -14,5 +14,3 @@ let done_fraction cost ~allocation ~total =
   if total <= 0. then invalid_arg "Fraction.done_fraction: total must be > 0";
   let partial = Numerics.Kahan.sum_by (Cost_model.work cost) allocation in
   partial /. Cost_model.work cost total
-
-let undone_fraction cost ~allocation ~total = 1. -. done_fraction cost ~allocation ~total

@@ -20,6 +20,3 @@ val sorting_gap : n:float -> p:int -> float
 val done_fraction : Cost_model.t -> allocation:float array -> total:float -> float
 (** Measured counterpart: [Σ work(n_i) / work(total)] for an arbitrary
     split of [total] data units.  Requires [total > 0]. *)
-
-val undone_fraction : Cost_model.t -> allocation:float array -> total:float -> float
-(** [1 - done_fraction]. *)

@@ -251,13 +251,6 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
 let serve =
-  let http =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "http" ] ~docv:"PORT"
-          ~doc:"Also serve the line protocol on 127.0.0.1:$(docv).")
-  in
   let cache =
     Arg.(
       value
@@ -286,7 +279,7 @@ let serve =
       & opt (some seconds) None
       & info [ "deadline" ] ~docv:"S" ~doc:"Per-request wall-clock budget in seconds.")
   in
-  let run socket http cache_capacity queue_depth deadline_s domains () =
+  let run socket cache_capacity queue_depth deadline_s domains () =
     let batch = { Serve.Batch.cache_capacity; queue_depth; deadline_s } in
     let socket_path =
       match socket with Some p -> p | None -> Serve.Daemon.default_socket_path ()
@@ -299,7 +292,7 @@ let serve =
     let engine =
       Serve.Daemon.run ~pool
         ~on_ready:(fun () -> Printf.printf "nldl serve: listening on %s\n%!" socket_path)
-        { Serve.Daemon.socket_path; tcp_port = http; batch }
+        { Serve.Daemon.socket_path; batch }
     in
     Some
       (Registry.table
@@ -315,10 +308,10 @@ let serve =
   Registry.entry ~name:"serve"
     ~synopsis:
       "Run the batched scheduling daemon: one JSON request per line over a Unix \
-       socket (or --http), canonical Api.Response lines back, repeats answered \
-       from a bounded LRU."
+       socket, canonical Api.Response lines back, repeats answered from a \
+       bounded LRU."
     Term.(
-      const run $ socket_arg $ http $ cache $ queue_depth $ deadline $ Registry.domains)
+      const run $ socket_arg $ cache $ queue_depth $ deadline $ Registry.domains)
 
 let query =
   let inline =

@@ -174,7 +174,7 @@ let dump name out csv json =
           Api.Response.body =
             Api.Response.Table
               { experiment = name; header = o.header; rows = json_of_table o.header o.rows };
-          provenance = { Api.Response.solver = "nldl.registry"; cache = Api.Response.Uncached };
+          provenance = { Api.Response.solver = "nldl.registry" };
         }
       in
       Obs.Json.write_file path (Api.Response.to_json response);

@@ -1,6 +1,5 @@
 (** The fault clock: the stateful bridge between an immutable
-    {!Plan} and one run of a consumer (the MapReduce scheduler, a
-    [Des.Engine] simulation, ...).
+    {!Plan} and one run of its consumer, the MapReduce scheduler.
 
     A clock records every fault the run actually injects, in
     simulated-time order, and mirrors each one into the observability
@@ -22,9 +21,8 @@ type event =
 
 type t
 
-val create : ?sink:(event -> unit) -> Plan.t -> t
-(** A fresh clock over [plan].  [sink], when given, additionally
-    receives every recorded event (for tests and custom exporters). *)
+val create : Plan.t -> t
+(** A fresh clock over [plan]. *)
 
 val plan : t -> Plan.t
 
@@ -33,28 +31,3 @@ val record : t -> event -> unit
 
 val events : t -> event list
 (** Everything recorded so far, in recording (simulated-time) order. *)
-
-type tally = {
-  crashes : int;
-  recoveries : int;
-  fetch_failures : int;
-  retries : int;
-  quarantines : int;
-}
-
-val counts : t -> tally
-
-val arm :
-  t ->
-  Des.Engine.t ->
-  ?on_recover:(worker:int -> Des.Engine.t -> unit) ->
-  on_crash:(worker:int -> Des.Engine.t -> unit) ->
-  unit ->
-  unit
-(** Schedule the plan's crash (and recovery) instants into a
-    discrete-event engine: at each instant the clock records the event
-    and invokes the callback.  This is how a [Des.Engine]-based
-    simulation consumes a plan without re-implementing the timeline. *)
-
-val time_of : event -> float
-val pp_event : Format.formatter -> event -> unit

@@ -164,11 +164,6 @@ let p t = t.p
 let crashes t = Array.to_list t.crashes
 let slowdowns t = Array.to_list t.slowdowns |> List.concat
 
-let is_none t =
-  Array.length t.crashes = 0
-  && Array.for_all (fun l -> l = []) t.slowdowns
-  && Array.for_all (fun q -> (q = 0.) [@nldl.allow "H302"] (* exact: unset *)) t.fetch_failure
-
 let in_range t w = w >= 0 && w < t.p
 
 let fetch_failure t ~worker =
@@ -192,25 +187,6 @@ let fetch_fails t ~worker ~attempt =
 let next_crash t ~worker ~after =
   if not (in_range t worker) then None
   else List.find_opt (fun c -> c.at >= after) t.by_worker.(worker)
-
-let available t ~worker ~time =
-  if not (in_range t worker) then true
-  else
-    not
-      (List.exists
-         (fun c ->
-           time >= c.at
-           && match c.recovery with None -> true | Some r -> time < r)
-         t.by_worker.(worker))
-
-let factor_at t ~worker ~time =
-  if not (in_range t worker) then 1.
-  else
-    match
-      List.find_opt (fun s -> time >= s.from_time && time < s.until) t.slowdowns.(worker)
-    with
-    | Some s -> s.factor
-    | None -> 1.
 
 let advance t ~worker ~start ~duration =
   if duration <= 0. then start

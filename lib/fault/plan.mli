@@ -71,9 +71,6 @@ val generate :
 val p : t -> int
 (** Worker count the plan addresses (0 for {!none}). *)
 
-val is_none : t -> bool
-(** No crash, no slowdown, no failing link. *)
-
 val crashes : t -> crash list
 (** All crashes, sorted by time (ties: worker index). *)
 
@@ -88,13 +85,6 @@ val fetch_fails : t -> worker:int -> attempt:int -> bool
 
 val next_crash : t -> worker:int -> after:float -> crash option
 (** First crash of [worker] with [at >= after]. *)
-
-val available : t -> worker:int -> time:float -> bool
-(** [false] while [time] falls in a crash's [\[at, recovery)] interval
-    (or past a permanent crash). *)
-
-val factor_at : t -> worker:int -> time:float -> float
-(** Compute-slowdown factor in effect at [time] (1 outside windows). *)
 
 val advance : t -> worker:int -> start:float -> duration:float -> float
 (** Completion instant of [duration] seconds of unslowed computation

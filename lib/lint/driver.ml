@@ -127,12 +127,6 @@ let lint_strings units =
 
 let lint_string ~file src = lint_strings [ (file, src) ]
 
-let lint_file ~root rel =
-  let src = Source.read ~root (normalize rel) in
-  let local, frag = lint_source src in
-  let _, _, inter = analyze_fragments [ frag ] in
-  List.sort Finding.compare (local @ inter)
-
 (* --- tree walk ---------------------------------------------------------- *)
 
 let rec walk root acc rel =

@@ -29,9 +29,6 @@ val analyze_strings :
 (** Like {!lint_strings} but also exposing the graph and escape set for
     resolution / fixpoint assertions. *)
 
-val lint_file : root:string -> string -> Finding.t list
-(** [lint_file ~root rel] reads [root/rel] and lints it as [rel]. *)
-
 type result = {
   files : int;
   findings : Finding.t list;  (** all findings, sorted *)

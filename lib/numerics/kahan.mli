@@ -14,7 +14,5 @@ val total : t -> float
 val sum : float array -> float
 (** One-shot compensated sum of an array. *)
 
-val sum_list : float list -> float
-
 val sum_by : ('a -> float) -> 'a array -> float
 (** [sum_by f a] is the compensated sum of [f a.(i)]. *)

@@ -36,10 +36,6 @@ let quantile a q =
 let median a = quantile a 0.5
 let coefficient_of_variation a = stddev a /. mean a
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" s.n s.mean s.stddev
-    s.min s.max
-
 module Online = struct
   type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 

@@ -14,7 +14,6 @@ external clock_linux_get_time : unit -> (int64[@unboxed])
 [@@noalloc]
 
 let now_ns () = Int64.to_int (clock_linux_get_time ())
-let now_ns64 () = clock_linux_get_time ()
 
 let ns_to_s ns = float_of_int ns /. 1e9
 

@@ -99,5 +99,3 @@ let to_layout ~areas assignment =
   { Layout.rects }
 
 let peri_sum_layout ~areas = to_layout ~areas (peri_sum ~areas)
-
-let normalize_speeds star = Platform.Star.relative_speeds star

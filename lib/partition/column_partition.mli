@@ -37,6 +37,3 @@ val to_layout : areas:float array -> assignment -> Layout.t
 
 val peri_sum_layout : areas:float array -> Layout.t
 (** [to_layout ∘ peri_sum]. *)
-
-val normalize_speeds : Platform.Star.t -> float array
-(** Relative speeds [x_i], the prescribed areas of Section 4.1.2. *)

@@ -1,17 +1,12 @@
 type t = { fd : Unix.file_descr; ic : in_channel }
 
-let connect domain addr =
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd addr
+let connect_unix path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX path)
    with e ->
      Unix.close fd;
      raise e);
   { fd; ic = Unix.in_channel_of_descr fd }
-
-let connect_unix path = connect Unix.PF_UNIX (Unix.ADDR_UNIX path)
-
-let connect_tcp ?(host = "127.0.0.1") port =
-  connect Unix.PF_INET (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
 
 let write_all fd s =
   let b = Bytes.of_string s in

@@ -4,9 +4,8 @@
 type t
 
 val connect_unix : string -> t
-val connect_tcp : ?host:string -> int -> t
-(** [host] defaults to ["127.0.0.1"].  Both raise [Unix.Unix_error]
-    when nothing listens, after closing the socket they opened. *)
+(** Raises [Unix.Unix_error] when nothing listens, after closing the
+    socket it opened. *)
 
 val request : t -> string -> string
 (** Send one request line (newline appended) and block for the

@@ -8,7 +8,6 @@ module Json = Obs.Json
 
 type config = {
   socket_path : string;
-  tcp_port : int option;
   batch : Batch.config;
 }
 
@@ -79,33 +78,22 @@ let listen_unix path =
   Unix.listen fd 64;
   fd
 
-let listen_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  fd
-
 let run ?pool ?(on_ready = fun () -> ()) cfg =
   let engine = Batch.create ?pool cfg.batch in
-  let unix_fd = listen_unix cfg.socket_path in
-  let tcp_fd = Option.map listen_tcp cfg.tcp_port in
-  let listeners = unix_fd :: Option.to_list tcp_fd in
+  let listener = listen_unix cfg.socket_path in
   let clients = ref [] in
   let running = ref true in
   on_ready ();
   while !running do
-    let watched = listeners @ List.map (fun c -> c.fd) !clients in
+    let watched = listener :: List.map (fun c -> c.fd) !clients in
     match Unix.select watched [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
-        List.iter
-          (fun lfd ->
-            if List.memq lfd ready then
-              match Unix.accept lfd with
-              | fd, _ -> clients := { fd; buf = Buffer.create 256 } :: !clients
-              | exception Unix.Unix_error _ -> ())
-          listeners;
+        if List.memq listener ready then begin
+          match Unix.accept listener with
+          | fd, _ -> clients := { fd; buf = Buffer.create 256 } :: !clients
+          | exception Unix.Unix_error _ -> ()
+        end;
         let lines, closed = drain_ready !clients ready in
         List.iter
           (fun c ->
@@ -134,6 +122,6 @@ let run ?pool ?(on_ready = fun () -> ()) cfg =
         end
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !clients;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
+  (try Unix.close listener with Unix.Unix_error _ -> ());
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   engine

@@ -1,6 +1,6 @@
 (** The [nldl serve] accept loop: a line protocol over a Unix-domain
-    socket (and optionally TCP on localhost), one JSON request per
-    line, one canonical {!Api.Response} line back, in order.
+    socket, one JSON request per line, one canonical {!Api.Response}
+    line back, in order.
 
     All complete lines collected in one poll round form a batch for
     {!Batch.handle_batch}, so concurrent clients share the pool fan-out
@@ -13,7 +13,6 @@
 
 type config = {
   socket_path : string;
-  tcp_port : int option;  (** also listen on 127.0.0.1:port ([--http]) *)
   batch : Batch.config;
 }
 

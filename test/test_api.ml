@@ -89,20 +89,11 @@ let test_response_roundtrip () =
   in
   List.iter
     (fun body ->
-      let t = { body; provenance = { solver = "dlt.linear"; cache = Uncached } } in
+      let t = { body; provenance = { solver = "dlt.linear" } } in
       match of_json (Obs.Json.of_string (to_line t) |> Result.get_ok) with
       | Error msg -> Alcotest.failf "response round-trip rejected: %s" msg
       | Ok t' -> checks "same line" (to_line t) (to_line t'))
     bodies
-
-let test_cache_status_not_serialized () =
-  (* The canonical rendering must not leak hit/miss — that is the whole
-     byte-identity design. *)
-  let open Api.Response in
-  let body = Ratio { makespan = 1.; ideal = 1.; ratio = 1.; done_fraction = 1. } in
-  let line cache = to_line { body; provenance = { solver = "s"; cache } } in
-  checks "hit = miss" (line Hit) (line Miss);
-  checks "miss = uncached" (line Miss) (line Uncached)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints.                                                       *)
@@ -244,8 +235,6 @@ let suites =
         Alcotest.test_case "NaN/negative speed rejected" `Quick test_reject_nan_speed;
         Alcotest.test_case "malformed shapes rejected" `Quick test_reject_bad_shapes;
         Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
-        Alcotest.test_case "cache status not serialized" `Quick
-          test_cache_status_not_serialized;
       ] );
     ( "api.fingerprint",
       [

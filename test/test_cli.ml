@@ -27,7 +27,9 @@ let expect_parse_error args =
   | Ok _ | Error `Exn ->
       Alcotest.failf "expected parse error: %s" (String.concat " " args)
 
-let test_version () = expect_ok [ "--version" ]
+let test_version () =
+  Alcotest.(check string) "nldl --version" "1.0.0\n" (expect_out [ "--version" ])
+
 let test_help () = expect_ok [ "--help=plain" ]
 let test_subcommand_help () = expect_ok [ "fig4"; "--help=plain" ]
 

@@ -268,28 +268,6 @@ let test_slowdown_stretches_makespan () =
   let slowed = Scheduler.run ~faults:plan star ~tasks ~block_size:(fun _ -> 0.) in
   checkf "3x slower" (3. *. plain.Scheduler.makespan) slowed.Scheduler.makespan
 
-let test_clock_arm_schedules_plan () =
-  (* Clock.arm turns plan crashes into Des.Engine callbacks. *)
-  let plan =
-    Plan.make
-      ~crashes:[ { Plan.worker = 1; at = 2.; recovery = Some 5. } ]
-      ~p:2 ()
-  in
-  let clock = Clock.create plan in
-  let engine = Des.Engine.create () in
-  let crashes = ref [] and recoveries = ref [] in
-  Clock.arm clock engine
-    ~on_crash:(fun ~worker eng -> crashes := (worker, Des.Engine.now eng) :: !crashes)
-    ~on_recover:(fun ~worker eng ->
-      recoveries := (worker, Des.Engine.now eng) :: !recoveries)
-    ();
-  Des.Engine.run engine;
-  checkb "crash fired" true (!crashes = [ (1, 2.) ]);
-  checkb "recovery fired" true (!recoveries = [ (1, 5.) ]);
-  let tally = Clock.counts clock in
-  checki "tally crashes" 1 tally.Clock.crashes;
-  checki "tally recoveries" 1 tally.Clock.recoveries
-
 let test_backoff_delay () =
   let r = { Mapreduce.Scheduler.max_attempts = 10; base_delay = 1.; max_delay = 5. } in
   checkf "first" 1. (Mapreduce.Scheduler.backoff_delay r ~attempt:1);
@@ -513,7 +491,6 @@ let suites =
           test_plan_fetch_hash_deterministic;
         Alcotest.test_case "generate deterministic" `Quick
           test_plan_generate_deterministic;
-        Alcotest.test_case "clock arm" `Quick test_clock_arm_schedules_plan;
       ] );
     ( "fault-aware scheduler",
       [

@@ -160,7 +160,6 @@ let start_daemon () =
           ~on_ready:(fun () -> Atomic.set ready true)
           {
             Serve.Daemon.socket_path;
-            tcp_port = None;
             batch = Serve.Batch.default_config;
           })
   in
