@@ -827,6 +827,7 @@ let alloc_kernels () =
   in
   let schedule = answer 32 Api.Request.Schedule and plan = answer 64 Api.Request.Plan in
   assert (not (Api.Response.is_error schedule || Api.Response.is_error plan));
+  let nonlinear_star = bench_platform 64 in
   [
     ( "scatter_partition_floats",
       fun () -> ignore (Kernels.Scatter.partition_floats keys ~splitters) );
@@ -850,6 +851,15 @@ let alloc_kernels () =
       fun () ->
         ignore (Sys.opaque_identity (Api.Response.to_line schedule));
         ignore (Sys.opaque_identity (Api.Response.to_line plan)) );
+    (* The solve behind every nonlinear ratio/plan/schedule answer. *)
+    ( "nonlinear_equal_finish",
+      fun () ->
+        List.iter
+          (fun comm_model ->
+            ignore
+              (Dlt.Nonlinear.equal_finish_allocation comm_model nonlinear_star
+                 (Dlt.Cost_model.Power 2.) ~total:1e4))
+          [ Dlt.Schedule.Parallel; Dlt.Schedule.One_port ] );
   ]
 
 let report_allocations () =

@@ -3,7 +3,7 @@ let solver_name (r : Request.t) =
   | Request.Multi_load _ -> "dlt.steady_state"
   | Request.Schedule | Request.Ratio | Request.Plan ->
       if Dlt.Cost_model.is_linear r.workload then "dlt.linear"
-      else "dlt.nonlinear.bisection"
+      else "dlt.nonlinear.newton"
 
 let allocation (r : Request.t) star =
   if Dlt.Cost_model.is_linear r.workload then

@@ -6,7 +6,7 @@
 
 val solver_name : Request.t -> string
 (** Which solver {!eval} will use: ["dlt.linear"] (closed form),
-    ["dlt.nonlinear.bisection"], or ["dlt.steady_state"] for
+    ["dlt.nonlinear.newton"], or ["dlt.steady_state"] for
     multi-load admission. *)
 
 val eval : Request.t -> Response.t

@@ -1,32 +1,22 @@
 module Processor = Platform.Processor
 module Star = Platform.Star
 module Kahan = Numerics.Kahan
-module Roots = Numerics.Roots
 
 let ideal_makespan star cost ~total =
   Cost_model.work cost total /. Star.total_speed star
 
 let divisible_ideal_makespan star cost ~total =
   if total <= 0. then invalid_arg "Bounds.divisible_ideal_makespan: total must be > 0";
-  let workers = Star.workers star in
-  (* share(T) for compute-only finish w·work(n) = T. *)
-  let share proc t =
-    let w = Processor.w proc in
-    let f n = (w *. Cost_model.work cost n) -. t in
-    if f 0. >= 0. then 0.
-    else
-      match Roots.expand_bracket ~f ~lo:0. ~hi:(Float.max (t /. w) 1.) () with
-      | None -> 0.
-      | Some (lo, hi) -> Roots.brent ~f ~lo ~hi ()
+  (* Free communication is the equal-finish solve with c = 0: the same
+     speeds behind infinite-bandwidth, latency-free links. *)
+  let compute_only =
+    Star.create
+      (List.map
+         (fun (p : Processor.t) ->
+           Processor.make ~bandwidth:infinity ~id:p.Processor.id ~speed:p.Processor.speed ())
+         (Array.to_list (Star.workers star)))
   in
-  let capacity t = Kahan.sum_by (fun proc -> share proc t) workers in
-  let f t = capacity t -. total in
-  let hi0 =
-    Processor.compute_time (Star.slowest star) ~work:(Cost_model.work cost total)
-  in
-  match Roots.expand_bracket ~f ~lo:0. ~hi:(Float.max hi0 1e-9) () with
-  | None -> invalid_arg "Bounds.divisible_ideal_makespan: cannot bracket"
-  | Some (lo, hi) -> Roots.brent ~tol:1e-13 ~f ~lo ~hi ()
+  snd (Nonlinear.equal_finish_allocation Schedule.Parallel compute_only cost ~total)
 
 let communication_bound star ~total =
   let total_bw = Kahan.sum_by (fun (p : Processor.t) -> p.Processor.bandwidth) (Star.workers star) in

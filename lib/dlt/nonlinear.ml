@@ -1,88 +1,200 @@
+(* The exact [r = 0.] / [t <> !hi] tests below are the root finders'
+   early exits and loop guards, not tolerance comparisons. *)
+[@@@nldl.allow "H302"]
+
 module Processor = Platform.Processor
 module Star = Platform.Star
-module Roots = Numerics.Roots
 module Kahan = Numerics.Kahan
 
+(* A Newton step shorter than this fraction of its iterate ends a solve.
+   The step before it was ~1e-7 relative, so quadratic convergence has
+   already put the iterate at the root; the slack is above the rounding
+   noise of one residual evaluation. *)
+let share_tol = 16. *. epsilon_float
+let makespan_tol = 1e-14
+let max_steps = 100
+
+(* A share no smaller than the root of [c·n + w·work(n) = budget]: the
+   load the worker could only receive, or only compute, in [budget]
+   ([work n >= n] for [n >= 2] under [N_log_n]). *)
+let[@inline] share_bound cost ~c ~w ~budget =
+  let compute_only =
+    match cost with
+    | Cost_model.Linear -> budget /. w
+    | Cost_model.Power a -> (budget /. w) ** (1. /. a)
+    | Cost_model.N_log_n -> Float.max 2. (budget /. w)
+  in
+  Float.min (budget /. c) compute_only
+
+(* Per-solve Newton state, indexed in serving order: each worker's [c]
+   and [w]; its share, which carries over between makespan iterates as
+   a warm start; the slope [c + w·work'(n)] of its finish time at that
+   share; and its rate [dn/dT] at the current makespan iterate. *)
+type state = {
+  c : float array;
+  w : float array;
+  share : float array;
+  slope : float array;
+  rate : float array;
+}
+
+let state c w =
+  let p = Array.length c in
+  { c; w; share = Array.make p 0.; slope = Array.make p 0.; rate = Array.make p 0. }
+
+(* Solve [c·n + w·work(n) = budget > 0] for worker [k] of [st] by Newton
+   from its previous share, or from [share_bound] when that is 0.  The
+   finish time is increasing and convex in [n], so from above the
+   iterates fall monotonically onto the root; the bracket [lo, hi]
+   turns a step that leaves it (a far overshoot from a small warm start)
+   into a bisection. *)
+let solve_share st k cost ~budget =
+  let c = st.c.(k) and w = st.w.(k) in
+  let lo = ref 0. and hi = ref (share_bound cost ~c ~w ~budget) in
+  let start = st.share.(k) in
+  let n = ref (if start > 0. && start < !hi then start else !hi) in
+  let slope = ref c in
+  let steps = ref 0 and finished = ref (not (!hi > 0.)) in
+  while not !finished do
+    let x = !n in
+    let finish, dfinish =
+      match cost with
+      | Cost_model.Power a ->
+          (* One [**] gives both terms: q = n^(a-1), work = q·n, work' = a·q. *)
+          let q = x ** (a -. 1.) in
+          ((c *. x) +. (w *. (q *. x)), c +. (w *. (a *. q)))
+      | Cost_model.Linear | Cost_model.N_log_n ->
+          ( (c *. x) +. (w *. Cost_model.work cost x),
+            c +. (w *. Cost_model.work_derivative cost x) )
+    in
+    let r = finish -. budget in
+    slope := dfinish;
+    incr steps;
+    if r = 0. then finished := true
+    else begin
+      if r > 0. then hi := x else lo := x;
+      let next = x -. (r /. dfinish) in
+      if Float.abs (next -. x) <= share_tol *. x then begin
+        n := next;
+        finished := true
+      end
+      else begin
+        n := if next > !lo && next < !hi then next else !lo +. (0.5 *. (!hi -. !lo));
+        finished := !steps >= max_steps
+      end
+    end
+  done;
+  st.share.(k) <- !n;
+  st.slope.(k) <- !slope
+
 let worker_share _comm_model proc cost ~offset ~deadline =
-  let c = Processor.c proc and w = Processor.w proc in
-  let lat = proc.Processor.latency in
-  let budget = deadline -. offset -. lat in
+  let budget = deadline -. offset -. proc.Processor.latency in
   if budget <= 0. then 0.
   else begin
-    (* finish(n) = c·n + w·work(n) is strictly increasing in n. *)
-    let finish n = (c *. n) +. (w *. Cost_model.work cost n) in
-    let f n = finish n -. budget in
-    if f 0. >= 0. then 0.
-    else
-      let hi0 = Float.max (budget /. c) 1. in
-      match Roots.expand_bracket ~f ~lo:0. ~hi:hi0 () with
-      | None -> 0.
-      | Some (lo, hi) -> Roots.brent ~f ~lo ~hi ()
+    let st = state [| Processor.c proc |] [| Processor.w proc |] in
+    solve_share st 0 cost ~budget;
+    st.share.(0)
   end
 
-(* Total load the platform can absorb by deadline [t] under the model. *)
-let capacity comm_model star cost t =
-  let workers = Star.workers star in
-  match comm_model with
-  | Schedule.Parallel ->
-      Kahan.sum_by
-        (fun proc -> worker_share comm_model proc cost ~offset:0. ~deadline:t)
-        workers
-  | Schedule.One_port ->
-      let order = Linear.one_port_order star in
-      let offset = ref 0. in
-      let acc = Kahan.create () in
-      Array.iter
-        (fun i ->
-          let proc = workers.(i) in
-          let n = worker_share comm_model proc cost ~offset:!offset ~deadline:t in
-          if n > 0. then
-            offset := !offset +. Processor.transfer_time proc ~data:n;
-          Kahan.add acc n)
-        order;
-      Kahan.total acc
-
-let shares comm_model star cost t =
-  let workers = Star.workers star in
-  match comm_model with
-  | Schedule.Parallel ->
-      Array.map (fun proc -> worker_share comm_model proc cost ~offset:0. ~deadline:t) workers
-  | Schedule.One_port ->
-      let order = Linear.one_port_order star in
-      let offset = ref 0. in
-      let allocation = Array.make (Array.length workers) 0. in
-      Array.iter
-        (fun i ->
-          let proc = workers.(i) in
-          let n = worker_share comm_model proc cost ~offset:!offset ~deadline:t in
-          if n > 0. then offset := !offset +. Processor.transfer_time proc ~data:n;
-          allocation.(i) <- n)
-        order;
-      allocation
+(* One makespan iterate [t]: every share and rate at [t] into [st], and
+   the residual [F(t) = Σ n_i(t) - total] with its derivative.  Under
+   [One_port] worker [k] starts receiving at [offset_k], so
+   [dn_k/dt = (1 - d offset_k/dt) / slope_k], and each served worker
+   pushes the offset by its transfer time. *)
+let evaluate comm_model procs cost ~total st t =
+  let offset = ref 0. and doffset = ref 0. and dsum = ref 0. in
+  let sum = Kahan.create () in
+  for k = 0 to Array.length procs - 1 do
+    let proc = procs.(k) in
+    let budget = t -. !offset -. proc.Processor.latency in
+    if budget > 0. then solve_share st k cost ~budget else st.share.(k) <- 0.;
+    let n = st.share.(k) in
+    if n > 0. then begin
+      let dn = (1. -. !doffset) /. st.slope.(k) in
+      st.rate.(k) <- dn;
+      dsum := !dsum +. dn;
+      match comm_model with
+      | Schedule.Parallel -> ()
+      | Schedule.One_port ->
+          offset := !offset +. Processor.transfer_time proc ~data:n;
+          doffset := !doffset +. (st.c.(k) *. dn)
+    end
+    else st.rate.(k) <- 0.;
+    Kahan.add sum n
+  done;
+  (Kahan.total sum -. total, !dsum)
 
 let equal_finish_allocation comm_model star cost ~total =
   if total <= 0. then invalid_arg "Nonlinear.equal_finish_allocation: total must be > 0";
-  let f t = capacity comm_model star cost t -. total in
-  (* Any deadline large enough for the slowest worker alone brackets the
-     optimum from above. *)
-  let slowest = Star.slowest star in
-  let hi0 =
-    slowest.Processor.latency
-    +. Processor.transfer_time slowest ~data:total
-    +. Processor.compute_time slowest ~work:(Cost_model.work cost total)
+  let workers = Star.workers star in
+  let order =
+    match comm_model with
+    | Schedule.Parallel -> Array.init (Array.length workers) Fun.id
+    | Schedule.One_port -> Linear.one_port_order star
   in
-  match Roots.expand_bracket ~f ~lo:0. ~hi:(Float.max hi0 1e-9) () with
-  | None -> invalid_arg "Nonlinear.equal_finish_allocation: cannot bracket makespan"
-  | Some (lo, hi) ->
-      let t = Roots.brent ~tol:1e-13 ~f ~lo ~hi () in
-      let allocation = shares comm_model star cost t in
-      (* Remove the residual of the outer root find by rescaling; the
-         perturbation is O(tol) and keeps Σ n_i = total exactly. *)
-      let sum = Kahan.sum allocation in
-      let allocation =
-        if sum > 0. then Array.map (fun n -> n *. total /. sum) allocation else allocation
-      in
-      (allocation, t)
+  let procs = Array.map (fun i -> workers.(i)) order in
+  (* Lower bound: every busy worker spends at least its latency, and the
+     load cannot arrive faster than all links together, nor (for
+     [n^alpha]) be computed faster than the compute-only equal finish
+     [(total / Σ s_i^(1/alpha))^alpha]. *)
+  let latency = Array.fold_left (fun m p -> Float.min m p.Processor.latency) infinity procs in
+  let communication =
+    (* A plain sum: compensation turns infinite bandwidths into NaN. *)
+    total /. Array.fold_left (fun s p -> s +. p.Processor.bandwidth) 0. procs
+  in
+  let computation =
+    match Cost_model.alpha cost with
+    | Some a -> (total /. Kahan.sum_by (fun p -> p.Processor.speed ** (1. /. a)) procs) ** a
+    | None -> 0.
+  in
+  (* Upper bound: the first-served worker alone absorbs the whole load. *)
+  let first = procs.(0) in
+  let lo = ref (latency +. Float.max communication computation)
+  and hi =
+    ref
+      (Processor.transfer_time first ~data:total
+      +. Processor.compute_time first ~work:(Cost_model.work cost total))
+  in
+  let st = state (Array.map Processor.c procs) (Array.map Processor.w procs) in
+  let fail what = invalid_arg ("Nonlinear.equal_finish_allocation: " ^ what) in
+  (* Newton on F from the lower bound.  F is increasing, so each
+     evaluation moves one end of [lo, hi], and a step that leaves the
+     bracket becomes a bisection.  A bracket that closes before a step
+     converges has its root at the upper end (the bound itself, for a
+     lone first-served worker) or at a kink where F turns steep (a
+     worker whose latency ends there, on a fast link): one more step
+     from that end settles it, or shows there is no root. *)
+  let rec iterate t steps =
+    if not (Float.is_finite t) then fail "non-finite makespan";
+    let f, df = evaluate comm_model procs cost ~total st t in
+    if f <= 0. then lo := t else hi := t;
+    let next = if f = 0. then t else t -. (f /. df) in
+    if Float.abs (next -. t) <= makespan_tol *. t then begin
+      (* Carry every share to [next] along its rate, n_i + dn_i/dt·(next - t),
+         so that F's last residual goes to the workers that absorb it (a
+         worker that starts inside the step has nothing to give back). *)
+      let step = next -. t in
+      Array.iteri
+        (fun k n -> st.share.(k) <- Float.max 0. (n +. (st.rate.(k) *. step)))
+        st.share;
+      next
+    end
+    else if steps >= max_steps then fail "makespan did not converge"
+    else if !hi -. !lo <= makespan_tol *. t then
+      if t <> !hi then iterate !hi (steps + 1) else fail "makespan did not converge"
+    else if next > !lo && next <= !hi then iterate next (steps + 1)
+    else iterate (!lo +. (0.5 *. (!hi -. !lo))) (steps + 1)
+  in
+  let t = iterate !lo 1 in
+  let allocation = Array.make (Array.length procs) 0. in
+  Array.iteri (fun k i -> allocation.(i) <- st.share.(k)) order;
+  (* Remove the rounding left in Σ n_i by rescaling; the perturbation is
+     O(tol) and keeps Σ n_i = total exactly. *)
+  let sum = Kahan.sum allocation in
+  let allocation =
+    if sum > 0. then Array.map (fun n -> n *. total /. sum) allocation else allocation
+  in
+  (allocation, t)
 
 let quadratic_share proc ~offset ~deadline =
   let c = Processor.c proc and w = Processor.w proc in

@@ -3,9 +3,14 @@
 
     There is no closed form for general cost models, so the solvers
     equalize finish times numerically: the per-worker finish time is
-    monotone in its share, hence for a target makespan [T] each share
-    [n_i(T)] is the unique root of the finish-time equation, and the
-    optimal [T] is found by bisection on [Σ n_i(T) = total]. *)
+    increasing and convex in its share, hence for a target makespan [T]
+    each share [n_i(T)] is the unique root of the finish-time equation,
+    found by Newton's method.  The optimal [T] solves
+    [Σ n_i(T) = total], also by Newton's method: the derivative
+    [dn_i/dT = 1/(c_i + w_i·work'(n_i))] (under [One_port] scaled by
+    how much of [dT] the earlier transfers leave) comes free with the
+    shares.  Both iterations keep a bracket and bisect whenever a step
+    leaves it. *)
 
 val worker_share :
   Schedule.comm_model ->
@@ -22,10 +27,12 @@ val worker_share :
 val equal_finish_allocation :
   Schedule.comm_model -> Platform.Star.t -> Cost_model.t -> total:float ->
   float array * float
-(** Optimal single-round allocation and its makespan.  Under
-    [One_port], the master serves workers in platform order and the
-    shares are solved sequentially for each candidate makespan.
-    Requires [total > 0]. *)
+(** Optimal single-round allocation (platform order) and its makespan.
+    Under [One_port], the master serves workers in
+    {!Linear.one_port_order} and the shares are solved sequentially for
+    each candidate makespan.  Requires [total > 0]; raises
+    [Invalid_argument] when the makespan iteration reaches a non-finite
+    value or does not converge. *)
 
 val quadratic_share :
   Platform.Processor.t -> offset:float -> deadline:float -> float

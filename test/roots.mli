@@ -1,6 +1,8 @@
-(** One-dimensional root finding, used by the non-linear DLT allocation
-    solver of Section 2 (equal-finish-time equations
-    [c·n + w·n^α = T] have no closed form for general [α]). *)
+(** One-dimensional root finding: the bracketing solvers behind
+    {!Nonlinear_oracle}, the frozen Brent-over-Brent equal-finish solver
+    of Section 2 (equal-finish-time equations [c·n + w·n^α = T] have no
+    closed form for general [α]).  [Test_numerics] checks them on known
+    roots. *)
 
 exception No_bracket
 (** Raised when the supplied interval does not bracket a root. *)

@@ -175,7 +175,7 @@ let test_eval_plan_nonlinear () =
     req ~workload:(Dlt.Cost_model.Power 2.) ~platform:(speeds [| 1.; 2.; 4. |])
       ~total:10. ~kind:Api.Request.Plan ()
   in
-  checks "solver" "dlt.nonlinear.bisection" (Api.Eval.solver_name r);
+  checks "solver" "dlt.nonlinear.newton" (Api.Eval.solver_name r);
   match body_of r with
   | Api.Response.Plan b ->
       let sum = Array.fold_left ( +. ) 0. b.allocation in

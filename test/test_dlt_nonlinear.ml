@@ -158,29 +158,175 @@ let test_no_free_lunch_vanishes () =
   checkb "decreasing" true (f 10 > f 100 && f 100 > f 1000);
   checkb "vanishing" true (f 100_000 < 1e-4)
 
+(* --- Random solver inputs for the laws below ------------------------ *)
+
+type instance = {
+  comm : Schedule.comm_model;
+  star : Star.t;
+  cost : Cost_model.t;
+  total : float;
+}
+
+let print_instance i =
+  Printf.sprintf "%s %s total=%h workers=[%s]"
+    (match i.comm with Schedule.Parallel -> "parallel" | Schedule.One_port -> "one-port")
+    (Cost_model.name i.cost) i.total
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (p : Processor.t) ->
+               Printf.sprintf "s=%h bw=%h lat=%h" p.speed p.bandwidth p.latency)
+             (Star.workers i.star))))
+
+(* p in [1, 128], speeds in [0.01, 100], bandwidths in [0.5, 5], per-worker
+   latencies below a cap that is 0 half the time.  Totals of at least 100
+   keep the makespan above ~0.15: the oracle's absolute tolerances (1e-13
+   on the makespan, 1e-12 on shares) then sit below the agreement law's
+   1e-12 relative bound. *)
+let instance_gen =
+  QCheck.Gen.(
+    let* p = int_range 1 128 in
+    let* latency = oneof [ return 0.; float_range 1e-3 1. ] in
+    let* workers =
+      list_repeat p (triple (float_range 0.01 100.) (float_range 0.5 5.) (float_range 0. 1.))
+    in
+    let* cost =
+      oneof [ map (fun a -> Cost_model.Power a) (float_range 1.05 4.); return Cost_model.N_log_n ]
+    in
+    let* comm = oneofl [ Schedule.Parallel; Schedule.One_port ] in
+    let+ total = float_range 100. 1e4 in
+    let star =
+      Star.create
+        (List.mapi
+           (fun i (speed, bandwidth, u) ->
+             Processor.make ~id:(i + 1) ~speed ~bandwidth ~latency:(latency *. u) ())
+           workers)
+    in
+    { comm; star; cost; total })
+
+let instance = QCheck.make ~print:print_instance instance_gen
+
+(* Largest violation of the equal-finish conditions, relative to [t]:
+   every positive share finishes at [t] (under [One_port] transfers run
+   back to back in [Linear.one_port_order]), and a zero share could not
+   have finished by [t] either: its budget [t - offset - latency] is
+   <= 0, i.e. finish(0+) >= t. *)
+let equal_finish_violation comm star cost allocation t =
+  let order =
+    match comm with
+    | Schedule.Parallel -> Array.init (Star.size star) Fun.id
+    | Schedule.One_port -> Linear.one_port_order star
+  in
+  let offset = ref 0. and worst = ref 0. in
+  Array.iter
+    (fun i ->
+      let proc = Star.worker star i and n = allocation.(i) in
+      if n > 0. then begin
+        let fetch = Processor.transfer_time proc ~data:n in
+        let finish =
+          !offset +. fetch +. Processor.compute_time proc ~work:(Cost_model.work cost n)
+        in
+        worst := Float.max !worst (Float.abs (finish -. t));
+        match comm with
+        | Schedule.Parallel -> ()
+        | Schedule.One_port -> offset := !offset +. fetch
+      end
+      else worst := Float.max !worst (t -. (!offset +. proc.Processor.latency)))
+    order;
+  !worst /. t
+
 let qcheck_equal_finish =
-  QCheck.Test.make ~name:"nonlinear solver: equal finish on random platforms" ~count:50
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 10) (float_range 0.2 20.))
-        (float_range 1. 3.))
-    (fun (speeds, alpha) ->
-      let star = Star.of_speeds speeds in
-      let cost = Cost_model.of_alpha alpha in
-      let allocation, makespan =
-        Nonlinear.equal_finish_allocation Schedule.Parallel star cost ~total:10.
+  QCheck.Test.make ~name:"nonlinear solver: equal finish on random platforms" ~count:200
+    instance
+    (fun { comm; star; cost; total } ->
+      let allocation, makespan = Nonlinear.equal_finish_allocation comm star cost ~total in
+      Float.abs (Numerics.Kahan.sum allocation -. total) <= 1e-9 *. total
+      && Array.for_all (fun n -> n >= 0.) allocation
+      && equal_finish_violation comm star cost allocation makespan <= 1e-9)
+
+let test_safeguarded_platforms () =
+  (* Inputs that need the safeguards around Newton. *)
+  let proc ?bandwidth ?latency id speed = Processor.make ?bandwidth ?latency ~id ~speed () in
+  List.iter
+    (fun (name, comm, procs, cost, total) ->
+      let star = Star.create procs in
+      let allocation, makespan = Nonlinear.equal_finish_allocation comm star cost ~total in
+      checkf (name ^ ": sums to total") total (Numerics.Kahan.sum allocation);
+      checkb (name ^ ": equal finish") true
+        (equal_finish_violation comm star cost allocation makespan <= 1e-9))
+    [
+      (* The fast worker starts at T = 100.  From above the root, Newton
+         jumps below every latency, where F is flat: only the bracket
+         brings the iterate back. *)
+      ( "latency-gated",
+        Schedule.Parallel,
+        [ proc ~latency:1. 1 1.; proc ~latency:100. 2 100. ],
+        Cost_model.Power 2.,
+        100. );
+      (* The root lies ~1e-14 past T = 50, where a worker on a 1e8 link
+         starts: F turns steep inside the last bracket. *)
+      ( "root on a latency kink",
+        Schedule.Parallel,
+        [
+          proc ~bandwidth:1e8 ~latency:50. 1 26.;
+          proc ~bandwidth:1e8 2 50.;
+          proc ~bandwidth:1e8 ~latency:25. 3 100.;
+        ],
+        Cost_model.Power 2.,
+        100. );
+      (* One worker: the upper bound is the root itself, and Newton from
+         below keeps proposing it. *)
+      ( "lone worker",
+        Schedule.One_port,
+        [ proc ~bandwidth:0.1 1 25.455427005339661 ],
+        Cost_model.N_log_n,
+        300. );
+    ]
+
+(* Makespans within 1e-12 relative, each share within 1e-12·total.
+   Shares are not compared relative to themselves: trailing one-port
+   shares of ~1e-10 are ill-conditioned in both solvers. *)
+let agrees total (allocation, makespan) (allocation', makespan') =
+  Float.abs (makespan -. makespan') <= 1e-12 *. makespan'
+  && Array.for_all2 (fun n n' -> Float.abs (n -. n') <= 1e-12 *. total) allocation allocation'
+
+let qcheck_oracle_agreement =
+  (* Under One_port with latency, a worker that becomes busy delays every
+     later transfer by its latency, so Σ n_i(T) can drop as T grows and
+     several makespans can satisfy equal finish; each solver may return
+     a different one (the Newton one still passes the law above).  Once
+     no worker is left idle the solution is unique, and the solvers must
+     agree. *)
+  QCheck.Test.make ~name:"Newton solver agrees with the Brent oracle" ~count:200 instance
+    (fun { comm; star; cost; total } ->
+      let fast = Nonlinear.equal_finish_allocation comm star cost ~total in
+      let oracle = Nonlinear_oracle.equal_finish_allocation comm star cost ~total in
+      let unique =
+        match comm with
+        | Schedule.Parallel -> true
+        | Schedule.One_port ->
+            Array.for_all (fun (p : Processor.t) -> p.latency = 0.) (Star.workers star)
+            || Array.for_all (fun n -> n > 0.) (Array.append (fst fast) (fst oracle))
       in
-      let ok = ref (Float.abs (Numerics.Kahan.sum allocation -. 10.) < 1e-6) in
-      Array.iteri
-        (fun i n ->
-          let proc = Star.worker star i in
-          let finish =
-            Processor.transfer_time proc ~data:n
-            +. Processor.compute_time proc ~work:(Cost_model.work cost n)
-          in
-          if Float.abs (finish -. makespan) > 1e-4 *. makespan then ok := false)
-        allocation;
-      !ok)
+      (not unique) || agrees total fast oracle)
+
+let test_oracle_traffic_sweep () =
+  (* The serve benchmark's ratio requests: p = 64, speeds in [0.5, 8],
+     alpha in [1.2, 3], totals in [100, 1e4], three decimals, either
+     communication model. *)
+  let module Rng = Numerics.Rng in
+  let rng = Rng.create ~seed:2013 () in
+  let round3 x = Float.round (x *. 1000.) /. 1000. in
+  for _ = 1 to 1000 do
+    let total = round3 (Rng.uniform rng 100. 10_000.) in
+    let comm = if Rng.bool rng then Schedule.Parallel else Schedule.One_port in
+    let cost = Cost_model.Power (round3 (Rng.uniform rng 1.2 3.)) in
+    let star = Star.of_speeds (List.init 64 (fun _ -> round3 (Rng.uniform rng 0.5 8.))) in
+    checkb "agrees with the oracle" true
+      (agrees total
+         (Nonlinear.equal_finish_allocation comm star cost ~total)
+         (Nonlinear_oracle.equal_finish_allocation comm star cost ~total))
+  done
 
 let qcheck_fraction_bounds =
   QCheck.Test.make ~name:"done_fraction in (0,1] for any split" ~count:200
@@ -207,6 +353,10 @@ let suites =
         Alcotest.test_case "schedules validate" `Quick test_schedule_valid;
         Alcotest.test_case "quadratic zero budget" `Quick test_quadratic_share_zero_budget;
         QCheck_alcotest.to_alcotest qcheck_equal_finish;
+        QCheck_alcotest.to_alcotest qcheck_oracle_agreement;
+        Alcotest.test_case "safeguarded platforms" `Quick test_safeguarded_platforms;
+        Alcotest.test_case "oracle agreement on ratio traffic" `Quick
+          test_oracle_traffic_sweep;
         QCheck_alcotest.to_alcotest qcheck_quadratic_closed_form;
       ] );
     ( "no free lunch (fractions)",

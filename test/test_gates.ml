@@ -71,6 +71,7 @@ let test_table_pins_thresholds () =
         "multicore_sort";
         "event_heap_push_pop";
         "response_to_line";
+        "nonlinear_equal_finish";
       ])
 
 let test_limit_is_inclusive () =

@@ -3,7 +3,6 @@
 
 module Stats = Numerics.Stats
 module Kahan = Numerics.Kahan
-module Roots = Numerics.Roots
 module Apportion = Numerics.Apportion
 
 let checkb = Alcotest.(check bool)
