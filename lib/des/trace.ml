@@ -43,7 +43,13 @@ let render_gantt ?(width = 72) t =
   let name_width =
     List.fold_left (fun acc r -> max acc (String.length r)) 0 (resources t)
   in
-  let column time = int_of_float (time /. horizon *. float_of_int (width - 1)) in
+  (* Truncation would drop the last column of a bar that ends an ulp
+     before the horizon, as equal-finish schedules do by construction:
+     a time within a relative 1e-12 of the horizon snaps to it. *)
+  let column time =
+    if time >= horizon *. (1. -. 1e-12) then width - 1
+    else int_of_float (time /. horizon *. float_of_int (width - 1))
+  in
   let row resource =
     let cells = Bytes.make width '.' in
     let paint iv =

@@ -6,9 +6,11 @@
    removes. *)
 
 [@@@nldl.unsafe_zone
-  "binary-search cursors stay in [0, |splitters|] by the loop invariant, and \
-   scatter writes land inside the preallocated [data] because cursors come from \
-   histogram + exclusive prefix sums over the same keys (U-audit 2026-08)"]
+  "the branchless splitter search probes only [base + half - 1] in \
+   [0, |splitters| - 1], because its answer always lies in [base, base + len - 1] \
+   inside [0, |splitters|]; scatter writes land inside the preallocated [data] \
+   because cursors come from histogram + exclusive prefix sums over the same \
+   keys (U-audit 2026-08)"]
 
 type t = { data : float array; offsets : int array }
 type slice = { mutable lo : int; mutable len : int }
@@ -25,16 +27,25 @@ let bucket_slice t b s =
 let bucket_sizes t = Array.init (num_buckets t) (fun b -> bucket_len t b)
 
 (* The one splitter search: smallest i < m with key < splitters.(i), m
-   when none.  Inlined at every call site, so the loop runs over local
-   refs (kept in registers) and the float key is never boxed; callers
-   hoist [m = Array.length splitters] out of their key loops. *)
-let[@inline] search (splitters : float array) m (key : float) =
-  let lo = ref 0 and hi = ref m in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if key < Array.unsafe_get splitters mid then hi := mid else lo := mid + 1
+   when none.  A branchless upper bound, since a branchy bisection
+   mispredicts about half its branches on random keys: the answer
+   always lies in [base, base + len - 1], so every probe index is in
+   [0, m - 1], and each key costs exactly ceil(log2 (m + 1))
+   comparisons whose outcome feeds an add, never a jump.  Inlined at
+   every call site, so the loop runs over local refs (kept in
+   registers) and the float key is never boxed; callers hoist
+   [m = Array.length splitters] out of their key loops, which is what
+   the invariant needs. *)
+let[@inline] [@nldl.bounds_validated "Scatter.search"] search (splitters : float array) m
+    (key : float) =
+  let base = ref 0 and len = ref (m + 1) in
+  while !len > 1 do
+    let half = !len lsr 1 in
+    base :=
+      !base + (half * Bool.to_int (not (key < Array.unsafe_get splitters (!base + half - 1))));
+    len := !len - half
   done;
-  !lo
+  !base
 
 let bucket_index_floats (splitters : float array) (key : float) =
   search splitters (Array.length splitters) key
@@ -82,7 +93,7 @@ let[@nldl.bounds_validated "Scatter.exclusive_prefix"] partition_floats
     Obs.Trace.end_span "scatter.histogram";
     Array.blit offsets 0 cursors 0 p;
     Obs.Trace.begin_span "scatter.scatter";
-    let data = Array.make n 0. in
+    let data = Array.create_float n in
     let m = Array.length splitters in
     for i = 0 to n - 1 do
       let key = Array.unsafe_get keys i in
@@ -141,7 +152,7 @@ let[@nldl.bounds_validated "Scatter.merge_cursors"] partition_floats_pool
             Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
           done);
       let offsets = merge_cursors counts ~slices ~p in
-      let data = Array.make n 0. in
+      let data = Array.create_float n in
       Exec.Pool.parallel_for ?workers pool slices (fun s ->
           let i0 = slice_lo ~n ~slices s and i1 = slice_lo ~n ~slices (s + 1) in
           let base = s * p in

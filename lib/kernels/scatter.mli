@@ -1,11 +1,12 @@
 (** Counting-based scatter/partition kernels (paper §3, phase 2).
 
-    The sample-sort family routes every key to a bucket chosen by binary
-    search among [p - 1] splitters.  The original implementation built a
-    cons cell per key and re-concatenated ([O(n)] short-lived
-    allocations); these kernels do it in two passes — bucket-index
-    histogram, exclusive prefix sum, scatter into one preallocated array
-    — with [O(p)] auxiliary allocation beyond the output array itself.
+    The sample-sort family routes every key to a bucket chosen by a
+    branchless binary search among [p - 1] splitters.  The original
+    implementation built a cons cell per key and re-concatenated ([O(n)]
+    short-lived allocations); these kernels do it in two passes —
+    bucket-index histogram, exclusive prefix sum, scatter into one
+    preallocated array — with [O(p)] auxiliary allocation beyond the
+    output array itself.
 
     The scatter is {e stable}: within each bucket, keys keep their input
     order.  Stability is what makes the pool-parallel variant
@@ -53,10 +54,12 @@ val bucket_sizes : t -> int array
 
 val bucket_index_floats : float array -> float -> int
 (** [bucket_index_floats splitters key]: smallest [i] with
-    [key < splitters.(i)], or [Array.length splitters] when none —
-    [O(log p)] comparisons (phase 2's [N log p] master cost).  Splitters
-    must be sorted.  The order is [<], not [Float.compare]: a NaN key
-    compares false against every splitter and goes to the last
+    [key < splitters.(i)], or [Array.length splitters] when none.  The
+    search is branchless and costs exactly [⌈log₂ p⌉] comparisons for
+    [p = Array.length splitters + 1] — phase 2's [N log p] master cost,
+    exact rather than modelled.  Splitters must be sorted; duplicates
+    and infinities are fine.  The order is [<], not [Float.compare]: a
+    NaN key compares false against every splitter and goes to the last
     bucket. *)
 
 val histogram_floats : float array -> splitters:float array -> int array
@@ -69,8 +72,13 @@ val histogram_floats_into : int array -> float array -> splitters:float array ->
     across every pass instead of allocating per sweep. *)
 
 val partition_floats : float array -> splitters:float array -> t
-(** Two-pass sequential scatter.  Beyond the output [data] array, it
-    allocates two [p + 1] int arrays — nothing per key. *)
+(** Two-pass sequential scatter: a histogram pass, then a scatter pass,
+    each running {!bucket_index_floats}'s search on every key, so
+    exactly [2 ⌈log₂ p⌉] comparisons per key.  Beyond the output [data]
+    array (not zero-filled: every slot is written once), it allocates
+    two [p + 1] int arrays — nothing per key.  Storing each key's bucket
+    id in pass 1 would save pass 2's search, but only at the price of an
+    [n]-byte buffer, so it is not done. *)
 
 val partition_floats_pool :
   ?workers:int -> Exec.Pool.t -> float array -> splitters:float array -> t
@@ -78,5 +86,6 @@ val partition_floats_pool :
     slices, merged prefix, parallel scatter into disjoint regions.  The
     slice geometry depends only on [Array.length keys], and the scatter
     is stable, so the result is byte-identical to {!partition_floats} at
-    any pool size (including a torn-down pool).  Auxiliary allocation is
+    any pool size (including a torn-down pool).  Same search, same
+    [2 ⌈log₂ p⌉] comparisons per key.  Auxiliary allocation is
     [O(slices · p)] ints. *)

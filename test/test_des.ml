@@ -287,6 +287,37 @@ let test_trace_gantt () =
     let lines = String.split_on_char '\n' gantt in
     List.exists (fun l -> String.length l >= 2 && l.[0] = 'w') lines)
 
+(* Equal-finish schedules end every bar at the makespan, give or take
+   rounding: bars a few ulps short must still reach the last column,
+   while a bar ending a column earlier must not. *)
+let test_trace_gantt_equal_finish () =
+  let trace = Trace.create () in
+  let horizon = 19224.6 in
+  let finishes =
+    [
+      ("exact", horizon);
+      ("ulp", Float.pred horizon);
+      ("ulps", Float.pred (Float.pred (Float.pred horizon)));
+      ("rel", horizon *. (1. -. 1e-13));
+      ("short", horizon *. (70. /. 71.));
+    ]
+  in
+  List.iter
+    (fun (resource, finish) -> Trace.record trace ~resource ~start:0. ~finish ~label:"x")
+    finishes;
+  let rows =
+    List.filter
+      (fun l -> String.contains l '|')
+      (String.split_on_char '\n' (Trace.render_gantt trace))
+  in
+  checki "one row per resource" (List.length finishes) (List.length rows);
+  List.iter
+    (fun row ->
+      let name = List.hd (String.split_on_char ' ' row) in
+      let last = row.[String.rindex row '|' - 1] in
+      checkb (name ^ " reaches the last column") (name <> "short") (last = 'x'))
+    rows
+
 let suites =
   [
     ( "event queue",
@@ -328,5 +359,6 @@ let suites =
         Alcotest.test_case "accounting" `Quick test_trace_accounting;
         Alcotest.test_case "bad interval" `Quick test_trace_bad_interval;
         Alcotest.test_case "gantt render" `Quick test_trace_gantt;
+        Alcotest.test_case "gantt equal-finish bars" `Quick test_trace_gantt_equal_finish;
       ] );
   ]

@@ -66,6 +66,8 @@ let test_table_pins_thresholds () =
   checkb "ratcheted kernels" true
     (Gates.ratcheted
     = [
+        "scatter_partition_floats";
+        "scatter_partition_pool";
         "psrs_sort";
         "histogram_splitters";
         "multicore_sort";

@@ -156,22 +156,31 @@ let test_pool_partition_identical_any_domains () =
   (* Large enough that the pool variant really slices (n >= 16384), and
      domains forced >= 2: the host may report a single core, and a
      1-domain pool would degrade to the sequential path we are trying to
-     compare against. *)
+     compare against.  Every 97th key is replaced by NaN, an infinity or
+     a splitter value, the keys the search must route by [<]. *)
   let keys = float_keys ~seed:12 60_000 in
   let splitters = float_splitters ~seed:13 keys ~p:16 in
+  let specials = Array.append [| Float.nan; Float.infinity; Float.neg_infinity |] splitters in
+  Array.iteri
+    (fun i _ -> if i mod 97 = 0 then keys.(i) <- specials.(i / 97 mod Array.length specials))
+    keys;
   let sequential = Scatter.partition_floats keys ~splitters in
+  Alcotest.(check (array int64))
+    "sequential data = linear-scan reference"
+    (bits (Array.concat (Array.to_list (list_based_partition keys ~splitters))))
+    (bits sequential.Scatter.data);
   List.iter
     (fun domains ->
       let pool = Exec.Pool.create ~domains () in
       let parallel = Scatter.partition_floats_pool pool keys ~splitters in
       Exec.Pool.teardown pool;
-      Alcotest.(check (array (float 0.)))
-        (Printf.sprintf "float data identical at %d domains" domains)
-        sequential.Scatter.data parallel.Scatter.data;
+      Alcotest.(check (array int64))
+        (Printf.sprintf "float data bit-identical at %d domains" domains)
+        (bits sequential.Scatter.data) (bits parallel.Scatter.data);
       Alcotest.(check (array int))
         (Printf.sprintf "offsets identical at %d domains" domains)
         sequential.Scatter.offsets parallel.Scatter.offsets)
-    [ 1; 2; 3 ]
+    [ 1; 2; 3; 4 ]
 
 let test_multicore_sort_identical_forced_domains () =
   let keys = float_keys ~seed:15 50_000 in

@@ -80,20 +80,62 @@ let test_bucket_index_bounds () =
   Alcotest.(check int) "equal goes right" 1
     (Scatter.bucket_index_floats splitters 10.)
 
+let linear_bucket splitters key =
+  let rec scan i =
+    if i >= Array.length splitters || key < splitters.(i) then i else scan (i + 1)
+  in
+  scan 0
+
+let special_keys = [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0. ]
+
+(* Every splitter count from 0 to 70 (so [p] both a power of two and
+   not), with every splitter duplicated and the ends at +-infinity:
+   each splitter, each midpoint and the special keys against the
+   linear scan. *)
+let test_bucket_index_every_m () =
+  for m = 0 to 70 do
+    let splitters =
+      Array.init m (fun i ->
+          if i = 0 then Float.neg_infinity
+          else if i = m - 1 && m > 2 then Float.infinity
+          else float_of_int (i / 2))
+    in
+    let keys =
+      special_keys
+      @ List.concat_map (fun s -> [ s; s -. 0.5; s +. 0.5 ]) (Array.to_list splitters)
+    in
+    List.iter
+      (fun key ->
+        Alcotest.(check int)
+          (Printf.sprintf "m = %d, key = %h" m key)
+          (linear_bucket splitters key)
+          (Scatter.bucket_index_floats splitters key))
+      keys
+  done
+
 let qcheck_bucket_index_vs_linear =
-  QCheck.Test.make ~name:"bucket_index agrees with linear scan" ~count:300
-    QCheck.(pair (list_of_size Gen.(int_range 0 20) (float_range 0. 100.)) (float_range 0. 100.))
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range 0. 100.);
+          (2, map float_of_int (int_range 0 10));
+          (1, oneofl [ Float.infinity; Float.neg_infinity ]);
+        ])
+  in
+  let key = QCheck.Gen.(frequency [ (8, float_range (-10.) 110.); (1, oneofl special_keys) ]) in
+  QCheck.Test.make ~name:"bucket_index agrees with linear scan" ~count:500
+    QCheck.(
+      make
+        ~print:Print.(pair (list float) float)
+        Gen.(pair (list_size (int_range 0 70) value) key))
     (fun (raw, key) ->
-      let splitters = Array.of_list (List.sort_uniq Float.compare raw) in
-      let linear =
-        let rec scan i =
-          if i >= Array.length splitters then i
-          else if key < splitters.(i) then i
-          else scan (i + 1)
-        in
-        scan 0
-      in
-      Scatter.bucket_index_floats splitters key = linear)
+      (* Sorted but not deduplicated: repeated splitters (small
+         integers, infinities) are legal and must route like the scan. *)
+      let splitters = Array.of_list (List.sort Float.compare raw) in
+      List.for_all
+        (fun k -> Scatter.bucket_index_floats splitters k = linear_bucket splitters k)
+        ((key :: special_keys) @ raw))
 
 let test_partition_respects_splitters () =
   let rng = Rng.create ~seed:8 () in
@@ -219,6 +261,7 @@ let suites =
         Alcotest.test_case "p > n" `Quick test_sort_p_exceeds_n;
         Alcotest.test_case "splitters sorted" `Quick test_splitters_sorted;
         Alcotest.test_case "bucket_index bounds" `Quick test_bucket_index_bounds;
+        Alcotest.test_case "bucket_index every m <= 70" `Quick test_bucket_index_every_m;
         Alcotest.test_case "partition respects splitters" `Quick
           test_partition_respects_splitters;
         Alcotest.test_case "partition conserves" `Quick test_partition_conserves;
