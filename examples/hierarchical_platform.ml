@@ -3,8 +3,8 @@
 
    Shows (1) steady-state aggregation of sub-clusters into equivalent
    workers, (2) how much compute power the uplinks destroy, and (3)
-   running the affine one-port DLT solver — with participation
-   selection — on the flattened platform.
+   solving the affine (latency) one-port DLT — participant selection
+   included — on the flattened platform.
 
    Run:  dune exec examples/hierarchical_platform.exe *)
 
@@ -39,18 +39,22 @@ let () =
   Printf.printf "Per-site rates: ";
   Array.iter (fun r -> Printf.printf "%.3f " r) steady.Dlt.Steady_state.rates;
 
-  (* A finite batch with the affine (latency-aware) solver. *)
+  (* A finite batch with the affine (latency-aware) model: the
+     equal-finish solver picks the participants. *)
   let total = 500. in
-  let sol = Dlt.Affine.solve star ~total in
+  let allocation, makespan =
+    Dlt.Nonlinear.equal_finish_allocation Dlt.Schedule.One_port star Dlt.Cost_model.Linear
+      ~total
+  in
   Printf.printf "\n\nBatch of %.0f units, affine one-port solver:\n" total;
   Printf.printf "  participants: %s\n"
     (String.concat ", "
-       (List.map
-          (fun i -> Printf.sprintf "worker %d" i)
-          sol.Dlt.Affine.participants));
+       (List.filter_map
+          (fun i -> if allocation.(i) > 0. then Some (Printf.sprintf "worker %d" i) else None)
+          (Array.to_list (Dlt.Linear.one_port_order star))));
   Printf.printf "  shares: ";
-  Array.iter (fun n -> Printf.printf "%.1f " n) sol.Dlt.Affine.allocation;
-  Printf.printf "\n  makespan: %.2f\n" sol.Dlt.Affine.makespan;
+  Array.iter (fun n -> Printf.printf "%.1f " n) allocation;
+  Printf.printf "\n  makespan: %.2f\n" makespan;
 
   (* Does the dispatch order matter here? *)
   Printf.printf "\nDispatch-order sensitivity (worst/best - 1): %.4f\n"

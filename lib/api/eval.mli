@@ -7,7 +7,14 @@
 val solver_name : Request.t -> string
 (** Which solver {!eval} will use: ["dlt.linear"] (closed form),
     ["dlt.nonlinear.newton"], or ["dlt.steady_state"] for
-    multi-load admission. *)
+    multi-load admission.
+
+    ["dlt.linear"] answers are the latency-free closed forms: a
+    [schedule]'s replay charges the request's [latency], the shares and
+    the [ratio]/[plan] makespans ignore it (one-port, speeds [1,1,1,1],
+    latency 1, total 10: [plan] says 10.667, [schedule] ends at 14.667).
+    ["dlt.nonlinear.newton"] charges latencies and, under one-port,
+    picks the participants. *)
 
 val eval : Request.t -> Response.t
 (** Validate and answer; never raises.  Invalid requests yield an

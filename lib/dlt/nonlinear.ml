@@ -87,7 +87,7 @@ let solve_share st k cost ~budget =
   st.share.(k) <- !n;
   st.slope.(k) <- !slope
 
-let worker_share _comm_model proc cost ~offset ~deadline =
+let worker_share proc cost ~offset ~deadline =
   let budget = deadline -. offset -. proc.Processor.latency in
   if budget <= 0. then 0.
   else begin
@@ -100,23 +100,34 @@ let worker_share _comm_model proc cost ~offset ~deadline =
    the residual [F(t) = Σ n_i(t) - total] with its derivative.  Under
    [One_port] worker [k] starts receiving at [offset_k], so
    [dn_k/dt = (1 - d offset_k/dt) / slope_k], and each served worker
-   pushes the offset by its transfer time. *)
-let evaluate comm_model procs cost ~total st t =
+   pushes the offset by its transfer time.  A worker with no budget gets
+   0 and costs nothing, unless [charged] (a fixed participant set): then
+   every worker pays its latency, and one with no budget gets the
+   negative share of the tangent to its finish time at 0,
+   [budget / (c + w·work'(0))], so every share grows with [t] and [F]
+   has one root. *)
+let evaluate ~charged comm_model procs cost ~total st t =
   let offset = ref 0. and doffset = ref 0. and dsum = ref 0. in
   let sum = Kahan.create () in
   for k = 0 to Array.length procs - 1 do
     let proc = procs.(k) in
     let budget = t -. !offset -. proc.Processor.latency in
-    if budget > 0. then solve_share st k cost ~budget else st.share.(k) <- 0.;
+    if budget > 0. then solve_share st k cost ~budget
+    else if charged then begin
+      st.slope.(k) <- st.c.(k) +. (st.w.(k) *. Cost_model.work_derivative cost 0.);
+      st.share.(k) <- budget /. st.slope.(k)
+    end
+    else st.share.(k) <- 0.;
     let n = st.share.(k) in
-    if n > 0. then begin
+    if n > 0. || charged then begin
       let dn = (1. -. !doffset) /. st.slope.(k) in
       st.rate.(k) <- dn;
       dsum := !dsum +. dn;
       match comm_model with
       | Schedule.Parallel -> ()
       | Schedule.One_port ->
-          offset := !offset +. Processor.transfer_time proc ~data:n;
+          let fetch = Processor.transfer_time proc ~data:n in
+          offset := !offset +. if charged then proc.latency +. (st.c.(k) *. n) else fetch;
           doffset := !doffset +. (st.c.(k) *. dn)
     end
     else st.rate.(k) <- 0.;
@@ -124,19 +135,11 @@ let evaluate comm_model procs cost ~total st t =
   done;
   (Kahan.total sum -. total, !dsum)
 
-let equal_finish_allocation comm_model star cost ~total =
-  if total <= 0. then invalid_arg "Nonlinear.equal_finish_allocation: total must be > 0";
-  let workers = Star.workers star in
-  let order =
-    match comm_model with
-    | Schedule.Parallel -> Array.init (Array.length workers) Fun.id
-    | Schedule.One_port -> Linear.one_port_order star
-  in
-  let procs = Array.map (fun i -> workers.(i)) order in
-  (* Lower bound: every busy worker spends at least its latency, and the
-     load cannot arrive faster than all links together, nor (for
-     [n^alpha]) be computed faster than the compute-only equal finish
-     [(total / Σ s_i^(1/alpha))^alpha]. *)
+(* Lower bound on the makespan over [procs]: every busy worker spends at
+   least its latency, and the load cannot arrive faster than all links
+   together, nor (for [n^alpha]) be computed faster than the
+   compute-only equal finish [(total / Σ s_i^(1/alpha))^alpha]. *)
+let lower_bound procs cost ~total =
   let latency = Array.fold_left (fun m p -> Float.min m p.Processor.latency) infinity procs in
   let communication =
     (* A plain sum: compensation turns infinite bandwidths into NaN. *)
@@ -147,13 +150,22 @@ let equal_finish_allocation comm_model star cost ~total =
     | Some a -> (total /. Kahan.sum_by (fun p -> p.Processor.speed ** (1. /. a)) procs) ** a
     | None -> 0.
   in
-  (* Upper bound: the first-served worker alone absorbs the whole load. *)
+  latency +. Float.max communication computation
+
+(* Equal finish over [procs], served in that order: the makespan, with
+   the shares left in the returned state. *)
+let solve_makespan ~charged comm_model procs cost ~total =
+  (* Upper bound: the first-served worker alone absorbs the whole load.
+     Not for a charged set, whose negative shares can pull [F] below 0
+     there; its [F] never turns down, so no step leaves to the left. *)
   let first = procs.(0) in
-  let lo = ref (latency +. Float.max communication computation)
+  let lo = ref (lower_bound procs cost ~total)
   and hi =
     ref
-      (Processor.transfer_time first ~data:total
-      +. Processor.compute_time first ~work:(Cost_model.work cost total))
+      (if charged then infinity
+       else
+         Processor.transfer_time first ~data:total
+         +. Processor.compute_time first ~work:(Cost_model.work cost total))
   in
   let st = state (Array.map Processor.c procs) (Array.map Processor.w procs) in
   let fail what = invalid_arg ("Nonlinear.equal_finish_allocation: " ^ what) in
@@ -166,16 +178,16 @@ let equal_finish_allocation comm_model star cost ~total =
      from that end settles it, or shows there is no root. *)
   let rec iterate t steps =
     if not (Float.is_finite t) then fail "non-finite makespan";
-    let f, df = evaluate comm_model procs cost ~total st t in
+    let f, df = evaluate ~charged comm_model procs cost ~total st t in
     if f <= 0. then lo := t else hi := t;
     let next = if f = 0. then t else t -. (f /. df) in
     if Float.abs (next -. t) <= makespan_tol *. t then begin
       (* Carry every share to [next] along its rate, n_i + dn_i/dt·(next - t),
          so that F's last residual goes to the workers that absorb it (a
          worker that starts inside the step has nothing to give back). *)
-      let step = next -. t in
+      let step = next -. t and floor = if charged then neg_infinity else 0. in
       Array.iteri
-        (fun k n -> st.share.(k) <- Float.max 0. (n +. (st.rate.(k) *. step)))
+        (fun k n -> st.share.(k) <- Float.max floor (n +. (st.rate.(k) *. step)))
         st.share;
       next
     end
@@ -186,8 +198,98 @@ let equal_finish_allocation comm_model star cost ~total =
     else iterate (!lo +. (0.5 *. (!hi -. !lo))) (steps + 1)
   in
   let t = iterate !lo 1 in
-  let allocation = Array.make (Array.length procs) 0. in
-  Array.iteri (fun k i -> allocation.(i) <- st.share.(k)) order;
+  (st, t)
+
+(* Participant selection, for [One_port] with latency.  Sets are ranks
+   into [procs], in serving order; a solved set is [(set, shares, t)]
+   with every member's latency charged. *)
+let select procs cost ~total =
+  let p = Array.length procs in
+  let solve set =
+    let sub = Array.map (Array.get procs) set in
+    let st, t = solve_makespan ~charged:true Schedule.One_port sub cost ~total in
+    (set, st.share, t)
+  in
+  let without set r = Array.of_list (List.filteri (fun r' _ -> r' <> r) (Array.to_list set)) in
+  (* The classical affine start: drop the most negative share, re-solve,
+     until none is left. *)
+  let rec fit set =
+    let ((_, shares, _) as solved) = solve set in
+    let worst = ref (-1) in
+    Array.iteri
+      (fun r n -> if n < 0. && (!worst < 0 || n < shares.(!worst)) then worst := r)
+      shares;
+    if !worst < 0 || Array.length set = 1 then solved else fit (without set !worst)
+  in
+  (* The all-workers start: the first root of the uncharged [F], where a
+     worker joins once its budget is positive and then delays everyone
+     behind it, so [F] falls as well as rises.  Between two changes of
+     the busy set, [F] is that set's charged [F].  Walk up: solve the
+     busy set; if it is still busy at its root, that is the first root,
+     else bisect for the change and go on from just past it.  The first
+     worker in serving order to change status is one that joins and
+     stays, so a busy set never comes back (the bisection is sound) and
+     the sets rise in lexicographic order (the walk ends; the cap only
+     bounds its cost). *)
+  let probe = state (Array.map Processor.c procs) (Array.map Processor.w procs) in
+  let busy t =
+    ignore (evaluate ~charged:false Schedule.One_port procs cost ~total probe t);
+    Array.of_list (List.filter (fun k -> probe.share.(k) > 0.) (List.init p Fun.id))
+  in
+  let rec walk t set steps =
+    let ((_, _, root) as solved) = solve set in
+    if steps >= max_steps * p || busy root = set then solved
+    else begin
+      let lo = ref t and hi = ref root in
+      while !hi -. !lo > makespan_tol *. !hi do
+        let mid = !lo +. (0.5 *. (!hi -. !lo)) in
+        if busy mid = set then lo := mid else hi := mid
+      done;
+      walk !hi (busy !hi) (steps + 1)
+    end
+  in
+  (* Removals never bring a worker back, so descend from both starts:
+     take the single removal (refitted) that lowers the makespan most,
+     while it does so by more than 1e-12 relative. *)
+  let lower ((_, _, t) as a) ((_, _, t') as b) = if t' < t -. (1e-12 *. t) then b else a in
+  let rec descend ((set, _, _) as current) =
+    let removals = if Array.length set > 1 then Array.length set else 0 in
+    let candidates = List.init removals (fun r -> fit (without set r)) in
+    let least ((_, _, t) as a) ((_, _, t') as b) = if t' < t then b else a in
+    let next = lower current (List.fold_left least current candidates) in
+    if next == current then current else descend next
+  in
+  let ((fit_set, _, _) as fitted) = fit (Array.init p Fun.id) in
+  let lo = lower_bound procs cost ~total in
+  match busy lo with
+  | [||] -> descend fitted (* the bound rounded onto the least latency *)
+  | start ->
+      let ((first_set, _, _) as first) = walk lo start 0 in
+      if first_set = fit_set then descend fitted else lower (descend fitted) (descend first)
+
+let equal_finish_allocation ?order comm_model star cost ~total =
+  if total <= 0. then invalid_arg "Nonlinear.equal_finish_allocation: total must be > 0";
+  let workers = Star.workers star in
+  let p = Array.length workers in
+  let order =
+    match (comm_model, order) with
+    | Schedule.Parallel, _ -> Array.init p Fun.id
+    | Schedule.One_port, Some order -> Schedule.check_permutation p order; order
+    | Schedule.One_port, None -> Linear.one_port_order star
+  in
+  let procs = Array.map (fun i -> workers.(i)) order in
+  let allocation = Array.make p 0. in
+  let t =
+    match comm_model with
+    | Schedule.One_port when Array.exists (fun w -> w.Processor.latency > 0.) procs ->
+        let set, shares, t = select procs cost ~total in
+        Array.iteri (fun r k -> allocation.(order.(k)) <- shares.(r)) set;
+        t
+    | Schedule.Parallel | Schedule.One_port ->
+        let st, t = solve_makespan ~charged:false comm_model procs cost ~total in
+        Array.iteri (fun k i -> allocation.(i) <- st.share.(k)) order;
+        t
+  in
   (* Remove the rounding left in Σ n_i by rescaling; the perturbation is
      O(tol) and keeps Σ n_i = total exactly. *)
   let sum = Kahan.sum allocation in
@@ -201,14 +303,6 @@ let quadratic_share proc ~offset ~deadline =
   let budget = deadline -. offset -. proc.Processor.latency in
   if budget <= 0. then 0.
   else (-.c +. sqrt ((c *. c) +. (4. *. w *. budget))) /. (2. *. w)
-
-let homogeneous_allocation ~p ~total =
-  if p <= 0 then invalid_arg "Nonlinear.homogeneous_allocation: p must be > 0";
-  Array.make p (total /. float_of_int p)
-
-let homogeneous_makespan ~c ~w cost ~p ~total =
-  let chunk = total /. float_of_int p in
-  (c *. chunk) +. (w *. Cost_model.work cost chunk)
 
 let schedule comm_model star cost ~total =
   let allocation, _ = equal_finish_allocation comm_model star cost ~total in

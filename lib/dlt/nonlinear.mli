@@ -1,11 +1,14 @@
 (** Allocation of non-linear ([n^alpha], [n·log n]) divisible loads, the
-    object of Section 2 and of the prior work [31-35] the paper rebuts.
+    object of Section 2 and of the prior work [31-35] the paper rebuts,
+    and of linear loads under the affine one-port model (per-message
+    latency), the "more complicated communication model" of [9] that
+    Section 3 says becomes meaningful again once a load is divisible.
 
-    There is no closed form for general cost models, so the solvers
-    equalize finish times numerically: the per-worker finish time is
+    There is no closed form for general cost models, so the solver
+    equalizes finish times numerically: the per-worker finish time is
     increasing and convex in its share, hence for a target makespan [T]
     each share [n_i(T)] is the unique root of the finish-time equation,
-    found by Newton's method.  The optimal [T] solves
+    found by Newton's method.  The makespan [T] solves
     [Σ n_i(T) = total], also by Newton's method: the derivative
     [dn_i/dT = 1/(c_i + w_i·work'(n_i))] (under [One_port] scaled by
     how much of [dT] the earlier transfers leave) comes free with the
@@ -13,25 +16,37 @@
     leaves it. *)
 
 val worker_share :
-  Schedule.comm_model ->
-  Platform.Processor.t ->
-  Cost_model.t ->
-  offset:float ->
-  deadline:float ->
-  float
+  Platform.Processor.t -> Cost_model.t -> offset:float -> deadline:float -> float
 (** Largest load a worker can finish by [deadline] when its
     communication starts at [offset]: the root [n] of
     [offset + c·n + w·work(n) = deadline] (plus latency when [n > 0]);
     0 when even an empty load cannot meet the deadline. *)
 
 val equal_finish_allocation :
+  ?order:int array ->
   Schedule.comm_model -> Platform.Star.t -> Cost_model.t -> total:float ->
   float array * float
-(** Optimal single-round allocation (platform order) and its makespan.
-    Under [One_port], the master serves workers in
-    {!Linear.one_port_order} and the shares are solved sequentially for
-    each candidate makespan.  Requires [total > 0]; raises
-    [Invalid_argument] when the makespan iteration reaches a non-finite
+(** Single-round allocation (platform order) and its makespan: every
+    worker with a positive share finishes at the makespan.  Under
+    [One_port] the master serves workers in [order] (a permutation of
+    platform indices; {!Linear.one_port_order} by default; ignored under
+    [Parallel]).
+
+    Under [One_port] with latencies, taking part delays every later
+    transfer, so the solver also picks the participants.  A fixed set,
+    every member's latency charged, has one makespan.  It starts from
+    the whole platform, dropping the most negative share until none is
+    left (the classical affine DLT policy), and from the workers busy at
+    the first root of the all-workers equation (a worker takes a share
+    whenever it has time left, and only then pays its latency).  From
+    each it drops one worker at a time, the removal that lowers the
+    makespan most, while that lowers it by more than 1e-12 relative,
+    and keeps the lower end: equal finish over a set that no single
+    removal improves, never worse than either start, but a local
+    optimum, not a proof of the best set.  The others get 0.
+
+    Requires [total > 0]; raises [Invalid_argument] when [order] is not
+    a permutation, or when the makespan iteration reaches a non-finite
     value or does not converge. *)
 
 val quadratic_share :
@@ -41,14 +56,6 @@ val quadratic_share :
     of [c·n + w·n² = deadline - offset - latency],
     [n = (−c + √(c² + 4w·budget)) / 2w].  The test suite checks the
     numerical solver against this algebra. *)
-
-val homogeneous_allocation : p:int -> total:float -> float array
-(** The trivial optimal split of Section 2: [total/p] everywhere. *)
-
-val homogeneous_makespan :
-  c:float -> w:float -> Cost_model.t -> p:int -> total:float -> float
-(** [(N/P)·c + w·work(N/P)] — the finish time of the first (and only)
-    round on a homogeneous platform with parallel communications. *)
 
 val schedule :
   Schedule.comm_model -> Platform.Star.t -> Cost_model.t -> total:float -> Schedule.t

@@ -3,7 +3,8 @@ module Processor = Platform.Processor
 
 type evaluation = { order : int array; makespan : float }
 
-let makespan star ~order ~total = (Affine.solve ~order star ~total).Affine.makespan
+let makespan star ~order ~total =
+  snd (Nonlinear.equal_finish_allocation ~order Schedule.One_port star Cost_model.Linear ~total)
 
 let identity_order p = Array.init p (fun i -> i)
 

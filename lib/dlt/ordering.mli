@@ -9,8 +9,8 @@
 type evaluation = { order : int array; makespan : float }
 
 val makespan : Platform.Star.t -> order:int array -> total:float -> float
-(** Optimal equal-finish makespan when serving in [order]
-    (see {!Affine.solve}). *)
+(** Equal-finish makespan of a linear load when serving in [order],
+    participants included (see {!Nonlinear.equal_finish_allocation}). *)
 
 val identity_order : int -> int array
 

@@ -14,12 +14,12 @@ type t = { entries : entry array; makespan : float }
 type comm_model = Parallel | One_port
 
 let check_permutation p order =
-  if Array.length order <> p then invalid_arg "Schedule.of_allocation: bad order length";
+  if Array.length order <> p then invalid_arg "Schedule.check_permutation: bad order length";
   let seen = Array.make p false in
   Array.iter
     (fun i ->
       if i < 0 || i >= p || seen.(i) then
-        invalid_arg "Schedule.of_allocation: order is not a permutation";
+        invalid_arg "Schedule.check_permutation: order is not a permutation";
       seen.(i) <- true)
     order
 

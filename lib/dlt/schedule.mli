@@ -18,6 +18,10 @@ type comm_model =
   | Parallel  (** all master→worker links usable simultaneously (§1.2) *)
   | One_port  (** the master serializes its outgoing communications *)
 
+val check_permutation : int -> int array -> unit
+(** [check_permutation p order] raises [Invalid_argument] unless
+    [order] is a permutation of [0 .. p-1]. *)
+
 val of_allocation :
   ?order:int array ->
   comm_model -> Platform.Star.t -> Cost_model.t -> allocation:float array -> t

@@ -50,4 +50,5 @@ let schedule nodes ~total =
   { result with leaves = List.sort (fun a b -> compare a.path b.path) result.leaves }
 
 let flat_makespan nodes ~total =
-  Linear.one_port_makespan (Topology.flatten nodes) ~total
+  let star = Topology.flatten nodes in
+  snd (Nonlinear.equal_finish_allocation Schedule.One_port star Cost_model.Linear ~total)

@@ -26,7 +26,9 @@ val schedule : Platform.Topology.node list -> total:float -> result
     total. *)
 
 val flat_makespan : Platform.Topology.node list -> total:float -> float
-(** One-port makespan of the fully aggregated (single-level) star.
+(** One-port makespan of the fully aggregated (single-level) star,
+    latencies and participant selection included
+    ({!Nonlinear.equal_finish_allocation} with a linear cost).
     Note this is a {e summary}, not a bound: the steady-state
     equivalent worker caps a cluster's compute rate by its uplink
     bandwidth, which for a finite batch double-counts the uplink (the

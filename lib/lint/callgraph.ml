@@ -253,6 +253,8 @@ type ctx = {
   mutable protect_depth : int;
   mutable par_prim : string option;  (* innermost parallel-argument context *)
   mutable forvars : string list;
+  mutable locals : (string * (string list list * site list)) list;
+      (* let-bound names in scope, with their expressions' refs and sites *)
 }
 
 let allowed ctx id =
@@ -286,13 +288,35 @@ let add_site ctx ~loc kind =
         }
         :: b.b_sites
 
+(* A local closure named inside a parallel argument
+   ([let f i = … in Exec.Pool.parallel_for pool n f]) runs on the pool
+   as if written inline: its refs (and those of the locals it names)
+   become escape refs, and its sites count as direct. *)
+let escape_local ctx b prim path =
+  let rec go seen = function
+    | [ v ] when not (List.mem v seen) -> (
+        match List.assoc_opt v ctx.locals with
+        | None -> ()
+        | Some (refs, sites) ->
+            b.b_escape_refs <- List.map (fun r -> (r, prim)) refs @ b.b_escape_refs;
+            b.b_sites <-
+              List.map
+                (fun s -> if List.memq s sites then { s with s_direct = Some prim } else s)
+                b.b_sites;
+            List.iter (go (v :: seen)) refs)
+    | _ -> ()
+  in
+  go [] path
+
 let add_ref ctx path =
   match ctx.cur with
   | None -> ()
   | Some b -> (
       b.b_refs <- path :: b.b_refs;
       match ctx.par_prim with
-      | Some prim -> b.b_escape_refs <- (path, prim) :: b.b_escape_refs
+      | Some prim ->
+          b.b_escape_refs <- (path, prim) :: b.b_escape_refs;
+          escape_local ctx b prim path
       | None -> ())
 
 let add_guards ctx e =
@@ -357,8 +381,10 @@ let rec walk_expr ctx e =
       Option.iter (walk_expr ctx) default;
       walk_expr ctx body
   | Pexp_let (_, vbs, body) ->
-      List.iter (fun vb -> walk_vb_expr ctx vb) vbs;
-      walk_expr ctx body
+      let saved = ctx.locals in
+      List.iter (fun vb -> walk_local ctx vb) vbs;
+      walk_expr ctx body;
+      ctx.locals <- saved
   | Pexp_open (od, body) ->
       (match od.popen_expr.pmod_desc with
       | Pmod_ident { txt; _ } -> ctx.opens <- longident_path txt :: ctx.opens
@@ -486,6 +512,16 @@ and walk_apply ctx e f args =
         ctx.par_prim <- saved
     | None -> List.iter (fun (_, a) -> walk_expr ctx a) args
 
+(* A let-bound name: remember the refs and sites its expression recorded. *)
+and walk_local ctx vb =
+  match (ctx.cur, vb.pvb_pat.ppat_desc) with
+  | Some b, Ppat_var { txt; _ } ->
+      let refs = List.length b.b_refs and sites = List.length b.b_sites in
+      walk_vb_expr ctx vb;
+      let added l before = List.filteri (fun i _ -> i < List.length l - before) l in
+      ctx.locals <- (txt, (added b.b_refs refs, added b.b_sites sites)) :: ctx.locals
+  | _ -> walk_vb_expr ctx vb
+
 (* A let inside an expression: its attributes still scope allows and
    bounds_validated over the bound body. *)
 and walk_vb_expr ctx vb =
@@ -607,6 +643,7 @@ let extract ~file ~(marks : Attrs.file_marks) (str : structure) =
       protect_depth = 0;
       par_prim = None;
       forvars = [];
+      locals = [];
     }
   in
   walk_structure ctx str;

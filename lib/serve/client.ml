@@ -1,3 +1,9 @@
+(* R403: this client blocks by design, on the caller's own thread: the
+   CLI's main domain, or a domain a test or the bench spawns to play one
+   client ([Domain.spawn], not a pool worker).  Never call it from a
+   pool task. *)
+[@@@nldl.allow "R403"]
+
 type t = { fd : Unix.file_descr; ic : in_channel }
 
 let connect_unix path =

@@ -1,6 +1,13 @@
+(* Frozen copy of the solver body of [Dlt.Affine] ([check_order],
+   [solve_subset], [makespan_of_shares], [solve]) as it stood before
+   participant selection moved into [Dlt.Nonlinear] and the module was
+   deleted.  Only the module paths differ from the original; do not
+   "improve" this file. *)
+
 module Star = Platform.Star
 module Processor = Platform.Processor
 module Kahan = Numerics.Kahan
+module Linear = Dlt.Linear
 
 let src = Logs.Src.create "nldl.dlt" ~doc:"Divisible-load solvers"
 
@@ -118,15 +125,3 @@ let solve ?order star ~total =
     makespan = makespan_of_shares workers chosen shares;
     participants = Array.to_list chosen;
   }
-
-let makespan_of_allocation ?order star ~allocation =
-  let p = Star.size star in
-  if Array.length allocation <> p then
-    invalid_arg "Affine.makespan_of_allocation: allocation size mismatch";
-  let workers = Star.workers star in
-  let order = match order with Some o -> o | None -> Linear.one_port_order star in
-  check_order p order;
-  makespan_of_shares workers order (Array.map (fun i -> allocation.(i)) order)
-
-let drops_slow_high_latency_workers star ~total =
-  List.length (solve star ~total).participants < Star.size star

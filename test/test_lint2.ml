@@ -124,6 +124,29 @@ let escape =
             Alcotest.(check string)
               "prim" "Exec.Pool.parallel_for" w.Lint.Escape.w_prim;
             Alcotest.(check string) "root" "Fix.Work.step" w.Lint.Escape.w_root);
+    Alcotest.test_case "local closure passed by name escapes" `Quick (fun () ->
+        (* [f] is bound by a local let and passed to the primitive by
+           name, through a second local; its callees run on the pool just
+           as an inline closure's do. *)
+        let g, esc, _ =
+          Lint.Driver.analyze_strings
+            [
+              ("lib/fix/work.ml", "let step i = Fix.Deep.leaf i\n");
+              ("lib/fix/deep.ml", "let leaf i = i + 1\nlet idle () = 0\n");
+              ( "lib/fix/driver.ml",
+                "let run pool n =\n\
+                \  let f i = Fix.Work.step i in\n\
+                \  let body = f in\n\
+                \  Exec.Pool.parallel_for pool n body\n" );
+            ]
+        in
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " escapes") true
+              (Lint.Escape.escapes esc (node_of g name)))
+          [ "Fix.Work.step"; "Fix.Deep.leaf" ];
+        Alcotest.(check bool) "idle stays" false
+          (Lint.Escape.escapes esc (node_of g "Fix.Deep.idle")));
     Alcotest.test_case "cross-file cycle reaches fixpoint" `Quick (fun () ->
         let g, esc, _ =
           Lint.Driver.analyze_strings
@@ -161,6 +184,15 @@ let r401 =
          [
            ("lib/fix/state.ml", "let total = ref 0\n");
            ("lib/fix/user.ml", par_user "Fix.State.total := 1");
+         ]);
+    Alcotest.test_case "fires on write inside a closure passed by name" `Quick
+      (fires "R401"
+         [
+           ("lib/fix/state.ml", "let total = ref 0\n");
+           ( "lib/fix/user.ml",
+             "let run pool n =\n\
+             \  let f _ = Fix.State.total := 1 in\n\
+             \  Exec.Pool.parallel_for pool n f\n" );
          ]);
     Alcotest.test_case "silent without a parallel context" `Quick
       (silent "R401"
