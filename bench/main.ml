@@ -63,7 +63,7 @@ let elapsed_s = Obs.Clock.elapsed_s
 
 (* Spawn the shared pool's workers before a timed section, so it does
    not pay the one-off spawn cost. *)
-let warm_up domains = if domains > 1 then ignore (Exec.Pool.get_global ~at_least:domains ())
+let warm_up domains = Numerics.Parallel.warm_up ~domains ()
 
 (* --- Part 1: Bechamel micro-benchmarks --------------------------------- *)
 
@@ -275,6 +275,7 @@ let report_pool_overhead () =
   let d = max 2 (min 8 (Exec.Pool.default_domains ())) in
   let iters = if quick then 200 else 1000 in
   let pool = Exec.Pool.create ~domains:d () in
+  (* Untimed: the pool spawns its workers on this first submission. *)
   Exec.Pool.parallel_for pool d (fun _ -> ());
   let (), pool_s =
     elapsed_s (fun () ->

@@ -1,9 +1,12 @@
 (* Persistent domain pool with a chunked dynamic scheduler.
 
-   Workers are spawned once and parked on a condition variable between
-   submissions; each submission publishes a task whose chunk indices are
-   claimed through a shared atomic counter, so uneven per-index costs
-   load-balance instead of following a fixed contiguous split.
+   Workers are spawned on first use and parked on a condition variable
+   between submissions; each submission publishes a task whose chunk
+   indices are claimed through a shared atomic counter, so uneven
+   per-index costs load-balance instead of following a fixed contiguous
+   split.  A pool that is sized but only ever runs sequentially stays a
+   single domain, so its minor collections need no stop-the-world
+   rendezvous with parked workers.
 
    The pool is instrumented: per-participant counters (tasks run,
    chunks claimed, busy/parked nanoseconds on the shared monotonic
@@ -80,12 +83,14 @@ type t = {
   mutex : Mutex.t;
   work : Condition.t;
   retired : Condition.t;
-  mutable workers : unit Domain.t array;
+  mutable workers : unit Domain.t array;  (* spawned so far, in spawn order *)
   task : task;
   mutable generation : int;
   mutable finished : int;  (* workers done with the current generation *)
   mutable torn_down : bool;
-  mutable wstats : wstats array; (* slot 0 = submitting domain, 1.. = workers *)
+  mutable wstats : wstats array;
+      (* one slot per domain of the capacity, spawned or not: slot 0 =
+         submitting domain, 1.. = workers *)
   mutable submissions : int; (* parallel submissions; submitting domain only *)
   seq_runs : int Atomic.t; (* sequential-fallback runs, any domain *)
   nested_runs : int Atomic.t; (* subset of seq_runs from nested calls *)
@@ -97,7 +102,7 @@ let m_sequential = Obs.Metrics.counter "pool.sequential_runs"
 let h_submit_ns = Obs.Hist.create "pool.submit_latency_ns"
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
-let size pool = 1 + Array.length pool.workers
+let size pool = Array.length pool.wstats
 
 (* True while this domain is executing pool work (worker loop, or a
    caller inside a submission).  Nested submissions from such a domain
@@ -168,41 +173,36 @@ let create ?domains () =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  let wstats = Array.init domains (fun _ -> fresh_wstats ()) in
-  let pool =
-    {
-      mutex = Mutex.create ();
-      work = Condition.create ();
-      retired = Condition.create ();
-      workers = [||];
-      task = fresh_task ();
-      generation = 0;
-      finished = 0;
-      torn_down = false;
-      wstats;
-      submissions = 0;
-      seq_runs = Atomic.make 0;
-      nested_runs = Atomic.make 0;
-    }
-  in
-  pool.workers <- Array.init (domains - 1) (fun i -> spawn_worker pool wstats.(i + 1) 0);
-  pool
+  {
+    mutex = Mutex.create ();
+    work = Condition.create ();
+    retired = Condition.create ();
+    workers = [||];
+    task = fresh_task ();
+    generation = 0;
+    finished = 0;
+    torn_down = false;
+    wstats = Array.init domains (fun _ -> fresh_wstats ());
+    submissions = 0;
+    seq_runs = Atomic.make 0;
+    nested_runs = Atomic.make 0;
+  }
 
 let ensure pool ~domains =
-  (* Only ever called between submissions, so no task is in flight. *)
-  Mutex.lock pool.mutex;
-  let missing = if pool.torn_down then 0 else domains - size pool in
+  (* Only ever called between submissions, so no task is in flight.
+     Existing slots keep their counters; the new ones start from zero. *)
+  if (not pool.torn_down) && domains > size pool then
+    pool.wstats <-
+      Array.append pool.wstats (Array.init (domains - size pool) (fun _ -> fresh_wstats ()))
+
+(* Bring the spawned workers up to [extra].  Called by the submitter
+   between generations, so the new workers wait for the next one.  One
+   spawn at a time keeps [workers] exact if [Domain.spawn] raises. *)
+let spawn_up_to pool extra =
   let seen = pool.generation in
-  Mutex.unlock pool.mutex;
-  if missing > 0 then begin
-    (* Existing slots keep their counters; the new workers start from
-       zero. *)
-    let added = Array.init missing (fun _ -> fresh_wstats ()) in
-    pool.wstats <- Array.append pool.wstats added;
-    pool.workers <-
-      Array.append pool.workers
-        (Array.init missing (fun i -> spawn_worker pool added.(i) seen))
-  end
+  for slot = Array.length pool.workers + 1 to extra do
+    pool.workers <- Array.append pool.workers [| spawn_worker pool pool.wstats.(slot) seen |]
+  done
 
 let teardown pool =
   Mutex.lock pool.mutex;
@@ -211,10 +211,10 @@ let teardown pool =
     pool.torn_down <- true;
     Condition.broadcast pool.work;
     Mutex.unlock pool.mutex;
-    Array.iter Domain.join pool.workers;
-    pool.workers <- [||]
-    (* [wstats] is kept: stats survive teardown (the sequential
-       fallback of a torn-down pool still counts into [seq_runs]). *)
+    Array.iter Domain.join pool.workers
+    (* [workers] and [wstats] are kept: stats survive teardown (the
+       sequential fallback of a torn-down pool still counts into
+       [seq_runs]). *)
   end
 
 let default_chunks_per_worker = 8
@@ -247,6 +247,7 @@ let parallel_for ?workers ?chunk pool n body =
     let task = pool.task in
     Obs.Trace.begin_span "pool.parallel_for";
     let t0 = Obs.Clock.now_ns () in
+    spawn_up_to pool (parts - 1);
     Mutex.lock pool.mutex;
     (* Refill the reusable slot under the mutex: the broadcast below is
        what publishes it, and no worker touches the slot between
@@ -311,6 +312,7 @@ type worker_stats = { tasks : int; chunks : int; busy_ns : int; parked_ns : int 
 
 type stats = {
   domains : int;
+  spawned : int;
   submissions : int;
   sequential_runs : int;
   nested_runs : int;
@@ -320,6 +322,7 @@ type stats = {
 let stats pool =
   {
     domains = size pool;
+    spawned = Array.length pool.workers;
     submissions = pool.submissions;
     sequential_runs = Atomic.get pool.seq_runs;
     nested_runs = Atomic.get pool.nested_runs;

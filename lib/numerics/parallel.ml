@@ -1,6 +1,7 @@
 (* Thin facade over the shared domain pool in [Exec.Pool]: a
    [parallel_for] keyed by a domain count instead of a pool handle, with
-   the worker domains spawned once and reused across every call. *)
+   the worker domains spawned on first use and reused across every
+   call. *)
 
 let default_domains = Exec.Pool.default_domains
 
@@ -18,6 +19,11 @@ let parallel_for ?domains n body =
       (Exec.Pool.get_global ~at_least:domains ())
       n body
 
+(* The pool spawns workers on first use, so an empty submission as wide
+   as [domains] is what spawns them. *)
 let warm_up ?domains () =
   let domains = resolve domains in
-  if domains > 1 then ignore (Exec.Pool.get_global ~at_least:domains ())
+  if domains > 1 then
+    Exec.Pool.parallel_for ~workers:domains
+      (Exec.Pool.get_global ~at_least:domains ())
+      domains ignore

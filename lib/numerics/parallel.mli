@@ -4,10 +4,10 @@
     helpers let the heavy kernels (local sorts, matrix products, trial
     sweeps) also *run* in parallel on the host machine.  Since the
     execution-layer refactor they delegate to the persistent domain pool
-    in {!Exec.Pool}: workers are spawned once and parked between calls
-    instead of paying a [Domain.spawn]/[Domain.join] round-trip per
-    call, and indices are handed out in dynamically claimed chunks so
-    uneven bodies load-balance. *)
+    in {!Exec.Pool}: workers are spawned once, on first use, and parked
+    between calls instead of paying a [Domain.spawn]/[Domain.join]
+    round-trip per call, and indices are handed out in dynamically
+    claimed chunks so uneven bodies load-balance. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count], at least 1. *)
@@ -21,5 +21,6 @@ val parallel_for : ?domains:int -> int -> (int -> unit) -> unit
     re-raised in the caller. *)
 
 val warm_up : ?domains:int -> unit -> unit
-(** Ensure the shared pool exists with at least [domains] workers, so a
-    subsequent timed call does not pay the one-off spawn cost. *)
+(** Ensure the shared pool exists with a capacity of at least [domains]
+    and that its [domains - 1] workers are spawned, so a subsequent
+    timed call does not pay the one-off spawn cost. *)

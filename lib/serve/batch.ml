@@ -66,22 +66,76 @@ type pending = {
   mutable p_followers : (int * string) list;  (* same-key repeats within the batch *)
 }
 
-let handle_batch t lines =
+(* A line that failed to decode as a request may be a control object.
+   [Api.Request.of_json] rejects unknown fields, so a line with a
+   "control" key never decodes as a request, and checking only the
+   failures costs query lines nothing. *)
+let control_of_line line =
+  match Json.of_string line with
+  | Ok (Json.Obj fields) -> (
+      match List.assoc_opt "control" fields with
+      | Some (Json.String c) -> Some c
+      | _ -> None)
+  | _ -> None
+
+(* Solve the admitted misses (in admission order) on the pool, fill
+   their answers and their followers', and cache the successes. *)
+let solve t out misses =
+  let solved =
+    Exec.Pool.parallel_map_array ~workers:fanout t.pool
+      (fun p -> (p, Api.Eval.eval p.p_req))
+      (Array.of_list (List.rev misses))
+  in
+  Array.iter
+    (fun (p, resp) ->
+      let line = Api.Response.to_line resp in
+      out.(p.p_index) <- line;
+      if not (Api.Response.is_error resp) then begin
+        Cache.insert t.cache ~key:p.p_key ~line;
+        Cache.memoize t.cache ~raw:p.p_raw ~key:p.p_key
+      end;
+      List.iter
+        (fun (j, raw) ->
+          out.(j) <- line;
+          if not (Api.Response.is_error resp) then Cache.memoize t.cache ~raw ~key:p.p_key)
+        p.p_followers)
+    solved
+
+let handle_batch ?control t lines =
   let n = Array.length lines in
   let t0 = Obs.Clock.now_ns () in
   let out = Array.make n "" in
   let by_key : (string, pending) Hashtbl.t = Hashtbl.create 16 in
   let misses = ref [] in
   let admitted = ref 0 in
+  let controls = ref 0 in
   for i = 0 to n - 1 do
     let raw = lines.(i) in
-    count_request t;
+    (* Only decoded requests are memoized, so a memo hit is never a
+       control line and is answered without parsing. *)
     match Cache.find_memo t.cache raw with
-    | line -> out.(i) <- line
+    | line ->
+        count_request t;
+        out.(i) <- line
     | exception Cache.Miss -> (
         match Api.Request.of_line raw with
-        | Error msg -> out.(i) <- error_line ~solver:"api.parse" ~code:"bad_request" msg
+        | Error msg -> (
+            let name = match control with None -> None | Some _ -> control_of_line raw in
+            match (control, name) with
+            | Some answer, Some c ->
+                (* Every earlier line's answer is final before a control
+                   line is answered, so a pipelined client sees the
+                   state its own earlier lines left. *)
+                solve t out !misses;
+                misses := [];
+                Hashtbl.reset by_key;
+                incr controls;
+                out.(i) <- answer c
+            | _ ->
+                count_request t;
+                out.(i) <- error_line ~solver:"api.parse" ~code:"bad_request" msg)
         | Ok req -> (
+            count_request t;
             let key = Api.Fingerprint.of_request req in
             match Cache.find t.cache key with
             | line ->
@@ -118,27 +172,8 @@ let handle_batch t lines =
                       misses := p :: !misses
                     end)))
   done;
-  let miss_arr = Array.of_list (List.rev !misses) in
-  let solved =
-    Exec.Pool.parallel_map_array ~workers:fanout t.pool
-      (fun p -> (p, Api.Eval.eval p.p_req))
-      miss_arr
-  in
-  Array.iter
-    (fun (p, resp) ->
-      let line = Api.Response.to_line resp in
-      out.(p.p_index) <- line;
-      if not (Api.Response.is_error resp) then begin
-        Cache.insert t.cache ~key:p.p_key ~line;
-        Cache.memoize t.cache ~raw:p.p_raw ~key:p.p_key
-      end;
-      List.iter
-        (fun (j, raw) ->
-          out.(j) <- line;
-          if not (Api.Response.is_error resp) then Cache.memoize t.cache ~raw ~key:p.p_key)
-        p.p_followers)
-    solved;
-  record_latency t t0;
+  solve t out !misses;
+  if !controls < n || n = 0 then record_latency t t0;
   out
 
 (* The memo probe is the only single-line specialisation: it answers a

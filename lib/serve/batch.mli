@@ -21,15 +21,21 @@ val create : ?pool:Exec.Pool.t -> config -> t
 (** [pool] defaults to {!Exec.Pool.get_global}.  Raises
     [Invalid_argument] on a non-positive capacity or depth. *)
 
-val handle_batch : t -> string array -> string array
-(** Answer a batch: hits resolve first; semantically-equal spellings
-    hit the fingerprint LRU.  Misses are deduplicated by fingerprint,
+val handle_batch : ?control:(string -> string) -> t -> string array -> string array
+(** Answer a batch: memo hits resolve first, without parsing;
+    semantically-equal spellings hit the fingerprint LRU after one
+    decode.  Misses are deduplicated by fingerprint,
     those beyond [queue_depth] are rejected with an ["overloaded"]
     error and those past the deadline with ["deadline"]; the admitted
     ones are answered by {!Api.Eval.eval} concurrently on the pool
     ({!Exec.Pool.default_domains} wide).  Successful answers are
     cached; error answers (a raising solver gives ["solver_failure"])
-    are not.  Responses are in request order. *)
+    are not.  Responses are in request order.
+
+    With [control], a line that does not decode as a request but is a
+    [{"control": c}] object is answered by [control c], called once
+    every earlier line's answer is final; it is not counted as a
+    request.  Without it, such a line is a ["bad_request"]. *)
 
 val handle_line : t -> string -> string
 (** Answer one raw request line (no trailing newline).  Repeats of a

@@ -1,9 +1,9 @@
 module Json = Obs.Json
 
-(* R403: the accept loop runs on a dedicated I/O domain ([Domain.spawn]
-   in [run], not a pool worker); blocking in select/accept/read is that
-   domain's entire job.  Solver work is handed to the pool via
-   [Batch], which never blocks. *)
+(* R403: the accept loop runs on the domain that calls [run] ([run]
+   spawns nothing); blocking in select/accept/read/write is that
+   domain's entire job.  Solver work is handed to the pool via [Batch],
+   which never blocks. *)
 [@@@nldl.allow "R403"]
 
 type config = {
@@ -20,49 +20,72 @@ type client = {
   buf : Buffer.t;  (* bytes received, not yet terminated by '\n' *)
 }
 
+let read_len = 65536
+
+(* Append the complete lines of [chunk.[0 .. n-1]] to [lines] (newest
+   first) and keep the unterminated tail in [c.buf].  [chunk] is one
+   byte longer than any read, and a '\n' sentinel at [n] stops
+   [Bytes.index_from] at the end of the bytes read. *)
+let split_lines c chunk n lines =
+  Bytes.set chunk n '\n';
+  let rec go pos lines =
+    let j = Bytes.index_from chunk pos '\n' in
+    if j = n then begin
+      Buffer.add_subbytes c.buf chunk pos (n - pos);
+      lines
+    end
+    else if Buffer.length c.buf = 0 then
+      go (j + 1) ((c, Bytes.sub_string chunk pos (j - pos)) :: lines)
+    else begin
+      Buffer.add_subbytes c.buf chunk pos (j - pos);
+      let line = Buffer.contents c.buf in
+      Buffer.clear c.buf;
+      go (j + 1) ((c, line) :: lines)
+    end
+  in
+  go 0 lines
+
 (* One poll round: read whatever each ready client has, split complete
    lines off its buffer.  Returns the lines in arrival order tagged
-   with their client, plus the clients that disconnected. *)
-let drain_ready clients ready =
-  let chunk = Bytes.create 65536 in
+   with their client (one client's lines are contiguous), plus the
+   clients that disconnected. *)
+let drain_ready chunk clients ready =
   let lines = ref [] in
   let closed = ref [] in
   List.iter
     (fun c ->
       if List.memq c.fd ready then
-        match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+        match Unix.read c.fd chunk 0 read_len with
         | 0 -> closed := c :: !closed
-        | n ->
-            for i = 0 to n - 1 do
-              let ch = Bytes.get chunk i in
-              if ch = '\n' then begin
-                lines := (c, Buffer.contents c.buf) :: !lines;
-                Buffer.clear c.buf
-              end
-              else Buffer.add_char c.buf ch
-            done
+        | n -> lines := split_lines c chunk n !lines
         | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
             closed := c :: !closed)
     clients;
-  (List.rev !lines, !closed)
+  (Array.of_list (List.rev !lines), !closed)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+(* Reply scratch, reused across rounds: a client's answers of one round
+   are laid out with their '\n's and go out in one write. *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
+let add_line out s =
+  let need = out.len + String.length s + 1 in
+  if need > Bytes.length out.bytes then begin
+    let grown = Bytes.create (max need (2 * Bytes.length out.bytes)) in
+    Bytes.blit out.bytes 0 grown 0 out.len;
+    out.bytes <- grown
+  end;
+  Bytes.blit_string s 0 out.bytes out.len (String.length s);
+  Bytes.set out.bytes (need - 1) '\n';
+  out.len <- need
+
+let flush_to fd out =
   let off = ref 0 in
   (try
-     while !off < len do
-       off := !off + Unix.write fd b !off (len - !off)
+     while !off < out.len do
+       off := !off + Unix.write fd out.bytes !off (out.len - !off)
      done
-   with Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ())
-
-let control_of_line line =
-  match Json.of_string line with
-  | Ok (Json.Obj fields) -> (
-      match List.assoc_opt "control" fields with
-      | Some (Json.String c) -> Some c
-      | _ -> None)
-  | _ -> None
+   with Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ());
+  out.len <- 0
 
 let pong = Json.to_compact (Json.Obj [ ("control", Json.String "pong") ])
 let ok = Json.to_compact (Json.Obj [ ("control", Json.String "ok") ])
@@ -79,10 +102,23 @@ let listen_unix path =
   fd
 
 let run ?pool ?(on_ready = fun () -> ()) cfg =
+  (* A client that closes before reading its answer must cost one EPIPE
+     in [flush_to], not the process: SIGPIPE's default action kills it. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let engine = Batch.create ?pool cfg.batch in
   let listener = listen_unix cfg.socket_path in
   let clients = ref [] in
   let running = ref true in
+  let chunk = Bytes.create (read_len + 1) in
+  let out = { bytes = Bytes.create 4096; len = 0 } in
+  let control = function
+    | "ping" -> pong
+    | "stats" -> Json.to_compact (Batch.stats_json engine)
+    | "shutdown" ->
+        running := false;
+        ok
+    | other -> unknown_control other
+  in
   on_ready ();
   while !running do
     let watched = listener :: List.map (fun c -> c.fd) !clients in
@@ -94,31 +130,23 @@ let run ?pool ?(on_ready = fun () -> ()) cfg =
           | fd, _ -> clients := { fd; buf = Buffer.create 256 } :: !clients
           | exception Unix.Unix_error _ -> ()
         end;
-        let lines, closed = drain_ready !clients ready in
+        let lines, closed = drain_ready chunk !clients ready in
         List.iter
           (fun c ->
             (try Unix.close c.fd with Unix.Unix_error _ -> ());
             clients := List.filter (fun c' -> c' != c) !clients)
           closed;
-        (* Control lines answer immediately; the rest of the round's
-           lines form one batch across all clients. *)
-        let queries = ref [] in
-        List.iter
-          (fun (c, line) ->
-            match control_of_line line with
-            | Some "ping" -> write_all c.fd (pong ^ "\n")
-            | Some "stats" ->
-                write_all c.fd (Json.to_compact (Batch.stats_json engine) ^ "\n")
-            | Some "shutdown" ->
-                write_all c.fd (ok ^ "\n");
-                running := false
-            | Some other -> write_all c.fd (unknown_control other ^ "\n")
-            | None -> queries := (c, line) :: !queries)
-          lines;
-        let queries = Array.of_list (List.rev !queries) in
-        if Array.length queries > 0 then begin
-          let answers = Batch.handle_batch engine (Array.map snd queries) in
-          Array.iteri (fun i (c, _) -> write_all c.fd (answers.(i) ^ "\n")) queries
+        (* The round's lines, control lines included, form one batch
+           across all clients; each client's answers go back in the
+           order its lines arrived. *)
+        let n = Array.length lines in
+        if n > 0 then begin
+          let answers = Batch.handle_batch ~control engine (Array.map snd lines) in
+          for i = 0 to n - 1 do
+            let c = fst lines.(i) in
+            add_line out answers.(i);
+            if i = n - 1 || fst lines.(i + 1) != c then flush_to c.fd out
+          done
         end
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !clients;

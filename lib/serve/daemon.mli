@@ -4,7 +4,9 @@
 
     All complete lines collected in one poll round form a batch for
     {!Batch.handle_batch}, so concurrent clients share the pool fan-out
-    and the cache.  Control queries bypass the solver:
+    and the cache, and each client's answers come back in the order its
+    lines arrived, control answers included.  Control queries bypass
+    the solver:
 
     - [{"control":"ping"}] → [{"control":"pong"}]
     - [{"control":"stats"}] → the {!Batch.stats_json} payload
@@ -22,4 +24,6 @@ val default_socket_path : unit -> string
 val run : ?pool:Exec.Pool.t -> ?on_ready:(unit -> unit) -> config -> Batch.t
 (** Bind, listen, call [on_ready], serve until a shutdown control line
     (or [Exit]), then tear down and return the engine so the caller can
-    report final stats.  Raises [Unix.Unix_error] if binding fails. *)
+    report final stats.  Ignores SIGPIPE for the whole process, so a
+    client that hangs up before reading its answer cannot kill it.
+    Raises [Unix.Unix_error] if binding fails. *)

@@ -67,8 +67,7 @@ let speedup ?domains ?(trials = 3) rng ~n ~p =
   let keys = Array.init n (fun _ -> Rng.float rng) in
   (* Warm the shared pool so the parallel runs are not charged the
      one-off domain-spawn cost. *)
-  let d = resolve_domains domains in
-  if d > 1 then ignore (Exec.Pool.get_global ~at_least:d ());
+  Numerics.Parallel.warm_up ?domains ();
   (* One untimed warm-up of each variant (cold caches would otherwise
      penalize whichever variant runs first), then interleaved trials so
      drift — thermal, competing load — hits both variants equally. *)

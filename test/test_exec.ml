@@ -162,6 +162,90 @@ let test_pool_stats_nested_and_ensure () =
         (Array.sub (Array.map (fun w -> w.Pool.chunks) s'.Pool.per_domain) 0 2 = before);
       checki "new slot zeroed" 0 s'.Pool.per_domain.(2).Pool.chunks)
 
+(* Lazy spawn: sizing a pool spawns nothing; a submission spawns the
+   workers its participants need, once. *)
+let spawned pool = (Pool.stats pool).Pool.spawned
+
+let test_pool_lazy_spawn () =
+  with_pool ~domains:4 (fun pool ->
+      checki "create spawns nothing" 0 (spawned pool);
+      checki "size is the capacity" 4 (Pool.size pool);
+      checki "a stats slot per capacity domain" 4
+        (Array.length (Pool.stats pool).Pool.per_domain);
+      Pool.parallel_for ~workers:1 pool 100 ignore;
+      Pool.parallel_for pool 1 ignore;
+      Pool.parallel_for pool 0 ignore;
+      checki "sequential calls spawn nothing" 0 (spawned pool);
+      Pool.parallel_for ~workers:2 pool 100 ignore;
+      checki "two participants spawn one worker" 1 (spawned pool);
+      Pool.parallel_for ~workers:2 pool 100 ignore;
+      checki "a parked worker is reused" 1 (spawned pool);
+      Pool.parallel_for ~workers:4 pool 3 ignore;
+      checki "three participants (n = 3) spawn one more" 2 (spawned pool);
+      Pool.parallel_for ~workers:4 pool 100 ignore;
+      checki "four participants spawn the last one" 3 (spawned pool);
+      let hits = Array.make 500 0 in
+      Pool.parallel_for pool 500 (fun i -> hits.(i) <- hits.(i) + 1);
+      checkb "covers after staged spawns" true (Array.for_all (fun h -> h = 1) hits))
+
+let test_pool_teardown_unspawned () =
+  let pool = Pool.create ~domains:4 () in
+  Pool.teardown pool;
+  Pool.parallel_for pool 100 ignore;
+  checki "a torn-down pool never spawns" 0 (spawned pool);
+  checki "its run counted sequential" 1 (Pool.stats pool).Pool.sequential_runs
+
+let test_pool_results_any_capacity () =
+  let input = Array.init 1_000 (fun i -> (i * 7919) mod 1_009) in
+  let run domains =
+    with_pool ~domains (fun pool ->
+        let out = Pool.parallel_map_array pool (fun x -> (x * x) + 1) input in
+        (out, spawned pool))
+  in
+  let reference, none = run 1 in
+  checki "one domain spawns nothing" 0 none;
+  for domains = 2 to 4 do
+    let out, workers = run domains in
+    checkb (Printf.sprintf "identical at %d domains" domains) true (out = reference);
+    checki (Printf.sprintf "%d domains spawn %d" domains (domains - 1)) (domains - 1) workers
+  done
+
+let test_warm_up_spawns () =
+  (* The shared pool is process-wide and earlier tests may have grown
+     it, so warm up one domain wider than its capacity: only a warm-up
+     that spawns can then bring [spawned] to [domains - 1]. *)
+  let global = Pool.get_global () in
+  let domains = Pool.size global + 1 in
+  Parallel.warm_up ~domains ();
+  checki "warm_up spawned its workers" (domains - 1) (spawned global);
+  let keys = Array.init 5_000 (fun i -> float_of_int ((i * 7919) mod 5_003)) in
+  ignore (Sortlib.Multicore.sort ~domains (Rng.create ~seed:3 ()) keys ~p:8);
+  Parallel.parallel_for ~domains 64 ignore;
+  checki "warmed calls spawn nothing" (domains - 1) (spawned global);
+  ignore
+    (Sortlib.Multicore.speedup ~domains:(domains + 1) ~trials:1 (Rng.create ~seed:4 ())
+       ~n:2_000 ~p:4);
+  checki "speedup's warm-up spawned its workers" domains (spawned global)
+
+let test_memo_hit_batch_spawns_nothing () =
+  let pool = Pool.create ~domains:4 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.teardown pool)
+    (fun () ->
+      let b = Serve.Batch.create ~pool Serve.Batch.default_config in
+      let line t =
+        Printf.sprintf {|{"kind":"ratio","platform":{"speeds":[1,2,3]},"total":%d}|} t
+      in
+      let lines = Array.init 6 (fun i -> line (1 + (i mod 3))) in
+      (* Warm the memo one line at a time: a one-miss batch is solved
+         on the caller, so this spawns nothing either. *)
+      Array.iter (fun l -> ignore (Serve.Batch.handle_line b l)) lines;
+      let hits = Serve.Batch.hits b in
+      ignore (Serve.Batch.handle_batch b lines);
+      checki "every line a memo hit" (hits + Array.length lines) (Serve.Batch.hits b);
+      checki "no worker spawned" 0 (spawned pool);
+      checki "no pool submission" 0 (Pool.stats pool).Pool.submissions)
+
 let test_facade_determinism_sort () =
   let rng = Rng.create ~seed:2024 () in
   let keys = Array.init 20_000 (fun _ -> Rng.float rng) in
@@ -217,6 +301,12 @@ let suites =
           test_pool_stats_consistent;
         Alcotest.test_case "stats: nested and ensure" `Quick
           test_pool_stats_nested_and_ensure;
+        Alcotest.test_case "lazy spawn: staged by participants" `Quick test_pool_lazy_spawn;
+        Alcotest.test_case "lazy spawn: teardown unspawned" `Quick test_pool_teardown_unspawned;
+        Alcotest.test_case "lazy spawn: results at 1-4 domains" `Quick
+          test_pool_results_any_capacity;
+        Alcotest.test_case "lazy spawn: warm-ups spawn" `Quick test_warm_up_spawns;
+        Alcotest.test_case "lazy spawn: memo-hit batch" `Quick test_memo_hit_batch_spawns_nothing;
       ] );
     ( "exec determinism",
       [

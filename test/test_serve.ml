@@ -273,6 +273,63 @@ let test_daemon_concurrent_clients () =
   checkb "daemon served everything" true (Serve.Batch.requests engine >= 32);
   checkb "socket unlinked" false (Sys.file_exists socket_path)
 
+(* One write carrying query, ping, query: the answers come back in
+   send order, the control answer included, and a stats line pipelined
+   after a query already counts it.  Then a line split across two
+   writes. *)
+let test_daemon_pipelined_order () =
+  let socket_path, daemon = start_daemon () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  let ic = Unix.in_channel_of_descr fd in
+  let q1 = ratio_line 41 and q2 = ratio_line 42 in
+  let burst =
+    String.concat "\n" [ q1; {|{"control":"ping"}|}; q2; {|{"control":"stats"}|}; q1 ] ^ "\n"
+  in
+  let sent = Unix.write_substring fd burst 0 (String.length burst) in
+  checki "one write" (String.length burst) sent;
+  let replies = List.init 5 (fun _ -> input_line ic) in
+  (* A line split across two reads is reassembled. *)
+  let half = String.length q2 / 2 in
+  ignore (Unix.write_substring fd q2 0 half);
+  Unix.sleepf 0.05;
+  let rest = String.sub q2 half (String.length q2 - half) ^ "\n" in
+  ignore (Unix.write_substring fd rest 0 (String.length rest));
+  let split = input_line ic in
+  close_in ic;
+  let b = batch () in
+  let a1 = Serve.Batch.handle_line b q1 and a2 = Serve.Batch.handle_line b q2 in
+  (match replies with
+  | [ r1; pong; r2; stats; r1' ] ->
+      checks "first query first" a1 r1;
+      checks "ping second" {|{"control":"pong"}|} pong;
+      checks "second query third" a2 r2;
+      checks "repeat last" a1 r1';
+      checks "split line answered" a2 split;
+      (match Obs.Json.member "requests" (Result.get_ok (Obs.Json.of_string stats)) with
+      | Some (Obs.Json.Int n) -> checki "stats counts the earlier queries" 2 n
+      | _ -> Alcotest.fail "stats missing requests")
+  | _ -> Alcotest.fail "expected five replies");
+  let ctl = Serve.Client.connect_unix socket_path in
+  let engine = stop_daemon ctl daemon in
+  checki "controls are not requests" 4 (Serve.Batch.requests engine)
+
+(* Clients that hang up before reading their answers: each answer's
+   write fails with EPIPE, and the daemon keeps serving. *)
+let test_daemon_survives_hangups () =
+  let socket_path, daemon = start_daemon () in
+  for i = 1 to 8 do
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket_path);
+    let line = ratio_line (50 + i) ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    Unix.close fd
+  done;
+  Unix.sleepf 0.1;
+  let ctl = Serve.Client.connect_unix socket_path in
+  checks "still answers" {|{"control":"pong"}|} (Serve.Client.request ctl {|{"control":"ping"}|});
+  ignore (stop_daemon ctl daemon : Serve.Batch.t)
+
 let suites =
   [
     ( "serve.cache",
@@ -298,5 +355,9 @@ let suites =
           test_byte_identity_every_surface;
       ] );
     ( "serve.daemon",
-      [ Alcotest.test_case "concurrent clients over a socket" `Quick test_daemon_concurrent_clients ] );
+      [
+        Alcotest.test_case "concurrent clients over a socket" `Quick test_daemon_concurrent_clients;
+        Alcotest.test_case "pipelined replies in send order" `Quick test_daemon_pipelined_order;
+        Alcotest.test_case "survives clients that hang up" `Quick test_daemon_survives_hangups;
+      ] );
   ]
