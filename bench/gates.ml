@@ -49,7 +49,8 @@ let table =
   ]
 
 (* Kernels whose overhauls (flat buffers, the counting scatter's "O(p)
-   plus the output, nothing per key", the Newton nonlinear solve) are
+   plus the output, nothing per key", the in-place radix segment sort,
+   the Newton nonlinear solve) are
    locked in: held to the baseline itself (no relative headroom,
    rounding-level slack) so the order-of-magnitude win cannot silently
    erode.  Every other kernel may grow 10%.  Allocation counts are gated
@@ -62,6 +63,7 @@ let ratcheted =
     "scatter_partition_pool";
     "psrs_sort";
     "histogram_splitters";
+    "seg_sort_floats";
     "multicore_sort";
     "event_heap_push_pop";
     "response_to_line";

@@ -829,6 +829,7 @@ let alloc_kernels () =
   let schedule = answer 32 Api.Request.Schedule and plan = answer 64 Api.Request.Plan in
   assert (not (Api.Response.is_error schedule || Api.Response.is_error plan));
   let nonlinear_star = bench_platform 64 in
+  let seg_buf = Array.make n_keys 0. in
   [
     ( "scatter_partition_floats",
       fun () -> ignore (Kernels.Scatter.partition_floats keys ~splitters) );
@@ -843,6 +844,11 @@ let alloc_kernels () =
         ignore (Sortlib.Multicore.sort ~domains:2 (Numerics.Rng.create ~seed:24 ()) keys ~p) );
     ("psrs_sort", fun () -> ignore (Sortlib.Psrs.sort keys ~p));
     ("histogram_splitters", fun () -> ignore (Sortlib.Histogram_sort.splitters keys ~p));
+    (* One local sort: every caller's bucket phase runs this kernel. *)
+    ( "seg_sort_floats",
+      fun () ->
+        Array.blit keys 0 seg_buf 0 n_keys;
+        Kernels.Seg_sort.sort_floats seg_buf ~lo:0 ~len:n_keys );
     ("matmul_distributed", fun () -> ignore (Linalg.Matmul.distributed ~zones a b));
     ( "outer_product_distributed",
       fun () -> ignore (Linalg.Outer_product.distributed ~zones:vzones va vb) );

@@ -16,7 +16,7 @@ let sort ?domains ?s rng keys ~p =
   if n = 0 then [||]
   else if p = 1 then begin
     let out = Array.copy keys in
-    Array.sort Float.compare out;
+    Seg_sort.sort_floats out ~lo:0 ~len:n;
     out
   end
   else begin

@@ -11,7 +11,10 @@ val sort :
     [p >= 1].  The scatter and the per-bucket sorts are dispatched over
     [domains] (default [Domain.recommended_domain_count]); [~domains:1]
     runs every phase sequentially.  Deterministic: the domain count
-    affects timing only, never the output. *)
+    affects timing only, never the output.  Every [p], [1] included,
+    sorts with {!Kernels.Seg_sort.sort_floats}, so on NaN-free keys the
+    output is bit-identical at any [p] and domain count ([-0.] before
+    [0.]). *)
 
 val speedup :
   ?domains:int -> ?trials:int -> Numerics.Rng.t -> n:int -> p:int -> float * float * float

@@ -16,7 +16,7 @@ let choose_splitters_floats rng (keys : float array) ~p ~s =
   if p < 1 then invalid_arg "Sample_sort.choose_splitters_floats: p must be >= 1";
   if s < 1 then invalid_arg "Sample_sort.choose_splitters_floats: s must be >= 1";
   if Array.length keys = 0 then invalid_arg "Sample_sort.choose_splitters_floats: empty input";
-  (* The sample is sorted in place by the monomorphic introsort —
+  (* The sample is sorted in place by the monomorphic segment sort —
      [Array.sort Float.compare] boxes both floats of every comparison,
      which made phase 1 allocate more than the scatter it feeds. *)
   let sample = Array.make (s * p) 0. in

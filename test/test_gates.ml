@@ -70,6 +70,7 @@ let test_table_pins_thresholds () =
         "scatter_partition_pool";
         "psrs_sort";
         "histogram_splitters";
+        "seg_sort_floats";
         "multicore_sort";
         "event_heap_push_pop";
         "response_to_line";

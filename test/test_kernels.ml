@@ -258,6 +258,115 @@ let qcheck_seg_sort_random_segments =
       in
       data = expected)
 
+(* --- segment sort: the total order on key images ------------------------ *)
+
+(* The kernel's order, written independently of it: the unsigned
+   comparison of each key's 64-bit image, where a set sign bit flips
+   every bit and a clear one flips only the sign.  That is
+   −NaN < −∞ < … < −0 < +0 < … < +∞ < +NaN, with NaN payloads ordered
+   by their bits. *)
+let image x =
+  let b = Int64.bits_of_float x in
+  if Int64.compare b 0L < 0 then Int64.lognot b else Int64.logxor b Int64.min_int
+
+let of_image u =
+  Int64.float_of_bits
+    (if Int64.compare u 0L < 0 then Int64.logxor u Int64.min_int else Int64.lognot u)
+
+let reference_sort keys =
+  let a = Array.copy keys in
+  Array.sort (fun x y -> Int64.unsigned_compare (image x) (image y)) a;
+  a
+
+(* Sort [keys] as the segment [3, 3 + n) of a larger array and compare
+   every bit of the whole array, the guard keys included. *)
+let check_against_reference name keys =
+  let n = Array.length keys in
+  let guard = [| Float.nan; -0.; infinity |] in
+  let data = Array.concat [ guard; keys; guard ] in
+  Seg_sort.sort_floats data ~lo:3 ~len:n;
+  Alcotest.(check (array int64)) name
+    (bits (Array.concat [ guard; reference_sort keys; guard ]))
+    (bits data)
+
+let specials =
+  [|
+    Int64.float_of_bits 0x7FF8_0000_0000_0001L (* +NaN, payload 1 *);
+    Int64.float_of_bits 0x7FF0_0000_0000_0001L (* +NaN, signalling *);
+    Int64.float_of_bits 0xFFF8_0000_0000_0000L (* -NaN *);
+    Int64.float_of_bits 0xFFF0_0000_0000_0003L (* -NaN, signalling *);
+    infinity; neg_infinity; 0.; -0.; 4.9e-324; -4.9e-324;
+    Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+    Float.min_float; max_float; -.max_float; 1.; -1.; Float.succ 1.; Float.pred (-1.);
+  |]
+
+(* Images [v * 256^d] for digits v = 1..99 in every byte position d, plus
+   0: each level's largest sub-bucket holds every key of the lower byte
+   positions, so the recursion runs all eight levels.  [positive] sets
+   the image's top bit (positive keys); without it the keys are negative,
+   down to −NaN. *)
+let nested_keys ~positive =
+  let top = if positive then Int64.min_int else 0L in
+  let keys = ref [ of_image top ] in
+  for d = 0 to 7 do
+    for v = 1 to 99 do
+      keys := of_image (Int64.logor top (Int64.shift_left (Int64.of_int v) (8 * d))) :: !keys
+    done
+  done;
+  Array.of_list !keys
+
+let test_seg_sort_total_order_specials () =
+  let rng = Rng.create ~seed:31 () in
+  check_against_reference "specials once" specials;
+  check_against_reference "specials, 40 copies shuffled"
+    (let a = Array.concat (List.init 40 (fun _ -> specials)) in
+     Rng.shuffle rng a;
+     a);
+  List.iter
+    (fun positive ->
+      let a = nested_keys ~positive in
+      Rng.shuffle rng a;
+      check_against_reference
+        (Printf.sprintf "eight nested levels (%s)" (if positive then "positive" else "negative"))
+        a)
+    [ true; false ];
+  check_against_reference "differ only in the last mantissa bit"
+    (Array.init 5_000 (fun _ ->
+         Int64.float_of_bits (Int64.logor 0x3FF8_0000_0000_0000L (Int64.of_int (Rng.int rng 2)))));
+  check_against_reference "differ only in the last 9 bits"
+    (Array.init 5_000 (fun _ ->
+         Int64.float_of_bits (Int64.logor 0xC008_0000_0000_0000L (Int64.of_int (Rng.int rng 512)))));
+  check_against_reference "differ only in sign"
+    (Array.init 5_000 (fun _ ->
+         let x = float_of_int (1 + Rng.int rng 3) in
+         if Rng.bool rng then x else -.x));
+  check_against_reference "+0 and -0 only"
+    (Array.init 1_000 (fun _ -> if Rng.bool rng then 0. else -0.));
+  check_against_reference "all-equal run" (Array.make 3_000 (-2.5));
+  check_against_reference "all-equal runs of NaN"
+    (Array.init 3_000 (fun i -> if i mod 2 = 0 then Float.nan else -.Float.nan))
+
+(* Every length from 0 to 200 (the insertion leaves and the first radix
+   levels), then larger ones, on keys mixing the specials, duplicates
+   and random keys of every magnitude and sign. *)
+let test_seg_sort_total_order_lengths () =
+  let rng = Rng.create ~seed:32 () in
+  let key () =
+    match Rng.int rng 4 with
+    | 0 -> specials.(Rng.int rng (Array.length specials))
+    | 1 -> float_of_int (Rng.int rng 10 - 5)
+    | 2 -> Int64.float_of_bits (Rng.int64 rng)
+    | _ -> Rng.uniform rng (-1.) 1.
+  in
+  for n = 0 to 200 do
+    check_against_reference (Printf.sprintf "mixed keys, n = %d" n) (Array.init n (fun _ -> key ()))
+  done;
+  List.iter
+    (fun n ->
+      check_against_reference (Printf.sprintf "mixed keys, n = %d" n) (Array.init n (fun _ -> key ()));
+      check_against_reference (Printf.sprintf "uniform keys, n = %d" n) (float_keys ~seed:n n))
+    [ 1_000; 10_000; 100_000 ]
+
 (* --- allocation contract ----------------------------------------------- *)
 
 let minor_words_of f =
@@ -304,6 +413,16 @@ let test_partition_allocation_o_p () =
     true
     (sort_alloc < float_of_int n /. 4.)
 
+let test_seg_sort_allocation_free () =
+  let keys = float_keys ~seed:33 200_000 in
+  let data = Array.copy keys in
+  Seg_sort.sort_floats data ~lo:0 ~len:(Array.length data);
+  Array.blit keys 0 data 0 (Array.length keys);
+  let words =
+    minor_words_of (fun () -> Seg_sort.sort_floats data ~lo:0 ~len:(Array.length data))
+  in
+  Alcotest.(check (float 0.)) "minor words after warm-up" 0. words
+
 let suites =
   [
     ( "scatter kernel",
@@ -327,5 +446,10 @@ let suites =
         Alcotest.test_case "adversarial inputs" `Quick test_seg_sort_adversarial;
         Alcotest.test_case "bounds checked" `Quick test_seg_sort_bounds_checked;
         QCheck_alcotest.to_alcotest qcheck_seg_sort_random_segments;
+        Alcotest.test_case "total order: specials and deep levels" `Quick
+          test_seg_sort_total_order_specials;
+        Alcotest.test_case "total order: lengths 0-200 and up to 1e5" `Quick
+          test_seg_sort_total_order_lengths;
+        Alcotest.test_case "zero allocation after warm-up" `Quick test_seg_sort_allocation_free;
       ] );
   ]
