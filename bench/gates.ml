@@ -67,6 +67,7 @@ let ratcheted =
     "multicore_sort";
     "event_heap_push_pop";
     "response_to_line";
+    "request_decode";
     "nonlinear_equal_finish";
   ]
 

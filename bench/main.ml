@@ -817,17 +817,20 @@ let alloc_kernels () =
   let heap = Des.Event_heap.create ~initial_capacity:10_000 () in
   (* The encode-bound serve answers: a p=32 schedule (one row per
      worker) and a p=64 plan, solved once outside the kernel. *)
-  let answer p kind =
+  let request p kind =
     let grid = Numerics.Rng.create ~seed:(25 + p) () in
     let speeds =
       Array.init p (fun _ -> Float.round (Numerics.Rng.uniform grid 0.5 8. *. 1000.) /. 1000.)
     in
     match Api.Request.make ~total:4321.5 ~platform:(Api.Request.Speeds speeds) ~kind () with
-    | Ok r -> Api.Eval.eval r
+    | Ok r -> r
     | Error e -> failwith ("response_to_line request: " ^ e)
   in
-  let schedule = answer 32 Api.Request.Schedule and plan = answer 64 Api.Request.Plan in
+  let schedule_req = request 32 Api.Request.Schedule and plan_req = request 64 Api.Request.Plan in
+  let schedule = Api.Eval.eval schedule_req and plan = Api.Eval.eval plan_req in
   assert (not (Api.Response.is_error schedule || Api.Response.is_error plan));
+  let line r = Obs.Json.to_compact (Api.Request.to_json r) in
+  let schedule_line = line schedule_req and plan_line = line plan_req in
   let nonlinear_star = bench_platform 64 in
   let seg_buf = Array.make n_keys 0. in
   [
@@ -858,6 +861,15 @@ let alloc_kernels () =
       fun () ->
         ignore (Sys.opaque_identity (Api.Response.to_line schedule));
         ignore (Sys.opaque_identity (Api.Response.to_line plan)) );
+    (* The same two queries' wire lines, decoded and keyed. *)
+    ( "request_decode",
+      fun () ->
+        List.iter
+          (fun l ->
+            match Api.Request.of_line l with
+            | Ok r -> ignore (Sys.opaque_identity (Api.Fingerprint.of_request r))
+            | Error e -> failwith ("request_decode: " ^ e))
+          [ schedule_line; plan_line ] );
     (* The solve behind every nonlinear ratio/plan/schedule answer. *)
     ( "nonlinear_equal_finish",
       fun () ->
@@ -882,8 +894,10 @@ let report_allocations () =
            are not charged to the kernel. *)
         f ();
         Gc.full_major ();
-        let minor0 = Gc.minor_words () in
+        (* [Gc.quick_stat] allocates its result record: read it before
+           the minor-words snapshot, so the record is not charged to f. *)
         let major0 = (Gc.quick_stat ()).Gc.major_words in
+        let minor0 = Gc.minor_words () in
         f ();
         let minor = Gc.minor_words () -. minor0 in
         let major = (Gc.quick_stat ()).Gc.major_words -. major0 in

@@ -132,9 +132,12 @@ let to_json t =
     | Multi_load loads -> [ ("loads", floats_json loads) ]
     | Schedule | Ratio | Plan -> [ ("total", Json.Float t.total) ])
 
-(* Strict field-by-field decoding: every consumed key is checked off,
-   and leftovers are reported by name, so a typoed option can never be
-   silently defaulted. *)
+(* Strict decoding in one pass over the fields: the first occurrence of
+   each known key is kept (later repeats are ignored, as
+   [List.assoc_opt] would), the first unknown key is remembered, and
+   the checks then run in a fixed order, so a typoed option can never
+   be silently defaulted and the same input always names the same
+   error. *)
 
 let number = function
   | Json.Int i -> Some (float_of_int i)
@@ -143,36 +146,93 @@ let number = function
 
 let float_list what j =
   match j with
-  | Json.List items ->
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | item :: rest -> (
-            match number item with
-            | Some f -> go (f :: acc) rest
-            | None -> Error (Printf.sprintf "%s must contain only numbers" what))
+  | Json.List items -> (
+      let a = Array.make (List.length items) 0. in
+      let rec go i = function
+        | [] -> true
+        | Json.Int v :: rest ->
+            a.(i) <- float_of_int v;
+            go (i + 1) rest
+        | Json.Float f :: rest ->
+            a.(i) <- f;
+            go (i + 1) rest
+        | _ -> false
       in
-      go [] items
+      match go 0 items with
+      | true -> Ok a
+      | false -> Error (Printf.sprintf "%s must contain only numbers" what))
   | _ -> Error (Printf.sprintf "%s must be a list of numbers" what)
+
+let num_field key default = function
+  | None -> Ok default
+  | Some j -> (
+      match number j with
+      | Some f -> Ok f
+      | None -> Error (Printf.sprintf "%s must be a number" key))
+
+let set slot v = match !slot with None -> slot := Some v | Some _ -> ()
+
+let platform_of_fields pf =
+  let ( let* ) = Result.bind in
+  let speeds = ref None and profile = ref None and p = ref None and seed = ref None in
+  let unknown = ref None in
+  List.iter
+    (fun (k, v) ->
+      match k with
+      | "speeds" -> set speeds v
+      | "profile" -> set profile v
+      | "p" -> set p v
+      | "seed" -> set seed v
+      | _ -> set unknown k)
+    pf;
+  match !unknown with
+  | Some k -> Error (Printf.sprintf "unknown platform field %S" k)
+  | None -> (
+      match (!speeds, !profile) with
+      | Some _, Some _ -> Error "platform must give speeds or a profile, not both"
+      | Some j, None ->
+          if !p <> None || !seed <> None then Error "p/seed only apply to profile platforms"
+          else
+            let* arr = float_list "platform.speeds" j in
+            Ok (Speeds arr)
+      | None, Some (Json.String name) -> (
+          let* p =
+            match !p with
+            | Some (Json.Int p) -> Ok p
+            | Some _ -> Error "platform.p must be an integer"
+            | None -> Error "profile platforms require p"
+          in
+          match !seed with
+          | Some (Json.Int seed) -> Ok (Profile { name; p; seed })
+          | None -> Ok (Profile { name; p; seed = default_seed })
+          | Some _ -> Error "platform.seed must be an integer")
+      | None, Some _ -> Error "platform.profile must be a string"
+      | None, None -> Error "platform must give speeds or a profile")
 
 let of_json json =
   let ( let* ) = Result.bind in
   match json with
   | Json.Obj fields ->
-      let seen = Hashtbl.create 8 in
-      let take key =
-        Hashtbl.replace seen key ();
-        List.assoc_opt key fields
-      in
-      let num_field key default =
-        match take key with
-        | None -> Ok default
-        | Some j -> (
-            match number j with
-            | Some f -> Ok f
-            | None -> Error (Printf.sprintf "%s must be a number" key))
-      in
+      let schema = ref None and kind = ref None and platform = ref None in
+      let bandwidth = ref None and latency = ref None and workload = ref None in
+      let comm_model = ref None and total = ref None and loads = ref None in
+      let unknown = ref None in
+      List.iter
+        (fun (k, v) ->
+          match k with
+          | "schema_version" -> set schema v
+          | "kind" -> set kind v
+          | "platform" -> set platform v
+          | "bandwidth" -> set bandwidth v
+          | "latency" -> set latency v
+          | "workload" -> set workload v
+          | "comm_model" -> set comm_model v
+          | "total" -> set total v
+          | "loads" -> set loads v
+          | _ -> set unknown k)
+        fields;
       let* () =
-        match take "schema_version" with
+        match !schema with
         | None | Some (Json.Int 1) -> Ok ()
         | Some (Json.Int v) ->
             Error
@@ -181,58 +241,21 @@ let of_json json =
         | Some _ -> Error "schema_version must be an integer"
       in
       let* kind_tag =
-        match take "kind" with
+        match !kind with
         | Some (Json.String s) -> Ok s
         | Some _ -> Error "kind must be a string"
         | None -> Error "missing required field kind"
       in
       let* platform =
-        match take "platform" with
-        | Some (Json.Obj pf) -> (
-            let pseen = Hashtbl.create 4 in
-            let ptake key =
-              Hashtbl.replace pseen key ();
-              List.assoc_opt key pf
-            in
-            let speeds = ptake "speeds" in
-            let profile = ptake "profile" in
-            let p = ptake "p" in
-            let seed = ptake "seed" in
-            let unknown =
-              List.filter (fun (k, _) -> not (Hashtbl.mem pseen k)) pf
-            in
-            match unknown with
-            | (k, _) :: _ -> Error (Printf.sprintf "unknown platform field %S" k)
-            | [] -> (
-                match (speeds, profile) with
-                | Some _, Some _ ->
-                    Error "platform must give speeds or a profile, not both"
-                | Some j, None ->
-                    if p <> None || seed <> None then
-                      Error "p/seed only apply to profile platforms"
-                    else
-                      let* arr = float_list "platform.speeds" j in
-                      Ok (Speeds arr)
-                | None, Some (Json.String name) -> (
-                    let* p =
-                      match p with
-                      | Some (Json.Int p) -> Ok p
-                      | Some _ -> Error "platform.p must be an integer"
-                      | None -> Error "profile platforms require p"
-                    in
-                    match seed with
-                    | Some (Json.Int seed) -> Ok (Profile { name; p; seed })
-                    | None -> Ok (Profile { name; p; seed = default_seed })
-                    | Some _ -> Error "platform.seed must be an integer")
-                | None, Some _ -> Error "platform.profile must be a string"
-                | None, None -> Error "platform must give speeds or a profile"))
+        match !platform with
+        | Some (Json.Obj pf) -> platform_of_fields pf
         | Some _ -> Error "platform must be an object"
         | None -> Error "missing required field platform"
       in
-      let* bandwidth = num_field "bandwidth" 1. in
-      let* latency = num_field "latency" 0. in
+      let* bandwidth = num_field "bandwidth" 1. !bandwidth in
+      let* latency = num_field "latency" 0. !latency in
       let* workload =
-        match take "workload" with
+        match !workload with
         | None | Some (Json.String "linear") -> Ok Dlt.Cost_model.Linear
         | Some (Json.String "nlogn") -> Ok Dlt.Cost_model.N_log_n
         | Some (Json.Obj [ ("power", j) ]) -> (
@@ -242,15 +265,14 @@ let of_json json =
         | Some _ -> Error "workload must be \"linear\", \"nlogn\" or {\"power\": A}"
       in
       let* comm_model =
-        match take "comm_model" with
+        match !comm_model with
         | None | Some (Json.String "parallel") -> Ok Dlt.Schedule.Parallel
         | Some (Json.String "one_port") -> Ok Dlt.Schedule.One_port
         | Some _ -> Error "comm_model must be \"parallel\" or \"one_port\""
       in
-      let* total = num_field "total" 1. in
-      let loads = take "loads" in
+      let* total = num_field "total" 1. !total in
       let* kind =
-        match (kind_tag, loads) with
+        match (kind_tag, !loads) with
         | "multi_load", Some j ->
             let* arr = float_list "loads" j in
             Ok (Multi_load arr)
@@ -261,11 +283,10 @@ let of_json json =
         | "plan", None -> Ok Plan
         | other, None -> Error (Printf.sprintf "unknown kind %S" other)
       in
-      let unknown = List.filter (fun (k, _) -> not (Hashtbl.mem seen k)) fields in
       let* () =
-        match unknown with
-        | [] -> Ok ()
-        | (k, _) :: _ -> Error (Printf.sprintf "unknown field %S" k)
+        match !unknown with
+        | None -> Ok ()
+        | Some k -> Error (Printf.sprintf "unknown field %S" k)
       in
       let t = { platform; bandwidth; latency; workload; comm_model; total; kind } in
       let* () = validate t in

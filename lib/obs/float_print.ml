@@ -77,74 +77,105 @@ let ipow10 =
   done;
   a
 
-let digit_pairs = String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+(* The two ASCII digits of k < 100 as one little-endian 16-bit store. *)
+let digit_pairs = Array.init 100 (fun k -> 48 + (k / 10) + ((48 + (k mod 10)) lsl 8))
 
-(* The [n] low decimal digits of [d], right to left, ending at
-   [b.[last]] and stepping over [b.[dot]]; two digits per division. *)
-let put_digits b ~dot last d n =
-  let d = ref d and pos = ref last in
-  for j = n - 1 downto 0 do
-    if !pos = dot then decr pos;
-    (if j land 1 = (n - 1) land 1 then Bytes.set b !pos digit_pairs.[(2 * (!d mod 100)) + 1]
-     else begin
-       Bytes.set b !pos digit_pairs.[2 * (!d mod 100)];
-       d := !d / 100
-     end);
-    decr pos
-  done
+(* The [n] low decimal digits of [d], ending at [b.[last]]. *)
+let put_digits b last d n =
+  let d = ref d and pos = ref (last - 1) in
+  for _ = 1 to n / 2 do
+    Bytes.set_uint16_le b !pos digit_pairs.(!d mod 100);
+    d := !d / 100;
+    pos := !pos - 2
+  done;
+  if n land 1 = 1 then Bytes.set b (!pos + 1) (Char.chr (48 + !d))
 
-(* [%.{p}g] of (-1)^neg * d * 10^(x-p+1), where d has p digits or is
-   10^p after a rounding carry. *)
-let format neg d p x =
+(* The [count] digits written one place right of [first] move left, and
+   a point follows them. *)
+let point_after b ~first ~count =
+  for j = first to first + count - 1 do
+    Bytes.set b j (Bytes.get b (j + 1))
+  done;
+  Bytes.set b (first + count) '.'
+
+(* Write [%.{p}g] of (-1)^neg * d * 10^(x-p+1) at the start of [b] and
+   return its length; d has p digits or is 10^p after a rounding
+   carry. *)
+let format b neg d p x =
   let carry = d = ipow10.(p) in
   let d = ref (if carry then ipow10.(p - 1) else d) and x = if carry then x + 1 else x in
+  (* Strip trailing zeros eight at a time, then four, two and one: an
+     integer-valued speed costs five divisions rather than fifteen. *)
   let n = ref p in
-  while !d mod 10 = 0 do
-    d := !d / 10;
-    decr n
+  while !d mod 100_000_000 = 0 do
+    d := !d / 100_000_000;
+    n := !n - 8
   done;
+  if !d mod 10_000 = 0 then begin
+    d := !d / 10_000;
+    n := !n - 4
+  end;
+  if !d mod 100 = 0 then begin
+    d := !d / 100;
+    n := !n - 2
+  end;
+  if !d mod 10 = 0 then begin
+    d := !d / 10;
+    n := !n - 1
+  end;
   let d = !d and n = !n and s = Bool.to_int neg in
-  let b =
-    if x < -4 || x >= p then begin
-      (* d[.ddd]e+XX *)
-      let ax = abs x and dot = if n > 1 then s + 1 else -1 in
-      let epos = s + n + Bool.to_int (n > 1) in
-      let b = Bytes.create (epos + if ax >= 100 then 5 else 4) in
-      if n > 1 then Bytes.set b dot '.';
-      put_digits b ~dot (epos - 1) d n;
-      Bytes.set b epos 'e';
-      Bytes.set b (epos + 1) (if x < 0 then '-' else '+');
-      put_digits b ~dot:(-1) (Bytes.length b - 1) ax (Bytes.length b - epos - 2);
-      b
-    end
-    else if x < 0 then begin
-      (* 0.000ddd *)
-      let b = Bytes.make (s + 1 - x + n) '0' in
-      Bytes.set b (s + 1) '.';
-      put_digits b ~dot:(-1) (Bytes.length b - 1) d n;
-      b
-    end
-    else if n <= x + 1 then begin
-      (* ddd000 *)
-      let b = Bytes.make (s + x + 1) '0' in
-      put_digits b ~dot:(-1) (s + n - 1) d n;
-      b
-    end
-    else begin
-      (* ddd.ddd *)
-      let b = Bytes.create (s + n + 1) in
-      Bytes.set b (s + x + 1) '.';
-      put_digits b ~dot:(s + x + 1) (s + n) d n;
-      b
-    end
-  in
   if neg then Bytes.set b 0 '-';
-  Bytes.to_string b
+  if x < -4 || x >= p then begin
+    (* d[.ddd]e+XX *)
+    let ax = abs x in
+    let epos = s + n + Bool.to_int (n > 1) in
+    let len = epos + if ax >= 100 then 5 else 4 in
+    if n > 1 then begin
+      put_digits b (s + n) d n;
+      point_after b ~first:s ~count:1
+    end
+    else put_digits b s d 1;
+    Bytes.set b epos 'e';
+    Bytes.set b (epos + 1) (if x < 0 then '-' else '+');
+    put_digits b (len - 1) ax (len - epos - 2);
+    len
+  end
+  else if x < 0 then begin
+    (* 0.000ddd *)
+    let len = s + 1 - x + n in
+    Bytes.fill b s (len - s) '0';
+    Bytes.set b (s + 1) '.';
+    put_digits b (len - 1) d n;
+    len
+  end
+  else if n <= x + 1 then begin
+    (* ddd000 *)
+    let len = s + x + 1 in
+    Bytes.fill b s (len - s) '0';
+    put_digits b (s + n - 1) d n;
+    len
+  end
+  else begin
+    (* ddd.ddd *)
+    put_digits b (s + n) d n;
+    point_after b ~first:s ~count:(x + 1);
+    s + n + 1
+  end
+
+let copy b text =
+  Bytes.blit_string text 0 b 0 (String.length text);
+  String.length text
 
 let rec subnormal_shift m s = if m >= 1 lsl 52 then s else subnormal_shift (m lsl 1) (s + 1)
 
-let render f =
-  if Float.classify_float f = FP_zero then if Float.sign_bit f then "-0" else "0"
+let max_length = 32
+
+(* 2^j for the small j the scalings below use: exact, and one multiply. *)
+let two = Array.init 257 (fun j -> Float.ldexp 1. (j - 128))
+let[@inline] scale x j = if j >= -128 && j <= 128 then x *. two.(j + 128) else Float.ldexp x j
+
+let write b f =
+  if Float.classify_float f = FP_zero then copy b (if Float.sign_bit f then "-0" else "0")
   else
     let bits = Int64.to_int (Int64.bits_of_float f) in
     let be = (bits lsr 52) land 0x7ff and fr = bits land 0xf_ffff_ffff_ffff in
@@ -157,12 +188,12 @@ let render f =
     (* floor(log10 2^(e+52)) is k or k - 1 (Ryu's log10Pow2). *)
     let k0 = ((e + 52) * 315653) asr 20 in
     let i0 = 16 - k0 - e_min in
-    let up = Float.ldexp (mf *. hi.(i0)) (e + pow2.(i0)) >= 1e17 in
+    let up = scale (mf *. hi.(i0)) (e + pow2.(i0)) >= 1e17 in
     let k = if up then k0 + 1 else k0 and i = if up then i0 - 1 else i0 in
     let h = hi.(i) and l = lo.(i) and sc = e + pow2.(i) in
     let p = mf *. h in
     let q = Float.fma mf l (Float.fma mf h (-.p)) in
-    let a = Float.ldexp p sc and c = Float.ldexp q sc in
+    let a = scale p sc and c = scale q sc in
     let vh = a +. c in
     let vl = c -. (vh -. a) in
     let fl = Float.floor vl in
@@ -170,19 +201,23 @@ let render f =
     let n = int_of_float vh + int_of_float fl in
     (* n >= 10^16 needs vh > 2^53, an integer, so then v = n + frac
        exactly. *)
-    if n < ipow10.(16) || n >= ipow10.(17) then libc f
+    if n < ipow10.(16) || n >= ipow10.(17) then copy b (libc f)
     else
       let err = if i >= exact_lo && i <= exact_hi then 0. else margin in
       let r = float_of_int (n mod 100) +. frac in
-      if Float.abs (frac -. 0.5) <= err || Float.abs (r -. 50.) <= err then libc f
+      if Float.abs (frac -. 0.5) <= err || Float.abs (r -. 50.) <= err then copy b (libc f)
       else
         let d15 = (n / 100) + Bool.to_int (r > 50.) in
         (* 100 * d15 - n is tiny; 17-digit values exceed 2^53, so take
            the difference in int before converting. *)
         let diff = float_of_int ((100 * d15) - n) -. frac in
-        let half = Float.ldexp h (pow2.(i) + e_ulp - 1) in
+        let half = scale h (pow2.(i) + e_ulp - 1) in
         let half = if diff < 0. && fr = 0 && be > 1 then half *. 0.5 else half in
         let gap = Float.abs diff -. half in
-        if Float.abs gap <= err then libc f
-        else if gap < 0. then format (f < 0.) d15 15 k
-        else format (f < 0.) (n + Bool.to_int (frac > 0.5)) 17 k
+        if Float.abs gap <= err then copy b (libc f)
+        else if gap < 0. then format b (f < 0.) d15 15 k
+        else format b (f < 0.) (n + Bool.to_int (frac > 0.5)) 17 k
+
+let render f =
+  let b = Bytes.create max_length in
+  Bytes.sub_string b 0 (write b f)

@@ -19,7 +19,8 @@ val to_string : t -> string
 val to_compact : t -> string
 (** Single-line rendering with no whitespace and lossless floats
     ({!float_compact}), for the line-delimited query-plane wire format.
-    Non-finite floats emit as [null], like {!to_string}. *)
+    Non-finite floats emit as [null], like {!to_string}.  Each float's
+    digits are written in place, with no allocation per float. *)
 
 val float_compact : float -> string
 (** The float rendering {!to_compact} uses: the correctly rounded
@@ -33,8 +34,14 @@ val float_compact : float -> string
 val write_file : string -> t -> unit
 
 val of_string : string -> (t, string) result
-(** Parse a complete JSON document.  Numbers without [.], [e] or
-    overflow parse as [Int], others as [Float]. *)
+(** Parse a complete JSON document, scanning it in place.  A number
+    that [int_of_string_opt] accepts (digits, an optional sign, no
+    overflow) is an [Int]; any other in strtod's decimal grammar is a
+    [Float], correctly rounded: directly when it has at most 15
+    significant digits and a decimal exponent of at most 22 in
+    magnitude (Clinger's fast path, exact by construction), through
+    [float_of_string_opt] otherwise.  Errors name the offset where
+    parsing stopped. *)
 
 val member : string -> t -> t option
 (** [member key (Obj fields)] is the value bound to [key]; [None] for

@@ -74,6 +74,7 @@ let test_table_pins_thresholds () =
         "multicore_sort";
         "event_heap_push_pop";
         "response_to_line";
+        "request_decode";
         "nonlinear_equal_finish";
       ])
 
