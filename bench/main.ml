@@ -63,7 +63,8 @@ let elapsed_s = Obs.Clock.elapsed_s
 
 (* Spawn the shared pool's workers before a timed section, so it does
    not pay the one-off spawn cost. *)
-let warm_up domains = Numerics.Parallel.warm_up ~domains ()
+let warm_up domains =
+  Exec.Pool.warm_up ~workers:domains (Exec.Pool.get_global ~at_least:domains ())
 
 (* --- Part 1: Bechamel micro-benchmarks --------------------------------- *)
 

@@ -296,6 +296,10 @@ let parallel_for ?workers ?chunk pool n body =
     | None -> ()
   end
 
+(* Workers spawn on first use, so an empty submission as wide as
+   [workers] is what spawns them. *)
+let warm_up ~workers pool = if workers > 1 then parallel_for ~workers pool workers ignore
+
 let parallel_map_array ?workers ?chunk pool f a =
   let n = Array.length a in
   if n = 0 then [||]

@@ -60,6 +60,11 @@ val parallel_for : ?workers:int -> ?chunk:int -> t -> int -> (int -> unit) -> un
     Runs sequentially when [n <= 1], [workers = 1], the pool is torn
     down, or the call is nested inside another submission. *)
 
+val warm_up : workers:int -> t -> unit
+(** Spawn the [workers - 1] workers a [~workers]-wide submission uses,
+    with an empty one, so a timed call after it does not pay the
+    one-off spawn cost.  No-op when [workers <= 1]. *)
+
 val parallel_map_array :
   ?workers:int -> ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Element-wise map with the same contract as {!parallel_for}. *)

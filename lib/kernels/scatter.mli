@@ -1,7 +1,15 @@
 (** Counting-based scatter/partition kernels (paper §3, phase 2).
 
     The sample-sort family routes every key to a bucket chosen by a
-    branchless binary search among [p - 1] splitters.  The original
+    branchless search among [p - 1] splitters: exactly [⌈log₂ p⌉]
+    comparisons per key per pass, in the [<] order.  The kernels lay the
+    splitters out once per call as an implicit (Eytzinger) search tree
+    and descend it with four keys at a time, so the four dependent
+    load/compare chains overlap instead of running one after another
+    (Sanders and Winkel's super scalar sample sort); the result is the
+    same as {!bucket_index_floats} on every key, including NaN and the
+    infinities.  Each classification pass adds [⌈log₂ p⌉ · n] to the
+    [scatter.comparisons] counter of {!Obs.Metrics}, once per call.  The original
     implementation built a cons cell per key and re-concatenated ([O(n)]
     short-lived allocations); these kernels do it in two passes —
     bucket-index histogram, exclusive prefix sum, scatter into one
@@ -55,7 +63,8 @@ val bucket_sizes : t -> int array
 val bucket_index_floats : float array -> float -> int
 (** [bucket_index_floats splitters key]: smallest [i] with
     [key < splitters.(i)], or [Array.length splitters] when none.  The
-    search is branchless and costs exactly [⌈log₂ p⌉] comparisons for
+    single-key search, a branchless bisection over the splitters as
+    stored, costs exactly [⌈log₂ p⌉] comparisons for
     [p = Array.length splitters + 1] — phase 2's [N log p] master cost,
     exact rather than modelled.  Splitters must be sorted; duplicates
     and infinities are fine.  The order is [<], not [Float.compare]: a
@@ -63,7 +72,8 @@ val bucket_index_floats : float array -> float -> int
     bucket. *)
 
 val histogram_floats : float array -> splitters:float array -> int array
-(** Bucket sizes in one counting pass — no scatter, [O(p)] allocation. *)
+(** Bucket sizes in one counting pass down the splitter tree — no
+    scatter, [O(p)] allocation. *)
 
 val histogram_floats_into : int array -> float array -> splitters:float array -> unit
 (** {!histogram_floats} into a caller-owned [counts] buffer of at least
@@ -73,12 +83,13 @@ val histogram_floats_into : int array -> float array -> splitters:float array ->
 
 val partition_floats : float array -> splitters:float array -> t
 (** Two-pass sequential scatter: a histogram pass, then a scatter pass,
-    each running {!bucket_index_floats}'s search on every key, so
-    exactly [2 ⌈log₂ p⌉] comparisons per key.  Beyond the output [data]
-    array (not zero-filled: every slot is written once), it allocates
-    two [p + 1] int arrays — nothing per key.  Storing each key's bucket
-    id in pass 1 would save pass 2's search, but only at the price of an
-    [n]-byte buffer, so it is not done. *)
+    each classifying every key down the splitter tree, so exactly
+    [2 ⌈log₂ p⌉] comparisons per key.  Beyond the output [data] array
+    (not zero-filled: every slot is written once), it allocates two
+    [p + 1] int arrays and the [2^⌈log₂ p⌉ - 1]-float tree — nothing per
+    key.  Storing each key's bucket id in pass 1 would save pass 2's
+    search, but only at the price of an [n]-byte buffer, so it is not
+    done. *)
 
 val partition_floats_pool :
   ?workers:int -> Exec.Pool.t -> float array -> splitters:float array -> t
@@ -86,6 +97,6 @@ val partition_floats_pool :
     slices, merged prefix, parallel scatter into disjoint regions.  The
     slice geometry depends only on [Array.length keys], and the scatter
     is stable, so the result is byte-identical to {!partition_floats} at
-    any pool size (including a torn-down pool).  Same search, same
-    [2 ⌈log₂ p⌉] comparisons per key.  Auxiliary allocation is
-    [O(slices · p)] ints. *)
+    any pool size (including a torn-down pool).  Same tree, built once
+    and shared read-only by the slices, same [2 ⌈log₂ p⌉] comparisons
+    per key.  Auxiliary allocation is [O(slices · p)] ints. *)

@@ -19,11 +19,6 @@ let parallel_for ?domains n body =
       (Exec.Pool.get_global ~at_least:domains ())
       n body
 
-(* The pool spawns workers on first use, so an empty submission as wide
-   as [domains] is what spawns them. *)
 let warm_up ?domains () =
   let domains = resolve domains in
-  if domains > 1 then
-    Exec.Pool.parallel_for ~workers:domains
-      (Exec.Pool.get_global ~at_least:domains ())
-      domains ignore
+  if domains > 1 then Exec.Pool.warm_up ~workers:domains (Exec.Pool.get_global ~at_least:domains ())

@@ -37,6 +37,10 @@ let add_escaped buf s =
         | c -> Buffer.add_char buf c)
       s
 
+(* libc spells -0. as "-0", which reads back as [Int 0]; the emitters
+   write "-0.0" instead, so a negative zero survives a round trip. *)
+let negative_zero f = Float.equal f 0. && Float.sign_bit f
+
 let rec emit buf indent v =
   let pad n = String.make n ' ' in
   match v with
@@ -44,7 +48,8 @@ let rec emit buf indent v =
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      if negative_zero f then Buffer.add_string buf "-0.0"
+      else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
       else Buffer.add_string buf "null"
   | String s ->
       Buffer.add_char buf '"';
@@ -100,7 +105,9 @@ let rec emit_compact buf scratch v =
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
-      if Float.is_finite f then Buffer.add_subbytes buf scratch 0 (Float_print.write scratch f)
+      if negative_zero f then Buffer.add_string buf "-0.0"
+      else if Float.is_finite f then
+        Buffer.add_subbytes buf scratch 0 (Float_print.write scratch f)
       else Buffer.add_string buf "null"
   | String s -> add_quoted buf s
   | List [] -> Buffer.add_string buf "[]"

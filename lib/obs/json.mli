@@ -14,16 +14,21 @@ type t =
 
 val to_string : t -> string
 (** Pretty-printed, 2-space indent, trailing newline.  Non-finite
-    floats are emitted as [null] (JSON has no NaN/inf). *)
+    floats are emitted as [null] (JSON has no NaN/inf), and [-0.] as
+    [-0.0], like {!to_compact}. *)
 
 val to_compact : t -> string
 (** Single-line rendering with no whitespace and lossless floats
     ({!float_compact}), for the line-delimited query-plane wire format.
-    Non-finite floats emit as [null], like {!to_string}.  Each float's
-    digits are written in place, with no allocation per float. *)
+    Non-finite floats emit as [null], like {!to_string}.  [-0.] emits
+    as [-0.0]: libc's [-0] would read back as [Int 0], so this is what
+    makes every finite float round-trip through {!of_string}.  Each
+    float's digits are written in place, with no allocation per
+    float. *)
 
 val float_compact : float -> string
-(** The float rendering {!to_compact} uses: the correctly rounded
+(** The float rendering {!to_compact} uses for every float but [-0.]
+    (which stays libc's [-0] here): the correctly rounded
     [%.15g] text when it parses back to the same double, else [%.17g]
     (exact decimal ties round to even, as in glibc); ["null"] for NaN
     and infinities.  Lossless, but not always the shortest decimal that

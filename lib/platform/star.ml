@@ -1,9 +1,44 @@
 type t = { workers : Processor.t array; total_speed : float }
 
+(* The indices [0, n) in [Array.stable_sort]'s order of the records by
+   [Float.compare] on their speeds, by a bottom-up merge over unboxed
+   speeds and int indices, so a comparison is one inline float compare
+   rather than a closure call and two field loads. *)
+let order_by_speed (speeds : float array) =
+  let n = Array.length speeds in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = Int.min n (!lo + !width) and hi = Int.min n (!lo + (2 * !width)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        (* Ties take the left run's index: stable. *)
+        if !j >= hi || (!i < mid && Float.compare speeds.(s.(!i)) speeds.(s.(!j)) <= 0) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
+
 let create procs =
   if procs = [] then invalid_arg "Star.create: at least one worker required";
-  let workers = Array.of_list procs in
-  Array.stable_sort (fun (a : Processor.t) b -> Float.compare a.speed b.speed) workers;
+  let procs = Array.of_list procs in
+  let speeds = Array.create_float (Array.length procs) in
+  Array.iteri (fun i (p : Processor.t) -> speeds.(i) <- p.speed) procs;
+  let workers = Array.map (fun i -> procs.(i)) (order_by_speed speeds) in
   let total_speed = Numerics.Kahan.sum_by (fun (p : Processor.t) -> p.speed) workers in
   { workers; total_speed }
 

@@ -67,7 +67,8 @@ let speedup ?domains ?(trials = 3) rng ~n ~p =
   let keys = Array.init n (fun _ -> Rng.float rng) in
   (* Warm the shared pool so the parallel runs are not charged the
      one-off domain-spawn cost. *)
-  Numerics.Parallel.warm_up ?domains ();
+  let d = resolve_domains domains in
+  Exec.Pool.warm_up ~workers:d (Exec.Pool.get_global ~at_least:d ());
   (* One untimed warm-up of each variant (cold caches would otherwise
      penalize whichever variant runs first), then interleaved trials so
      drift — thermal, competing load — hits both variants equally. *)

@@ -36,7 +36,11 @@ let rec emit_compact buf v =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Float_oracle.render f)
+  | Float f ->
+      (* The one rule added since the freeze: -0. is written "-0.0",
+         which reads back as a float, where libc's "-0" reads as 0. *)
+      if Float.equal f 0. && Float.sign_bit f then Buffer.add_string buf "-0.0"
+      else Buffer.add_string buf (Float_oracle.render f)
   | String s ->
       Buffer.add_char buf '"';
       add_escaped buf s;

@@ -3,6 +3,9 @@
     [Api.Request.of_json] and the decimal-text
     [Api.Fingerprint.of_request].
 
+    One rule was added after the freeze: the emitter writes [-0.] as
+    [-0.0], as [Obs.Json] does, so it reads back as the float [-0.].
+
     Frozen test oracle: [Test_wire_codec] checks the live codec against
     it, results and error texts byte for byte, and checks that the
     raw-bit fingerprint has the same equivalence classes as the decimal

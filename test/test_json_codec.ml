@@ -96,9 +96,28 @@ let test_escapes () =
   Alcotest.(check bool) "parses back" true
     (Obs.Json.of_string (Obs.Json.to_compact doc) = Ok doc)
 
+(* libc's "-0" would read back as [Int 0]; both emitters write "-0.0",
+   which reads back as the float -0., sign bit and all. *)
+let test_negative_zero () =
+  let doc = Obs.Json.List [ Obs.Json.Float (-0.); Obs.Json.Float 0. ] in
+  Alcotest.(check string) "compact" "[-0.0,0]" (Obs.Json.to_compact doc);
+  Alcotest.(check string) "pretty" "[\n  -0.0,\n  0\n]\n" (Obs.Json.to_string doc);
+  List.iter
+    (fun text ->
+      match Obs.Json.of_string text with
+      | Ok (Obs.Json.List [ Obs.Json.Float z; Obs.Json.Int 0 ]) ->
+          Alcotest.(check bool) "sign bit survives" true (Float.sign_bit z && Float.equal z 0.)
+      | _ -> Alcotest.fail ("does not read back: " ^ text))
+    [ Obs.Json.to_compact doc; Obs.Json.to_string doc ];
+  Alcotest.(check string) "float_compact stays libc's" "-0" (Obs.Json.float_compact (-0.))
+
 let suites =
   [
-    ("json escape", [ Alcotest.test_case "escapes in keys and values" `Quick test_escapes ]);
+    ( "json escape",
+      [
+        Alcotest.test_case "escapes in keys and values" `Quick test_escapes;
+        Alcotest.test_case "negative zero round-trips" `Quick test_negative_zero;
+      ] );
     ( "float compact",
       [
         QCheck_alcotest.to_alcotest qcheck_random_bits;

@@ -194,6 +194,30 @@ let test_multicore_sort_identical_forced_domains () =
         reference out)
     [ 1; 2; 3 ]
 
+(* The paper's phase-2 cost, counted rather than modelled: each of the
+   two classification passes adds ceil(log2 p) comparisons per key, so
+   a sort of N keys records 2 N 4 at p = 16 and 2 N 5 at p = 17, on one
+   domain and through the pool.  N is odd, so the batched descent also
+   runs its single-key tail. *)
+let test_comparisons_counted () =
+  let n = 40_001 in
+  let keys = float_keys ~seed:40 n in
+  List.iter
+    (fun (p, levels) ->
+      List.iter
+        (fun domains ->
+          Obs.Metrics.reset ();
+          Obs.Metrics.set_enabled true;
+          Fun.protect
+            ~finally:(fun () -> Obs.Metrics.set_enabled false)
+            (fun () -> ignore (Sortlib.Multicore.sort ~domains (Rng.create ~seed:41 ()) keys ~p));
+          Alcotest.(check (option int))
+            (Printf.sprintf "scatter.comparisons at p = %d, %d domains" p domains)
+            (Some (2 * n * levels))
+            (Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "scatter.comparisons"))
+        [ 1; 2 ])
+    [ (16, 4); (17, 5) ]
+
 (* --- segment sort ------------------------------------------------------ *)
 
 let test_seg_sort_floats () =
@@ -438,6 +462,7 @@ let suites =
           test_pool_partition_identical_any_domains;
         Alcotest.test_case "multicore sort, forced domains" `Quick
           test_multicore_sort_identical_forced_domains;
+        Alcotest.test_case "comparisons counted, 2 N ceil(log2 p)" `Quick test_comparisons_counted;
         Alcotest.test_case "O(p) auxiliary allocation" `Quick test_partition_allocation_o_p;
       ] );
     ( "segment sort",

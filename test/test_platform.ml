@@ -122,6 +122,23 @@ let qcheck_relative_speeds =
       Float.abs (Numerics.Kahan.sum x -. 1.) < 1e-9
       && Array.for_all Fun.id (Array.init (Array.length x - 1) (fun i -> x.(i) <= x.(i + 1) +. 1e-12)))
 
+(* [Star.create] sorts an index permutation on unboxed speeds; the
+   worker order, ties included, must be the one [Array.stable_sort]
+   gives the records.  Speeds come from a small grid so ties are
+   common; the ids tell tied workers apart. *)
+let qcheck_star_order_is_stable_sort =
+  QCheck.Test.make ~name:"worker order = Array.stable_sort on speeds with ties" ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 1 70)
+        (make ~print:string_of_float
+           Gen.(oneof [ map (fun k -> float_of_int k /. 4.) (int_range 1 12); float_range 0.01 10. ])))
+    (fun speeds ->
+      let procs = List.mapi (fun i speed -> Processor.make ~id:i ~speed ()) speeds in
+      let expected = Array.of_list procs in
+      Array.stable_sort (fun (a : Processor.t) b -> Float.compare a.speed b.speed) expected;
+      Array.map (fun (p : Processor.t) -> p.id) expected
+      = Array.map (fun (p : Processor.t) -> p.id) (Star.workers (Star.create procs)))
+
 let suites =
   [
     ( "processor",
@@ -137,6 +154,7 @@ let suites =
         Alcotest.test_case "homogeneity" `Quick test_homogeneity;
         Alcotest.test_case "workers returns copy" `Quick test_workers_copy;
         QCheck_alcotest.to_alcotest qcheck_relative_speeds;
+        QCheck_alcotest.to_alcotest qcheck_star_order_is_stable_sort;
       ] );
     ( "profiles",
       [

@@ -88,30 +88,106 @@ let linear_bucket splitters key =
 
 let special_keys = [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0. ]
 
+(* Bit equality, so that [-0.] and [0.], and NaNs, are told apart. *)
+let same_bits (a : float array) (b : float array) =
+  let same = ref (Array.length a = Array.length b) in
+  if !same then
+    for i = 0 to Array.length a - 1 do
+      if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then same := false
+    done;
+  !same
+
+(* What every classification kernel must reproduce, from the scalar
+   search one key at a time: the bucket sizes, and the stable
+   bucket-major permutation with its offsets. *)
+let scalar_partition splitters keys =
+  let p = Array.length splitters + 1 in
+  let bucket = Array.map (Scatter.bucket_index_floats splitters) keys in
+  let counts = Array.make p 0 in
+  Array.iter (fun b -> counts.(b) <- counts.(b) + 1) bucket;
+  let offsets = Array.make (p + 1) 0 in
+  for b = 0 to p - 1 do
+    offsets.(b + 1) <- offsets.(b) + counts.(b)
+  done;
+  let cursor = Array.sub offsets 0 p and data = Array.make (Array.length keys) 0. in
+  Array.iteri
+    (fun i b ->
+      data.(cursor.(b)) <- keys.(i);
+      cursor.(b) <- cursor.(b) + 1)
+    bucket;
+  (counts, offsets, data)
+
 (* Every splitter count from 0 to 70 (so [p] both a power of two and
-   not), with every splitter duplicated and the ends at +-infinity:
-   each splitter, each midpoint and the special keys against the
-   linear scan. *)
+   not), with every splitter duplicated and the ends at +-infinity.
+   The scalar search must agree with the linear scan on each splitter,
+   each midpoint and the special keys (NaN, +-infinity, +-0).  Then the
+   batched tree classifier behind [histogram_floats_into],
+   [partition_floats] and [partition_floats_pool] (1-4 domains) must
+   agree with the scalar search bit for bit, on arrays of every length
+   0-9 (each residue mod the 4 keys in flight, and shorter than 4) and
+   on two arrays long enough for the pool to slice, whose four slices
+   have lengths of every residue mod 4. *)
 let test_bucket_index_every_m () =
-  for m = 0 to 70 do
-    let splitters =
-      Array.init m (fun i ->
-          if i = 0 then Float.neg_infinity
-          else if i = m - 1 && m > 2 then Float.infinity
-          else float_of_int (i / 2))
-    in
-    let keys =
-      special_keys
-      @ List.concat_map (fun s -> [ s; s -. 0.5; s +. 0.5 ]) (Array.to_list splitters)
-    in
-    List.iter
-      (fun key ->
-        Alcotest.(check int)
-          (Printf.sprintf "m = %d, key = %h" m key)
-          (linear_bucket splitters key)
-          (Scatter.bucket_index_floats splitters key))
-      keys
-  done
+  let pools = List.map (fun domains -> (domains, Exec.Pool.create ~domains ())) [ 1; 2; 3; 4 ] in
+  let rng = Rng.create ~seed:70 () in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, pool) -> Exec.Pool.teardown pool) pools)
+    (fun () ->
+      for m = 0 to 70 do
+        let splitters =
+          Array.init m (fun i ->
+              if i = 0 then Float.neg_infinity
+              else if i = m - 1 && m > 2 then Float.infinity
+              else float_of_int (i / 2))
+        in
+        let keys =
+          special_keys
+          @ List.concat_map (fun s -> [ s; s -. 0.5; s +. 0.5 ]) (Array.to_list splitters)
+        in
+        List.iter
+          (fun key ->
+            Alcotest.(check int)
+              (Printf.sprintf "m = %d, key = %h" m key)
+              (linear_bucket splitters key)
+              (Scatter.bucket_index_floats splitters key))
+          keys;
+        let pool_of_keys = Array.of_list keys in
+        let draw () =
+          if Rng.int rng 2 = 0 then pool_of_keys.(Rng.int rng (Array.length pool_of_keys))
+          else Rng.uniform rng (-1.) (float_of_int (m / 2) +. 1.)
+        in
+        let check_kernels name keys ~pooled =
+          let label what = Printf.sprintf "m = %d, %s: %s" m name what in
+          let counts, offsets, data = scalar_partition splitters keys in
+          (* One spare slot past [p], which the histogram must not touch. *)
+          let into = Array.make (m + 2) (-1) in
+          Scatter.histogram_floats_into into keys ~splitters;
+          Alcotest.(check (array int)) (label "histogram_floats_into")
+            (Array.append counts [| -1 |]) into;
+          let check_flat what (flat : Scatter.t) =
+            Alcotest.(check (array int)) (label (what ^ " offsets")) offsets flat.Scatter.offsets;
+            checkb (label (what ^ " data bits")) true (same_bits data flat.Scatter.data)
+          in
+          check_flat "partition_floats" (Scatter.partition_floats keys ~splitters);
+          if pooled then
+            List.iter
+              (fun (domains, pool) ->
+                check_flat
+                  (Printf.sprintf "pool at %d domains" domains)
+                  (Scatter.partition_floats_pool pool keys ~splitters))
+              pools
+        in
+        for len = 0 to 9 do
+          check_kernels (Printf.sprintf "length %d" len) (Array.init len (fun _ -> draw ()))
+            ~pooled:false
+        done;
+        List.iter
+          (fun n ->
+            check_kernels (Printf.sprintf "length %d" n) (Array.init n (fun _ -> draw ()))
+              ~pooled:true)
+          (* Slices of 8192 and 8193 keys, then of 8194 and 8195. *)
+          [ 16_385; 16_389 ]
+      done)
 
 let qcheck_bucket_index_vs_linear =
   let value =
