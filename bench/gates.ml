@@ -7,8 +7,9 @@
    bench/alloc_baseline.txt plus a slack in words so tiny counters do
    not flap.  A row passes exactly at its limit; a metric that is
    missing or NaN fails (every comparison with NaN is false), as does a
-   committed-baseline row whose key the committed artifact lacks.  A new
-   gate is one row. *)
+   committed-baseline row whose key the committed artifact lacks, and so
+   does a kernel the fresh run measured that no allocation row gates.  A
+   new gate is one row. *)
 
 type cmp = At_least | At_most
 
@@ -165,7 +166,33 @@ let evaluate_row ~fresh ~committed r =
   in
   { name = String.concat "." key; ok; detail; note }
 
-let evaluate ~fresh ~committed rows = List.map (evaluate_row ~fresh ~committed) rows
+(* A kernel in the fresh [allocations] section with no row of its own
+   has no bench/alloc_baseline.txt line: fail it rather than leave it
+   silently ungated. *)
+let ungated_kernels ~fresh rows =
+  let gated kernel =
+    List.exists (fun r -> r.section = "allocations" && List.nth_opt r.path 0 = Some kernel) rows
+  in
+  match Obs.Json.member "allocations" fresh with
+  | Some (Obs.Json.Obj kernels) ->
+      List.filter_map
+        (fun (kernel, _) ->
+          if gated kernel then None
+          else
+            Some
+              {
+                name = "allocations." ^ kernel;
+                ok = false;
+                detail =
+                  "missing from bench/alloc_baseline.txt — regenerate it with \
+                   --write-alloc-baseline";
+                note = None;
+              })
+        kernels
+  | _ -> []
+
+let evaluate ~fresh ~committed rows =
+  List.map (evaluate_row ~fresh ~committed) rows @ ungated_kernels ~fresh rows
 
 (* Print one block listing every row; true when all pass. *)
 let report verdicts =

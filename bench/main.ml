@@ -124,14 +124,6 @@ let test_event_heap =
          let h = Des.Event_heap.create ~initial_capacity:10_000 () in
          Des.Event_heap.exercise h ~rounds:1 ~batch:10_000))
 
-let test_strassen =
-  let rng = Numerics.Rng.create ~seed:7 () in
-  let n = 128 in
-  let a = Linalg.Matrix.random rng ~rows:n ~cols:n in
-  let b = Linalg.Matrix.random rng ~rows:n ~cols:n in
-  Test.make ~name:"strassen (n=128, cutoff=32)"
-    (Staged.stage (fun () -> ignore (Linalg.Strassen.multiply ~cutoff:32 a b)))
-
 let test_cannon =
   let rng = Numerics.Rng.create ~seed:9 () in
   let n = 96 in
@@ -146,35 +138,6 @@ let test_histogram_sort =
   Test.make ~name:"histogram splitters (N=1e5, p=16)"
     (Staged.stage (fun () ->
          ignore (Sortlib.Histogram_sort.splitters ~tolerance:0.01 keys ~p:16)))
-
-let test_lu =
-  let rng = Numerics.Rng.create ~seed:11 () in
-  let n = 96 in
-  let base = Linalg.Matrix.random rng ~rows:n ~cols:n in
-  let a =
-    Linalg.Matrix.add base (Linalg.Matrix.scale (float_of_int n) (Linalg.Matrix.identity n))
-  in
-  Test.make ~name:"LU factorize (n=96, block=32)"
-    (Staged.stage (fun () -> ignore (Linalg.Lu.factorize ~block:32 a)))
-
-let test_cholesky =
-  let rng = Numerics.Rng.create ~seed:12 () in
-  let n = 96 in
-  let m = Linalg.Matrix.random rng ~rows:n ~cols:n in
-  let a =
-    Linalg.Matrix.add
-      (Linalg.Matrix.mul m (Linalg.Matrix.transpose m))
-      (Linalg.Matrix.scale (float_of_int n) (Linalg.Matrix.identity n))
-  in
-  Test.make ~name:"Cholesky factorize (n=96, block=32)"
-    (Staged.stage (fun () -> ignore (Linalg.Cholesky.factorize ~block:32 a)))
-
-let test_karatsuba =
-  let rng = Numerics.Rng.create ~seed:13 () in
-  let a = Array.init 1024 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-  let b = Array.init 1024 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-  Test.make ~name:"karatsuba (n=1024)"
-    (Staged.stage (fun () -> ignore (Linalg.Poly.karatsuba ~cutoff:32 a b)))
 
 let test_psrs =
   let rng = Numerics.Rng.create ~seed:14 () in
@@ -856,7 +819,6 @@ let alloc_kernels () =
     ("matmul_distributed", fun () -> ignore (Linalg.Matmul.distributed ~zones a b));
     ( "outer_product_distributed",
       fun () -> ignore (Linalg.Outer_product.distributed ~zones:vzones va vb) );
-    ("parallel_matmul", fun () -> ignore (Linalg.Parallel_matmul.multiply ~domains:2 a b));
     ("event_heap_push_pop", fun () -> Des.Event_heap.exercise heap ~rounds:1 ~batch:10_000);
     ( "response_to_line",
       fun () ->
@@ -938,11 +900,7 @@ let run_micro_benchmarks () =
       test_histogram_sort;
       test_psrs;
       test_distributed_matmul;
-      test_strassen;
       test_cannon;
-      test_lu;
-      test_cholesky;
-      test_karatsuba;
       test_mapreduce;
     ]
   in

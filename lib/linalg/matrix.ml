@@ -4,13 +4,13 @@
    costs the GC a custom-block header instead of [rows * cols]
    major-heap words, so the matmul/outer-product kernels allocate O(1)
    GC words per call.  [data] exposes the backing buffer for the audited
-   unsafe zones (Matmul, Outer_product, Parallel_matmul, Summa) that
-   validate their index ranges once up front. *)
+   unsafe zones (Matmul, Outer_product, Summa) that validate their index
+   ranges once up front. *)
 
 [@@@nldl.unsafe_zone
-  "the fused map2/scale/mul/mul_blocked/outer loops run over dimensions \
-   validated at entry (equal lengths, inner-dimension match), so the unchecked \
-   Fbuf accesses stay inside the row-major stores (U-audit 2026-08)"]
+  "the init/mul/outer loops and the reductions run over dimensions validated \
+   at entry (equal shapes, inner-dimension match), so the unchecked Fbuf \
+   accesses stay inside the row-major stores (U-audit 2026-08)"]
 
 module Fbuf = Kernels.Fbuf
 
@@ -32,8 +32,6 @@ let[@nldl.bounds_validated "Matrix.create"] init ~rows ~cols f =
   done;
   m
 
-let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
-
 let random rng ~rows ~cols =
   init ~rows ~cols (fun _ _ -> Numerics.Rng.uniform rng (-1.) 1.)
 
@@ -49,43 +47,6 @@ let set m i j v =
   Fbuf.unsafe_set m.data ((i * m.cols) + j) v
 
 let data m = m.data
-let copy m = { m with data = Fbuf.copy m.data }
-
-let map2 op a b =
-  if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Matrix: dimension mismatch";
-  (* Hot path under [add]/[sub] in the LU/Cholesky benches: a direct
-     fused loop instead of a closure per element through [Array.init]. *)
-  let ad = a.data and bd = b.data in
-  let n = Fbuf.length ad in
-  let data = Fbuf.create n in
-  for i = 0 to n - 1 do
-    Fbuf.unsafe_set data i (op (Fbuf.unsafe_get ad i) (Fbuf.unsafe_get bd i))
-  done;
-  { a with data }
-
-let add = map2 ( +. )
-let sub = map2 ( -. )
-
-let scale s m =
-  (* Same fused-loop treatment as [map2]: no closure per element. *)
-  let src = m.data in
-  let n = Fbuf.length src in
-  let data = Fbuf.create n in
-  for i = 0 to n - 1 do
-    Fbuf.unsafe_set data i (s *. Fbuf.unsafe_get src i)
-  done;
-  { m with data }
-
-let[@nldl.bounds_validated "Fbuf.create"] transpose m =
-  let rows = m.cols and cols = m.rows in
-  let src = m.data in
-  let data = Fbuf.create (rows * cols) in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      Fbuf.unsafe_set data ((i * cols) + j) (Fbuf.unsafe_get src ((j * m.cols) + i))
-    done
-  done;
-  { rows; cols; data }
 
 let[@nldl.bounds_validated "Matrix.create"] mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: inner dimension mismatch";
@@ -100,39 +61,6 @@ let[@nldl.bounds_validated "Matrix.create"] mul a b =
             (Fbuf.unsafe_get cd ((i * c.cols) + j) +. (aik *. Fbuf.unsafe_get bd ((k * b.cols) + j)))
         done
     done
-  done;
-  c
-
-let mul_blocked ?(block = 32) a b =
-  if a.cols <> b.rows then invalid_arg "Matrix.mul_blocked: inner dimension mismatch";
-  if block <= 0 then invalid_arg "Matrix.mul_blocked: block must be > 0";
-  let c = create ~rows:a.rows ~cols:b.cols in
-  let n = a.rows and m = b.cols and kk = a.cols in
-  let ad = a.data and bd = b.data and cd = c.data in
-  let bi = ref 0 in
-  while !bi < n do
-    let i_hi = min n (!bi + block) in
-    let bk = ref 0 in
-    while !bk < kk do
-      let k_hi = min kk (!bk + block) in
-      let bj = ref 0 in
-      while !bj < m do
-        let j_hi = min m (!bj + block) in
-        for i = !bi to i_hi - 1 do
-          for k = !bk to k_hi - 1 do
-            let aik = Fbuf.unsafe_get ad ((i * kk) + k) in
-            if (aik <> 0.) [@nldl.allow "H302"] (* exact sparse skip *) then
-              for j = !bj to j_hi - 1 do
-                Fbuf.unsafe_set cd ((i * m) + j)
-                  (Fbuf.unsafe_get cd ((i * m) + j) +. (aik *. Fbuf.unsafe_get bd ((k * m) + j)))
-              done
-          done
-        done;
-        bj := j_hi
-      done;
-      bk := k_hi
-    done;
-    bi := i_hi
   done;
   c
 
@@ -171,18 +99,3 @@ let max_abs_diff a b =
 let approx_equal ?(tol = 1e-9) a b =
   let magnitude = Float.max (frobenius a) (frobenius b) in
   max_abs_diff a b <= tol *. (1. +. magnitude)
-
-let equal a b = a.rows = b.rows && a.cols = b.cols && Fbuf.equal a.data b.data
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to min (m.rows - 1) 9 do
-    Format.fprintf ppf "[";
-    for j = 0 to min (m.cols - 1) 9 do
-      Format.fprintf ppf "%8.3g " (get m i j)
-    done;
-    if m.cols > 10 then Format.fprintf ppf "...";
-    Format.fprintf ppf "]@,"
-  done;
-  if m.rows > 10 then Format.fprintf ppf "...@,";
-  Format.fprintf ppf "@]"

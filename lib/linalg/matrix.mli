@@ -13,7 +13,6 @@ val create : rows:int -> cols:int -> t
 (** Zero-filled.  Raises [Invalid_argument] on non-positive dims. *)
 
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
-val identity : int -> t
 val random : Numerics.Rng.t -> rows:int -> cols:int -> t
 (** Entries uniform in [\[-1, 1)]. *)
 
@@ -26,24 +25,12 @@ val data : t -> Kernels.Fbuf.t
 (** The row-major backing buffer (length [rows * cols]; element [(i, j)]
     at offset [i * cols + j]), shared with the matrix — writes are
     visible.  Exposed for the zero-allocation inner loops
-    ([Matmul.distributed], [Outer_product], [Parallel_matmul], [Summa])
-    that validate their index ranges once up front instead of paying
-    {!get}/{!set} bounds checks per flop. *)
-
-val copy : t -> t
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val transpose : t -> t
+    ([Matmul.distributed], [Outer_product], [Summa]) that validate
+    their index ranges once up front instead of paying {!get}/{!set}
+    bounds checks per flop. *)
 
 val mul : t -> t -> t
 (** Naive triple loop, [i k j] order for cache friendliness. *)
-
-val mul_blocked : ?block:int -> t -> t -> t
-(** Tiled multiplication (default tile 32).  Cell [(i, j)] accumulates
-    over [k] ascending, exactly like {!mul}, so the two are
-    bit-identical. *)
 
 val outer : float array -> float array -> t
 (** [outer a b] is the [|a| × |b|] matrix of all products [a_i·b_j]
@@ -54,10 +41,3 @@ val max_abs_diff : t -> t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Max-norm comparison with tolerance [tol] (default 1e-9) scaled by
     the magnitude of the entries. *)
-
-val equal : t -> t -> bool
-(** Bitwise equality (dimensions plus {!Kernels.Fbuf.equal} on the
-    backing buffers) — the byte-identity predicate of the kernel
-    tests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@
 module Pool = Exec.Pool
 module Parallel = Numerics.Parallel
 module Rng = Numerics.Rng
-module Matrix = Linalg.Matrix
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -252,16 +251,6 @@ let test_facade_determinism_sort () =
   let run domains = Sortlib.Multicore.sort ~domains (Rng.create ~seed:7 ()) keys ~p:8 in
   Alcotest.(check (array (float 0.))) "pool sort = sequential sort" (run 1) (run 4)
 
-let test_facade_determinism_matmul () =
-  let rng = Rng.create ~seed:2025 () in
-  let a = Matrix.random rng ~rows:33 ~cols:29 in
-  let b = Matrix.random rng ~rows:29 ~cols:31 in
-  let seq = Linalg.Parallel_matmul.multiply ~domains:1 a b in
-  let par = Linalg.Parallel_matmul.multiply ~domains:4 a b in
-  (* Per-row bodies run the same sequential inner loops, so the results
-     are bitwise identical, not just approximately equal. *)
-  checkb "bitwise identical rows" true (Matrix.max_abs_diff seq par = 0.)
-
 let test_fig4_point_deterministic () =
   let sweep domains =
     Experiments.Fig4.csv
@@ -311,7 +300,6 @@ let suites =
     ( "exec determinism",
       [
         Alcotest.test_case "multicore sort" `Quick test_facade_determinism_sort;
-        Alcotest.test_case "parallel matmul" `Quick test_facade_determinism_matmul;
         Alcotest.test_case "fig4 point" `Quick test_fig4_point_deterministic;
         Alcotest.test_case "ratio/time/mapreduce" `Quick test_experiments_deterministic;
       ] );

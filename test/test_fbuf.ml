@@ -48,58 +48,6 @@ let test_fbuf_get_set () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-let test_fbuf_idx () =
-  checki "row-major" 7 (Fbuf.idx ~cols:3 2 1);
-  checki "origin" 0 (Fbuf.idx ~cols:9 0 0)
-
-let test_fbuf_roundtrip () =
-  let a = [| 1.5; -0.; Float.max_float; 3e-300 |] in
-  let b = Fbuf.of_array a in
-  checkb "to_array bitwise" true (bits_equal a (Fbuf.to_array b));
-  let c = Fbuf.copy b in
-  Fbuf.set c 0 99.;
-  Alcotest.(check (float 0.)) "copy is independent" 1.5 (Fbuf.get b 0)
-
-let test_fbuf_init () =
-  let b = Fbuf.init 4 (fun i -> float_of_int (i * i)) in
-  checkb "init values" true (bits_equal [| 0.; 1.; 4.; 9. |] (Fbuf.to_array b))
-
-let test_fbuf_blit () =
-  let src = Fbuf.of_array [| 1.; 2.; 3.; 4.; 5. |] in
-  let dst = Fbuf.create 5 in
-  Fbuf.blit ~src ~src_pos:1 ~dst ~dst_pos:0 ~len:3;
-  checkb "plain blit" true
-    (bits_equal [| 2.; 3.; 4.; 0.; 0. |] (Fbuf.to_array dst));
-  Fbuf.blit ~src ~src_pos:0 ~dst:src ~dst_pos:0 ~len:5;
-  checkb "self blit is identity" true
-    (bits_equal [| 1.; 2.; 3.; 4.; 5. |] (Fbuf.to_array src));
-  (* Overlapping within one buffer, both directions. *)
-  let f = Fbuf.of_array [| 1.; 2.; 3.; 4.; 5. |] in
-  Fbuf.blit ~src:f ~src_pos:0 ~dst:f ~dst_pos:2 ~len:3;
-  checkb "overlap shift right" true
-    (bits_equal [| 1.; 2.; 1.; 2.; 3. |] (Fbuf.to_array f));
-  let g = Fbuf.of_array [| 1.; 2.; 3.; 4.; 5. |] in
-  Fbuf.blit ~src:g ~src_pos:2 ~dst:g ~dst_pos:0 ~len:3;
-  checkb "overlap shift left" true
-    (bits_equal [| 3.; 4.; 5.; 4.; 5. |] (Fbuf.to_array g));
-  Fbuf.blit ~src:g ~src_pos:0 ~dst:g ~dst_pos:5 ~len:0;
-  Alcotest.check_raises "range checked"
-    (Invalid_argument "Fbuf.blit: range out of bounds") (fun () ->
-      Fbuf.blit ~src:g ~src_pos:3 ~dst:g ~dst_pos:0 ~len:3)
-
-let test_fbuf_equal_bitwise () =
-  let nan_buf () = Fbuf.of_array [| Float.nan; 1. |] in
-  checkb "NaN equals itself" true (Fbuf.equal (nan_buf ()) (nan_buf ()));
-  checkb "0. <> -0." false
-    (Fbuf.equal (Fbuf.of_array [| 0. |]) (Fbuf.of_array [| -0. |]));
-  checkb "length mismatch" false (Fbuf.equal (Fbuf.create 1) (Fbuf.create 2));
-  checkb "empty equal" true (Fbuf.equal (Fbuf.create 0) (Fbuf.create 0))
-
-let qcheck_fbuf_roundtrip =
-  QCheck.Test.make ~name:"of_array/to_array is bitwise identity" ~count:200
-    QCheck.(array_of_size Gen.(int_range 0 80) (float_range (-1e6) 1e6))
-    (fun a -> bits_equal a (Fbuf.to_array (Fbuf.of_array a)))
-
 (* --- strided merge ----------------------------------------------------- *)
 
 let test_k_way_strided_matches_k_way () =
@@ -296,12 +244,6 @@ let suites =
       [
         Alcotest.test_case "create" `Quick test_fbuf_create;
         Alcotest.test_case "get/set" `Quick test_fbuf_get_set;
-        Alcotest.test_case "idx" `Quick test_fbuf_idx;
-        Alcotest.test_case "roundtrip" `Quick test_fbuf_roundtrip;
-        Alcotest.test_case "init" `Quick test_fbuf_init;
-        Alcotest.test_case "blit" `Quick test_fbuf_blit;
-        Alcotest.test_case "bitwise equal" `Quick test_fbuf_equal_bitwise;
-        QCheck_alcotest.to_alcotest qcheck_fbuf_roundtrip;
       ] );
     ( "flat sort overhaul",
       [

@@ -1,8 +1,9 @@
 (* The bench's declarative gate table (bench/gates.ml), over hand-built
    fresh and committed BENCH_results.json documents: every row passes
    exactly at its limit and fails just past it, fails on a missing or
-   NaN metric, and the committed-baseline rows fail when the committed
-   artifact lacks their key. *)
+   NaN metric, the committed-baseline rows fail when the committed
+   artifact lacks their key, and a measured kernel with no baseline line
+   fails. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -30,7 +31,7 @@ let just_past (r : Gates.row) =
   match r.cmp with Gates.At_least -> Float.pred (limit r) | Gates.At_most -> Float.succ (limit r)
 
 let alloc_baseline =
-  [ ("psrs_sort", 781., 400275.); ("parallel_matmul", 51., 0.); ("event_heap_push_pop", 0., 0.) ]
+  [ ("psrs_sort", 781., 400275.); ("matmul_distributed", 9443., 0.); ("event_heap_push_pop", 0., 0.) ]
 let all_rows = Gates.table @ Gates.alloc_rows alloc_baseline
 
 let committed_for r = doc r (Obs.Json.Float committed_value)
@@ -111,22 +112,53 @@ let test_committed_key_required () =
     Gates.table
 
 let test_alloc_ratchet_slack () =
-  (* psrs_sort is ratcheted (+0%, 512 words); parallel_matmul is not
+  (* psrs_sort is ratcheted (+0%, 512 words); matmul_distributed is not
      (+10%, 4096 words): 600 words of growth fails only the ratchet. *)
   let row kernel =
     List.find
       (fun (r : Gates.row) -> r.path = [ kernel; "minor_words" ])
       (Gates.alloc_rows alloc_baseline)
   in
-  let psrs = row "psrs_sort" and matmul = row "parallel_matmul" in
+  let psrs = row "psrs_sort" and matmul = row "matmul_distributed" in
   checkb "ratcheted kernel refuses +600 words" false
     (passes psrs (doc psrs (Obs.Json.Float (781. +. 600.))));
   checkb "unratcheted kernel absorbs +600 words" true
-    (passes matmul (doc matmul (Obs.Json.Float (51. +. 600.))));
+    (passes matmul (doc matmul (Obs.Json.Float (9443. +. 600.))));
   checkb "ratchet limit = base + 512" true (limit psrs = 781. +. 512.);
   checkb "zero-allocation heap ratchet allows 512 words" true
     (limit (row "event_heap_push_pop") = 512.);
-  checkb "headroom limit = 1.1 base + 4096" true (limit matmul = (1.10 *. 51.) +. 4096.)
+  checkb "headroom limit = 1.1 base + 4096" true (limit matmul = (1.10 *. 9443.) +. 4096.)
+
+let test_unbaselined_kernel_fails () =
+  (* A fresh run that measured every baselined kernel at its base plus
+     one kernel the baseline has no line for: only that one fails. *)
+  let measured = alloc_baseline @ [ ("new_kernel", 0., 0.) ] in
+  let fresh =
+    Obs.Json.Obj
+      [
+        ( "allocations",
+          Obs.Json.Obj
+            (List.map
+               (fun (kernel, minor, major) ->
+                 ( kernel,
+                   Obs.Json.Obj
+                     [ ("minor_words", Obs.Json.Float minor); ("major_words", Obs.Json.Float major) ]
+                 ))
+               measured) );
+      ]
+  in
+  let verdicts =
+    Gates.evaluate ~fresh ~committed:Obs.Json.Null (Gates.alloc_rows alloc_baseline)
+  in
+  let failed = List.filter (fun v -> not v.Gates.ok) verdicts in
+  checkb "only the unbaselined kernel fails" true
+    (List.map (fun v -> v.Gates.name) failed = [ "allocations.new_kernel" ]);
+  checkb "the failure says to regenerate the baseline" true
+    (List.for_all
+       (fun v ->
+         String.starts_with ~prefix:"missing from bench/alloc_baseline.txt — regenerate"
+           v.Gates.detail)
+       failed)
 
 let test_alloc_baseline_round_trip () =
   let text = Gates.alloc_baseline_to_string alloc_baseline in
@@ -145,6 +177,7 @@ let suites =
         Alcotest.test_case "missing or NaN fails" `Quick test_missing_or_nan_fails;
         Alcotest.test_case "committed key required" `Quick test_committed_key_required;
         Alcotest.test_case "alloc ratchet slack" `Quick test_alloc_ratchet_slack;
+        Alcotest.test_case "unbaselined kernel fails" `Quick test_unbaselined_kernel_fails;
         Alcotest.test_case "alloc baseline round-trip" `Quick test_alloc_baseline_round_trip;
       ] );
   ]

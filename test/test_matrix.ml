@@ -28,11 +28,6 @@ let test_bounds_checked () =
   Alcotest.check_raises "set OOB" (Invalid_argument "Matrix.set: out of bounds") (fun () ->
       Matrix.set m 0 5 1.)
 
-let test_identity_neutral () =
-  let a = Matrix.random (rng ()) ~rows:8 ~cols:8 in
-  checkb "A·I = A" true (Matrix.approx_equal (Matrix.mul a (Matrix.identity 8)) a);
-  checkb "I·A = A" true (Matrix.approx_equal (Matrix.mul (Matrix.identity 8) a) a)
-
 let test_mul_known () =
   let a = Matrix.init ~rows:2 ~cols:2 (fun i j -> float_of_int ((2 * i) + j + 1)) in
   (* a = [1 2; 3 4]; a² = [7 10; 15 22]. *)
@@ -42,39 +37,12 @@ let test_mul_known () =
   checkf "a²(1,0)" 15. (Matrix.get sq 1 0);
   checkf "a²(1,1)" 22. (Matrix.get sq 1 1)
 
-let test_blocked_matches_naive () =
-  let r = rng () in
-  let a = Matrix.random r ~rows:33 ~cols:17 in
-  let b = Matrix.random r ~rows:17 ~cols:29 in
-  checkb "blocked == naive" true
-    (Matrix.approx_equal (Matrix.mul_blocked ~block:8 a b) (Matrix.mul a b))
-
 let test_mul_dimension_mismatch () =
   let a = Matrix.create ~rows:2 ~cols:3 in
   let b = Matrix.create ~rows:2 ~cols:2 in
   Alcotest.check_raises "inner mismatch"
     (Invalid_argument "Matrix.mul: inner dimension mismatch") (fun () ->
       ignore (Matrix.mul a b))
-
-let test_transpose_involution () =
-  let a = Matrix.random (rng ()) ~rows:5 ~cols:7 in
-  checkb "transpose twice" true (Matrix.approx_equal (Matrix.transpose (Matrix.transpose a)) a)
-
-let test_transpose_of_product () =
-  let r = rng () in
-  let a = Matrix.random r ~rows:6 ~cols:4 in
-  let b = Matrix.random r ~rows:4 ~cols:5 in
-  checkb "(AB)^T = B^T A^T" true
-    (Matrix.approx_equal
-       (Matrix.transpose (Matrix.mul a b))
-       (Matrix.mul (Matrix.transpose b) (Matrix.transpose a)))
-
-let test_add_sub_scale () =
-  let r = rng () in
-  let a = Matrix.random r ~rows:4 ~cols:4 in
-  let b = Matrix.random r ~rows:4 ~cols:4 in
-  checkb "a+b-b = a" true (Matrix.approx_equal (Matrix.sub (Matrix.add a b) b) a);
-  checkb "2a = a+a" true (Matrix.approx_equal (Matrix.scale 2. a) (Matrix.add a a))
 
 let test_outer_known () =
   let m = Matrix.outer [| 1.; 2. |] [| 3.; 4.; 5. |] in
@@ -92,12 +60,6 @@ let test_frobenius () =
   let m = Matrix.init ~rows:1 ~cols:2 (fun _ j -> if j = 0 then 3. else 4. ) in
   checkf "3-4-5" 5. (Matrix.frobenius m)
 
-let test_copy_isolated () =
-  let a = Matrix.create ~rows:2 ~cols:2 in
-  let b = Matrix.copy a in
-  Matrix.set b 0 0 9.;
-  checkf "original untouched" 0. (Matrix.get a 0 0)
-
 let qcheck_mul_associative =
   QCheck.Test.make ~name:"matrix multiplication is associative" ~count:30
     QCheck.(int_range 1 12)
@@ -110,15 +72,6 @@ let qcheck_mul_associative =
         (Matrix.mul (Matrix.mul a b) c)
         (Matrix.mul a (Matrix.mul b c)))
 
-let qcheck_blocked_equals_naive =
-  QCheck.Test.make ~name:"blocked matmul equals naive for all tile sizes" ~count:30
-    QCheck.(pair (int_range 1 24) (int_range 1 16))
-    (fun (n, block) ->
-      let r = Rng.create ~seed:(n + block) () in
-      let a = Matrix.random r ~rows:n ~cols:n in
-      let b = Matrix.random r ~rows:n ~cols:n in
-      Matrix.approx_equal (Matrix.mul_blocked ~block a b) (Matrix.mul a b))
-
 let suites =
   [
     ( "matrix",
@@ -126,18 +79,11 @@ let suites =
         Alcotest.test_case "create zero" `Quick test_create_zero;
         Alcotest.test_case "init/get/set" `Quick test_init_get_set;
         Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
-        Alcotest.test_case "identity neutral" `Quick test_identity_neutral;
         Alcotest.test_case "known product" `Quick test_mul_known;
-        Alcotest.test_case "blocked == naive" `Quick test_blocked_matches_naive;
         Alcotest.test_case "dimension mismatch" `Quick test_mul_dimension_mismatch;
-        Alcotest.test_case "transpose involution" `Quick test_transpose_involution;
-        Alcotest.test_case "transpose of product" `Quick test_transpose_of_product;
-        Alcotest.test_case "add/sub/scale" `Quick test_add_sub_scale;
         Alcotest.test_case "outer known" `Quick test_outer_known;
         Alcotest.test_case "outer == matmul" `Quick test_outer_equals_matmul;
         Alcotest.test_case "frobenius" `Quick test_frobenius;
-        Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
         QCheck_alcotest.to_alcotest qcheck_mul_associative;
-        QCheck_alcotest.to_alcotest qcheck_blocked_equals_naive;
       ] );
   ]

@@ -3,8 +3,6 @@
 
 module Parallel = Numerics.Parallel
 module Multicore = Sortlib.Multicore
-module Parallel_matmul = Linalg.Parallel_matmul
-module Matrix = Linalg.Matrix
 module Rng = Numerics.Rng
 
 let checkb = Alcotest.(check bool)
@@ -97,32 +95,6 @@ let test_multicore_speedup_runs () =
   let seq, par, speedup = Multicore.speedup ~domains:2 (Rng.create ~seed:123 ()) ~n:50_000 ~p:4 in
   checkb "times positive" true (seq > 0. && par > 0. && speedup > 0.)
 
-let test_parallel_matmul_correct () =
-  let rng = Rng.create ~seed:124 () in
-  let a = Matrix.random rng ~rows:37 ~cols:23 in
-  let b = Matrix.random rng ~rows:23 ~cols:31 in
-  List.iter
-    (fun domains ->
-      checkb
-        (Printf.sprintf "%d domains" domains)
-        true
-        (Matrix.approx_equal (Parallel_matmul.multiply ~domains a b) (Matrix.mul a b)))
-    [ 1; 2; 4 ]
-
-let test_heterogeneous_bands () =
-  let star = Platform.Star.of_speeds [ 1.; 3. ] in
-  Alcotest.(check (array int)) "1:3 split of 100 rows" [| 25; 75 |]
-    (Parallel_matmul.heterogeneous_bands star ~rows:100)
-
-let qcheck_parallel_matmul =
-  QCheck.Test.make ~name:"parallel matmul equals sequential" ~count:20
-    QCheck.(pair (int_range 1 20) (int_range 1 4))
-    (fun (n, domains) ->
-      let rng = Rng.create ~seed:n () in
-      let a = Matrix.random rng ~rows:n ~cols:n in
-      let b = Matrix.random rng ~rows:n ~cols:n in
-      Matrix.approx_equal (Parallel_matmul.multiply ~domains a b) (Matrix.mul a b))
-
 let suites =
   [
     ( "multicore",
@@ -138,8 +110,5 @@ let suites =
         Alcotest.test_case "multicore sort bit-identical at any p" `Quick
           test_multicore_sort_bit_identical_any_p;
         Alcotest.test_case "speedup harness runs" `Quick test_multicore_speedup_runs;
-        Alcotest.test_case "parallel matmul" `Quick test_parallel_matmul_correct;
-        Alcotest.test_case "heterogeneous bands" `Quick test_heterogeneous_bands;
-        QCheck_alcotest.to_alcotest qcheck_parallel_matmul;
       ] );
   ]

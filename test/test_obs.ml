@@ -433,7 +433,7 @@ let test_hist_recording_allocation_free () =
         true (words = 0.));
   Hist.reset ()
 
-(* --- Sample: deterministic every-k and reservoir ------------------------ *)
+(* --- Sample: deterministic every-k --------------------------------------- *)
 
 let test_sample_every () =
   let s = Sample.every 3 in
@@ -448,25 +448,6 @@ let test_sample_every () =
   checki "every 1 keeps everything" 5 (List.length kept_all);
   checkb "k < 1 rejected" true
     (match Sample.every 0 with exception Invalid_argument _ -> true | _ -> false)
-
-let test_sample_reservoir_deterministic () =
-  let fill seed =
-    let r = Sample.reservoir ~seed ~capacity:16 in
-    for i = 0 to 999 do
-      Sample.offer r i
-    done;
-    (Sample.contents r, Sample.reservoir_seen r, Sample.reservoir_kept r)
-  in
-  let c1, seen1, kept1 = fill 7 in
-  let c2, _, _ = fill 7 in
-  checkb "same seed, same sample" true (c1 = c2);
-  checki "seen accounting" 1000 seen1;
-  checki "capacity bounds kept" 16 kept1;
-  checki "contents match kept" 16 (List.length c1);
-  let small = Sample.reservoir ~seed:7 ~capacity:16 in
-  List.iter (Sample.offer small) [ 1; 2; 3 ];
-  checkb "under capacity keeps everything" true
-    (List.sort compare (Sample.contents small) = [ 1; 2; 3 ])
 
 (* --- bounded export accounting ----------------------------------------- *)
 
@@ -761,12 +742,7 @@ let suites =
         Alcotest.test_case "enabled records allocate zero" `Quick
           test_hist_recording_allocation_free;
       ] );
-    ( "obs sample",
-      [
-        Alcotest.test_case "every-k systematic" `Quick test_sample_every;
-        Alcotest.test_case "reservoir deterministic" `Quick
-          test_sample_reservoir_deterministic;
-      ] );
+    ("obs sample", [ Alcotest.test_case "every-k systematic" `Quick test_sample_every ]);
     ( "obs export",
       [
         Alcotest.test_case "trace-event JSON valid" `Quick test_export_trace_json_valid;

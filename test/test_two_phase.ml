@@ -48,8 +48,8 @@ let test_phase1_counts () =
 
 let test_two_phase_identity () =
   let n = 8 and chunk = 2 in
-  let a = Matrix.identity n in
-  let b = Matrix.identity n in
+  let identity () = Matrix.init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.) in
+  let a = identity () and b = identity () in
   let _, result2 = run_two_phase a b n chunk in
   let flat = Jobs.assemble_blocks result2.Engine.output ~n ~chunk in
   for i = 0 to n - 1 do

@@ -1,8 +1,7 @@
-(* Exhaustive column-partition validation, polynomial multiplication,
-   and steady-state throughput. *)
+(* Exhaustive column-partition validation and steady-state
+   throughput. *)
 
 module Column_partition = Partition.Column_partition
-module Poly = Linalg.Poly
 module Zone = Linalg.Zone
 module Steady_state = Dlt.Steady_state
 module Star = Platform.Star
@@ -50,61 +49,6 @@ let test_exact_size_guard () =
   checkb "too many areas rejected" true
     (try
        ignore (Exact.peri_sum_cost ~areas:(Array.make 11 (1. /. 11.)));
-       false
-     with Invalid_argument _ -> true)
-
-(* --- polynomial multiplication --- *)
-
-let test_schoolbook_known () =
-  (* (1 + 2x)(3 + x) = 3 + 7x + 2x². *)
-  Alcotest.(check (array (float 1e-12)))
-    "known product" [| 3.; 7.; 2. |]
-    (Poly.schoolbook [| 1.; 2. |] [| 3.; 1. |])
-
-let test_schoolbook_degrees () =
-  let result = Poly.schoolbook (Array.make 5 1.) (Array.make 3 1.) in
-  Alcotest.(check int) "degree" 7 (Array.length result)
-
-let test_karatsuba_matches_schoolbook () =
-  let rng = Rng.create ~seed:73 () in
-  let a = Array.init 257 (fun _ -> Rng.uniform rng (-1.) 1.) in
-  let b = Array.init 257 (fun _ -> Rng.uniform rng (-1.) 1.) in
-  let reference = Poly.schoolbook a b in
-  let fast = Poly.karatsuba ~cutoff:8 a b in
-  Alcotest.(check int) "same length" (Array.length reference) (Array.length fast);
-  Array.iteri (fun i v -> checkf "coefficient" ~eps:1e-7 v fast.(i)) reference
-
-let qcheck_karatsuba =
-  QCheck.Test.make ~name:"karatsuba equals schoolbook" ~count:50
-    QCheck.(pair (int_range 1 96) small_int)
-    (fun (n, seed) ->
-      let rng = Rng.create ~seed () in
-      let a = Array.init n (fun _ -> Rng.uniform rng (-2.) 2.) in
-      let b = Array.init n (fun _ -> Rng.uniform rng (-2.) 2.) in
-      let reference = Poly.schoolbook a b in
-      let fast = Poly.karatsuba ~cutoff:4 a b in
-      Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-6) reference fast)
-
-let test_distributed_poly_correct () =
-  let rng = Rng.create ~seed:74 () in
-  let n = 48 in
-  let a = Array.init n (fun _ -> Rng.uniform rng (-1.) 1.) in
-  let b = Array.init n (fun _ -> Rng.uniform rng (-1.) 1.) in
-  let star = Star.of_speeds [ 1.; 2.; 5. ] in
-  let zones = Zone.for_platform star ~n in
-  let stats = Poly.distributed ~zones a b in
-  let reference = Poly.schoolbook a b in
-  Array.iteri (fun i v -> checkf "coefficient" ~eps:1e-9 v stats.Poly.result.(i)) reference;
-  Alcotest.(check int) "comm = half perimeters" (Zone.half_perimeter_sum zones)
-    stats.Poly.total
-
-let test_distributed_poly_rejects_bad_zones () =
-  checkb "bad tiling rejected" true
-    (try
-       ignore
-         (Poly.distributed
-            ~zones:[| { Zone.row0 = 0; rows = 2; col0 = 0; cols = 4 } |]
-            [| 1.; 2.; 3.; 4. |] [| 1.; 2.; 3.; 4. |]);
        false
      with Invalid_argument _ -> true)
 
@@ -190,15 +134,6 @@ let suites =
         Alcotest.test_case "DP near exhaustive (PERI-MAX)" `Slow
           test_dp_close_to_exhaustive_peri_max;
         Alcotest.test_case "size guard" `Quick test_exact_size_guard;
-      ] );
-    ( "polynomial multiplication",
-      [
-        Alcotest.test_case "schoolbook known" `Quick test_schoolbook_known;
-        Alcotest.test_case "degrees" `Quick test_schoolbook_degrees;
-        Alcotest.test_case "karatsuba matches" `Quick test_karatsuba_matches_schoolbook;
-        Alcotest.test_case "distributed correct" `Quick test_distributed_poly_correct;
-        Alcotest.test_case "bad zones rejected" `Quick test_distributed_poly_rejects_bad_zones;
-        QCheck_alcotest.to_alcotest qcheck_karatsuba;
       ] );
     ( "steady state",
       [

@@ -1,8 +1,7 @@
-(* Cannon's algorithm, Strassen, the MapReduce distributed sort, and the
+(* Cannon's algorithm, the MapReduce distributed sort, and the
    event-driven schedule replay. *)
 
 module Cannon = Linalg.Cannon
-module Strassen = Linalg.Strassen
 module Summa = Linalg.Summa
 module Matrix = Linalg.Matrix
 module Jobs = Mapreduce.Jobs
@@ -70,40 +69,6 @@ let qcheck_cannon =
       let a = random_square rng n and b = random_square rng n in
       let stats = Cannon.distributed ~grid a b in
       Matrix.approx_equal stats.Cannon.result (Matrix.mul a b))
-
-(* --- Strassen --- *)
-
-let test_strassen_power_of_two () =
-  let rng = Rng.create ~seed:85 () in
-  let a = random_square rng 64 and b = random_square rng 64 in
-  checkb "64x64" true
-    (Matrix.approx_equal ~tol:1e-7 (Strassen.multiply ~cutoff:16 a b) (Matrix.mul a b))
-
-let test_strassen_odd_size () =
-  let rng = Rng.create ~seed:86 () in
-  let a = random_square rng 37 and b = random_square rng 37 in
-  checkb "37x37 (padding)" true
-    (Matrix.approx_equal ~tol:1e-7 (Strassen.multiply ~cutoff:8 a b) (Matrix.mul a b))
-
-let test_strassen_below_cutoff () =
-  let rng = Rng.create ~seed:87 () in
-  let a = random_square rng 8 and b = random_square rng 8 in
-  checkb "falls back" true (Matrix.approx_equal (Strassen.multiply a b) (Matrix.mul a b))
-
-let test_strassen_op_count () =
-  (* One halving: 7·(n/2)³ < n³ once n > 2·cutoff-ish. *)
-  checkf "cutoff regime" 512. (Strassen.operation_count ~n:8 ~cutoff:8);
-  checkf "one level" (7. *. 512.) (Strassen.operation_count ~n:16 ~cutoff:8);
-  checkb "asymptotically cheaper" true
-    (Strassen.operation_count ~n:1024 ~cutoff:32 < 1024. ** 3.)
-
-let qcheck_strassen =
-  QCheck.Test.make ~name:"strassen equals naive" ~count:15
-    QCheck.(pair (int_range 1 48) small_int)
-    (fun (n, seed) ->
-      let rng = Rng.create ~seed () in
-      let a = random_square rng n and b = random_square rng n in
-      Matrix.approx_equal ~tol:1e-7 (Strassen.multiply ~cutoff:8 a b) (Matrix.mul a b))
 
 (* --- MapReduce distributed sort --- *)
 
@@ -186,14 +151,6 @@ let suites =
         Alcotest.test_case "vs summa volume" `Quick test_cannon_vs_summa_volume;
         Alcotest.test_case "validation" `Quick test_cannon_validation;
         QCheck_alcotest.to_alcotest qcheck_cannon;
-      ] );
-    ( "strassen",
-      [
-        Alcotest.test_case "power of two" `Quick test_strassen_power_of_two;
-        Alcotest.test_case "odd size" `Quick test_strassen_odd_size;
-        Alcotest.test_case "below cutoff" `Quick test_strassen_below_cutoff;
-        Alcotest.test_case "operation count" `Quick test_strassen_op_count;
-        QCheck_alcotest.to_alcotest qcheck_strassen;
       ] );
     ( "mapreduce sort",
       [

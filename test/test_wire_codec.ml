@@ -448,9 +448,12 @@ let test_key_cases () =
 
 (* --- wire golden ---------------------------------------------------------------- *)
 
+(* Next to the test binary, where [(deps wire_golden.txt)] puts it, so
+   the suite passes from any working directory. *)
 let golden_pairs () =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) "wire_golden.txt" in
   let lines =
-    In_channel.with_open_bin "wire_golden.txt" In_channel.input_all
+    In_channel.with_open_bin path In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
