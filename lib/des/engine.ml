@@ -68,8 +68,6 @@ let schedule_after t ~delay handler =
     raise (Causality { now = t.now_cell.(0); requested = t.now_cell.(0) +. delay });
   schedule t ~time:(t.now_cell.(0) +. delay) handler
 
-let pending t = Event_heap.size t.heap
-
 let step t =
   if Event_heap.is_empty t.heap then false
   else begin

@@ -21,9 +21,6 @@ val schedule : t -> time:float -> (t -> unit) -> unit
 val schedule_after : t -> delay:float -> (t -> unit) -> unit
 (** Schedule [delay >= 0] after the current time. *)
 
-val pending : t -> int
-(** Number of events not yet executed. *)
-
 val step : t -> bool
 (** Execute the next event.  [false] when the queue is empty. *)
 

@@ -58,7 +58,6 @@ let create ?(initial_capacity = 16) () =
   }
 
 let size t = t.size
-let capacity t = Array.length t.prio
 let high_water t = t.hwm
 
 let[@inline always] is_empty t = t.size = 0
@@ -66,11 +65,6 @@ let[@inline always] is_empty t = t.size = 0
 (* Undefined when empty (returns whatever is in slot 0); callers check
    [is_empty] first.  Inlined so the read is a direct unboxed load. *)
 let[@inline always] min_priority t = Array.unsafe_get t.prio 0
-
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0;
-  t.hwm <- 0
 
 (* (prio, seq) lexicographic order, split into two comparisons so the
    common unequal-priority case never touches the seq words. *)

@@ -28,11 +28,8 @@ val create : ?initial_capacity:int -> unit -> t
 
 val size : t -> int
 
-val capacity : t -> int
-(** Current buffer length (for the growth tests). *)
-
 val high_water : t -> int
-(** Maximum {!size} ever reached since creation or {!clear} — tracked
+(** Maximum {!size} ever reached since creation — tracked
     unconditionally (one predicted branch per push) so instrumented
     consumers can report peak queue depth without sampling. *)
 
@@ -49,9 +46,6 @@ val pop : t -> int
 (** Removes and returns the minimum-priority payload; its priority is
     [min_priority] read before the call.  Raises [Invalid_argument] on
     an empty heap. *)
-
-val clear : t -> unit
-(** Empties the heap and resets the FIFO seq counter. *)
 
 val exercise : t -> rounds:int -> batch:int -> unit
 (** [rounds] iterations of [batch] pushes (scrambled priorities)

@@ -16,7 +16,6 @@ type _ Effect.t += Acquire : resource -> unit Effect.t
 exception Outside_process
 
 let create () = { engine = Engine.create () }
-let engine t = t.engine
 let now t = Engine.now t.engine
 
 (* Each process body runs under this deep handler, which also covers

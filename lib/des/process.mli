@@ -10,7 +10,6 @@ type t
 (** A simulation world: an engine plus the process runtime. *)
 
 val create : unit -> t
-val engine : t -> Engine.t
 val now : t -> float
 
 val spawn : t -> (unit -> unit) -> unit

@@ -29,13 +29,7 @@ let intervals t ~resource =
   | None -> []
   | Some cell -> List.rev !cell
 
-let busy_time t ~resource =
-  List.fold_left (fun acc iv -> acc +. (iv.finish -. iv.start)) 0. (intervals t ~resource)
-
 let makespan t = t.makespan
-
-let utilization t ~resource =
-  if t.makespan <= 0. then 0. else busy_time t ~resource /. t.makespan
 
 let render_gantt ?(width = 72) t =
   let horizon = if t.makespan > 0. then t.makespan else 1. in

@@ -16,12 +16,8 @@ val resources : t -> string list
 val intervals : t -> resource:string -> interval list
 (** In recording order; empty for unknown resources. *)
 
-val busy_time : t -> resource:string -> float
 val makespan : t -> float
 (** Largest [finish] over all intervals; 0 when empty. *)
-
-val utilization : t -> resource:string -> float
-(** busy time / makespan; 0 when the makespan is 0. *)
 
 val render_gantt : ?width:int -> t -> string
 (** A fixed-width text Gantt chart, one row per resource. *)

@@ -1,6 +1,5 @@
 module Processor = Platform.Processor
 module Star = Platform.Star
-module Kahan = Numerics.Kahan
 
 let ideal_makespan star cost ~total =
   Cost_model.work cost total /. Star.total_speed star
@@ -17,9 +16,3 @@ let divisible_ideal_makespan star cost ~total =
          (Array.to_list (Star.workers star)))
   in
   snd (Nonlinear.equal_finish_allocation Schedule.Parallel compute_only cost ~total)
-
-let communication_bound star ~total =
-  let total_bw = Kahan.sum_by (fun (p : Processor.t) -> p.Processor.bandwidth) (Star.workers star) in
-  total /. total_bw
-
-let efficiency star cost ~total ~makespan = ideal_makespan star cost ~total /. makespan

@@ -14,11 +14,3 @@ val divisible_ideal_makespan :
     load: minimize [max_i w_i·work(n_i)] s.t. [Σ n_i = total] — i.e.
     {!Nonlinear.equal_finish_allocation} with free communication.
     Coincides with {!ideal_makespan} for linear loads. *)
-
-val communication_bound : Platform.Star.t -> total:float -> float
-(** Every data unit leaves the master: with parallel links the transfer
-    phase takes at least [total / Σ bw_i]. *)
-
-val efficiency : Platform.Star.t -> Cost_model.t -> total:float -> makespan:float -> float
-(** [ideal_makespan / makespan], in (0, 1] for valid schedules of linear
-    loads. *)

@@ -30,10 +30,3 @@ let alpha = function
 let of_alpha a =
   if a < 1. then invalid_arg "Cost_model.of_alpha: alpha must be >= 1";
   if a = 1. then Linear else Power a
-
-let name = function
-  | Linear -> "linear"
-  | Power a -> Printf.sprintf "power(%.3g)" a
-  | N_log_n -> "nlogn"
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -26,6 +26,3 @@ val alpha : t -> float option
 val of_alpha : float -> t
 (** [Linear] when [alpha = 1.], otherwise [Power alpha].  Raises
     [Invalid_argument] when [alpha < 1]. *)
-
-val name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 module Star = Platform.Star
-module Processor = Platform.Processor
 
 type evaluation = { order : int array; makespan : float }
 
@@ -7,21 +6,6 @@ let makespan star ~order ~total =
   snd (Nonlinear.equal_finish_allocation ~order Schedule.One_port star Cost_model.Linear ~total)
 
 let identity_order p = Array.init p (fun i -> i)
-
-let sorted_order star compare_procs =
-  let workers = Star.workers star in
-  let order = identity_order (Star.size star) in
-  Array.sort (fun i j -> compare_procs workers.(i) workers.(j)) order;
-  order
-
-let by_bandwidth star =
-  sorted_order star (fun (a : Processor.t) b -> Float.compare b.bandwidth a.bandwidth)
-
-let by_latency star =
-  sorted_order star (fun (a : Processor.t) b -> Float.compare a.latency b.latency)
-
-let by_speed star =
-  sorted_order star (fun (a : Processor.t) b -> Float.compare b.speed a.speed)
 
 (* Fold [f] over every permutation of [order] (Heap's algorithm). *)
 let iter_permutations order f =

@@ -3,8 +3,8 @@
     A classical result for latency-free linear loads is that the
     optimal makespan does not depend on the order in which the master
     serves the workers; with per-message latencies (the affine model)
-    order matters, and heuristic orders are compared against the
-    brute-force optimum for small platforms. *)
+    order matters, and the best and worst orders are found by brute
+    force on small platforms. *)
 
 type evaluation = { order : int array; makespan : float }
 
@@ -13,15 +13,6 @@ val makespan : Platform.Star.t -> order:int array -> total:float -> float
     participants included (see {!Nonlinear.equal_finish_allocation}). *)
 
 val identity_order : int -> int array
-
-val by_bandwidth : Platform.Star.t -> int array
-(** Decreasing bandwidth — the classical heuristic. *)
-
-val by_latency : Platform.Star.t -> int array
-(** Increasing latency. *)
-
-val by_speed : Platform.Star.t -> int array
-(** Decreasing compute speed. *)
 
 val best_order : Platform.Star.t -> total:float -> evaluation
 (** Exhaustive search over all [p!] orders; raises [Invalid_argument]

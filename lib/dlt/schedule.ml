@@ -95,7 +95,6 @@ let validate comm_model cost t =
       check busy);
   match !problems with [] -> Ok () | msgs -> Error (String.concat "; " (List.rev msgs))
 
-let total_data t = Numerics.Kahan.sum_by (fun e -> e.data) t.entries
 let makespan t = t.makespan
 
 let pp ppf t =

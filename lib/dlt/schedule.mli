@@ -40,6 +40,5 @@ val validate : comm_model -> Cost_model.t -> t -> (unit, string) result
     the platform parameters, computation starts after reception, and
     under [One_port] communication intervals do not overlap. *)
 
-val total_data : t -> float
 val makespan : t -> float
 val pp : Format.formatter -> t -> unit

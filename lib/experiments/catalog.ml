@@ -277,7 +277,11 @@ let serve =
     Arg.(
       value
       & opt (some seconds) None
-      & info [ "deadline" ] ~docv:"S" ~doc:"Per-request wall-clock budget in seconds.")
+      & info [ "deadline" ] ~docv:"S"
+          ~doc:
+            "Admission cut-off in seconds from the start of each batch: a cache \
+             miss reached after it is answered with a $(b,deadline) error \
+             instead of being solved.  It never interrupts a solve.")
   in
   let run socket cache_capacity queue_depth deadline_s domains () =
     let batch = { Serve.Batch.cache_capacity; queue_depth; deadline_s } in

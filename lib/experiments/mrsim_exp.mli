@@ -6,7 +6,7 @@
     enabled, the scheduler reports per-event-type counts, sampled heap
     depth and wait/service/fetch/retry latency distributions; the
     outcome's schedule exports as a downsampled Gantt through
-    {!Mapreduce.Timeline.chrome}. *)
+    {!Mapreduce.Timeline.write_chrome}. *)
 
 type result = {
   workers : int;

@@ -40,15 +40,6 @@ let evaluate ~p ~c ~n =
     memory_factor = cf;
   }
 
-let best_replication ~p =
-  let limit = int_of_float (float_of_int p ** (1. /. 3.) +. 1e-9) in
-  let rec search c =
-    if c < 1 then 1
-    else if p mod c = 0 && is_perfect_square (p / c) then c
-    else search (c - 1)
-  in
-  search limit
-
 let speedup_over_2d ~p ~c ~n =
   validate ~p ~c;
   ignore n;

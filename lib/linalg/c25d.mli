@@ -22,9 +22,5 @@ val evaluate : p:int -> c:int -> n:int -> model
     (beyond [c = p^(1/3)] the algorithm stops improving) and [p/c] is
     a perfect square. *)
 
-val best_replication : p:int -> int
-(** The largest valid [c <= p^(1/3)] such that [p/c] is a perfect
-    square; 1 when none larger exists. *)
-
 val speedup_over_2d : p:int -> c:int -> n:int -> float
 (** Ratio of 2D ([c = 1]) to 2.5D per-processor volume: [√c]. *)

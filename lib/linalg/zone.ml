@@ -2,11 +2,7 @@ module Apportion = Numerics.Apportion
 
 type t = { row0 : int; rows : int; col0 : int; cols : int }
 
-let area z = z.rows * z.cols
 let half_perimeter z = z.rows + z.cols
-
-let contains z ~row ~col =
-  row >= z.row0 && row < z.row0 + z.rows && col >= z.col0 && col < z.col0 + z.cols
 
 let of_column_assignment ~areas assignment ~n =
   if n < 1 then invalid_arg "Zone.of_column_assignment: n must be >= 1";
@@ -94,7 +90,3 @@ let validate_tiling ~n zones =
 
 let half_perimeter_sum zones =
   Array.fold_left (fun acc z -> acc + half_perimeter z) 0 zones
-
-let pp ppf z =
-  Format.fprintf ppf "rows[%d..%d) x cols[%d..%d)" z.row0 (z.row0 + z.rows) z.col0
-    (z.col0 + z.cols)

@@ -4,9 +4,7 @@
 
 type t = { row0 : int; rows : int; col0 : int; cols : int }
 
-val area : t -> int
 val half_perimeter : t -> int
-val contains : t -> row:int -> col:int -> bool
 
 val of_column_assignment :
   areas:float array -> Partition.Column_partition.assignment -> n:int -> t array
@@ -29,4 +27,3 @@ val validate_tiling : n:int -> t array -> (unit, string) result
 (** Every cell of the [n × n] domain covered exactly once. *)
 
 val half_perimeter_sum : t array -> int
-val pp : Format.formatter -> t -> unit

@@ -757,11 +757,16 @@ let build fragments =
   let local_tbl = Hashtbl.create 1024 in
   Array.iter
     (fun node ->
-      let frag = fragments.(node.n_frag) in
+      (* [n_path] is the file's module path, the submodules the binding
+         sits in, then its first name: [Sub.name] in [lib/x/file.ml]
+         answers to [Sub.name], [File.Sub.name] and [X.File.Sub.name]. *)
+      let modules =
+        match List.rev node.n_path with _ :: rev -> List.rev rev | [] -> []
+      in
       List.iter
         (fun name ->
           add_tbl local_tbl (node.n_file, name) node.n_id;
-          let qualified = frag.f_modpath @ [ name ] in
+          let qualified = modules @ [ name ] in
           List.iter
             (fun sfx -> add_tbl suffix_tbl (key sfx) node.n_id)
             (suffixes qualified))

@@ -11,7 +11,7 @@ type ('k, 'v) result = {
   makespan : float;
 }
 
-let run ?config ?combine ?place star job ~reduce =
+let run ?config ?combine star job ~reduce =
   Array.iteri
     (fun i task ->
       if task.Task.id <> i then invalid_arg "Engine.run: task ids must be 0..n-1 in order")
@@ -43,8 +43,5 @@ let run ?config ?combine ?place star job ~reduce =
            let producer = if map.Scheduler.winner.(i) >= 0 then map.Scheduler.winner.(i) else 0 in
            List.map (fun (k, v) -> (k, v, producer)) (task_pairs i))
   in
-  let output, shuffle = Shuffle.run ?place star ~pairs ~reduce in
+  let output, shuffle = Shuffle.run star ~pairs ~reduce in
   { output; map; shuffle; makespan = map.Scheduler.makespan +. shuffle.Shuffle.reduce_time }
-
-let total_communication result =
-  result.map.Scheduler.communication +. result.shuffle.Shuffle.volume

@@ -19,7 +19,6 @@ type ('k, 'v) result = {
 val run :
   ?config:Scheduler.config ->
   ?combine:('k -> 'v list -> 'v) ->
-  ?place:('k -> int) ->
   Platform.Star.t ->
   ('k, 'v) job ->
   reduce:('k -> 'v list -> 'v) ->
@@ -30,6 +29,3 @@ val run :
     by one task are pre-folded before the shuffle, cutting its volume
     (it must be the same associative fold as [reduce] for the output to
     be unchanged). *)
-
-val total_communication : ('k, 'v) result -> float
-(** Map-input volume + shuffle volume. *)

@@ -1,14 +1,8 @@
 (** Ready-made MapReduce jobs.
 
-    [word_count] is the linear-complexity workload MapReduce was
-    designed for (Section 1.1); [outer_product] and [matmul_replicated]
-    are the non-linear workloads of Section 4, expressed with the data
-    replication the paper describes (the [N² → N³] blow-up for matrix
-    multiplication). *)
-
-val word_count : docs:string array -> (string, int) Engine.job
-(** One map task per document; keys are whitespace-separated words,
-    reduced by summing counts. *)
+    [outer_product] and [matmul_replicated] are the non-linear workloads
+    of Section 4, expressed with the data replication the paper
+    describes (the [N² → N³] blow-up for matrix multiplication). *)
 
 val outer_product :
   a:float array -> b:float array -> chunk:int -> (int * int, float) Engine.job
@@ -30,43 +24,3 @@ val matmul_replicated :
 
 val replication_factor : n:int -> chunk:int -> float
 (** [(2n³/chunk) / (2n²) = n/chunk]. *)
-
-val distributed_sort :
-  keys:float array -> chunk:int -> splitters:float array ->
-  (int, float array) Engine.job
-(** Section 3 expressed as a MapReduce job: map tasks route their chunk
-    of keys to buckets (one pair [(bucket, singleton)] per key), the
-    reducer of bucket [b] concatenates and sorts — use
-    [reduce = fun _ runs -> sort (concat runs)] and concatenate the
-    outputs in bucket order for the fully sorted result.  [chunk] must
-    divide [|keys|]; splitters must be sorted. *)
-
-val assemble_sorted : (int * float array) list -> float array
-(** Order the reducer outputs of {!distributed_sort} by bucket and
-    concatenate. *)
-
-val matmul_phase1 :
-  a:(int -> int -> float) -> b:(int -> int -> float) -> n:int -> chunk:int ->
-  (int * int * int, float array) Engine.job
-(** The paper's alternative (ii) for non-linear workloads: instead of
-    replicating the inputs [n/chunk] times up front, run a {e sequence}
-    of two MapReduce jobs ([25]).  Phase 1 computes every block product
-    [A(ib,kb)·B(kb,jb)]: one map task per block triple, reading exactly
-    two blocks and emitting one flattened [chunk × chunk] partial block
-    keyed by [(ib, jb, kb)]; reduce is the identity merge. *)
-
-val matmul_phase2 :
-  phase1_output:((int * int * int) * float array) list -> chunk:int ->
-  (int * int, float array) Engine.job
-(** Phase 2: one map task per phase-1 partial block, re-keying it to
-    [(ib, jb)]; the reducer sums the [n/chunk] partials element-wise.
-    The inter-phase data is [n³/chunk] values — the inflation has moved
-    from map input into the pipeline, which is the trade-off the paper
-    points out for the sequence-of-jobs approach. *)
-
-val assemble_blocks :
-  ((int * int) * float array) list -> n:int -> chunk:int -> float array
-(** Rebuild the row-major [n × n] result from phase-2 outputs. *)
-
-val sum_blocks : 'k -> float array list -> float array
-(** Element-wise sum — the phase-2 reducer. *)

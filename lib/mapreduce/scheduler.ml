@@ -739,15 +739,3 @@ let run ?(config = default_config) ?jitter ?(faults = Fault.Plan.none) star ~tas
     events_processed = !events_processed;
     fault_log = Fault.Clock.events clock;
   }
-
-let imbalance outcome =
-  let tmax = ref 0. and tmin = ref infinity and ran = ref 0 in
-  Array.iteri
-    (fun w t ->
-      if outcome.per_worker_tasks.(w) > 0 then begin
-        incr ran;
-        if t > !tmax then tmax := t;
-        if t < !tmin then tmin := t
-      end)
-    outcome.busy_until;
-  if !ran < 2 || !tmin <= 0. then 0. else (!tmax -. !tmin) /. !tmin

@@ -132,9 +132,3 @@ val run :
 
     Raises [Invalid_argument] when [faults] addresses more workers than
     the platform has, or on a malformed config. *)
-
-val imbalance : outcome -> float
-(** [(tmax - tmin)/tmin] over [busy_until] of the workers that
-    completed at least one copy (crashed or starved workers no longer
-    poison the ratio with [infinity] — use [idle_workers] to see how
-    many sat out); 0 when fewer than two workers ran. *)

@@ -11,22 +11,8 @@ type stats = {
 
 let placement ~p key = Hashtbl.hash key mod p
 
-let speed_weighted_placement star key =
-  let x = Star.relative_speeds star in
-  (* Map the key hash to [0,1) and walk the cumulative speed vector. *)
-  let u = float_of_int (Hashtbl.hash key land 0x3FFFFFFF) /. float_of_int 0x40000000 in
-  let p = Array.length x in
-  let rec scan i acc =
-    if i = p - 1 then i
-    else
-      let acc = acc +. x.(i) in
-      if u < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.
-
-let run ?place star ~pairs ~reduce =
+let run star ~pairs ~reduce =
   let p = Star.size star in
-  let place = match place with Some f -> f | None -> placement ~p in
   let workers = Star.workers star in
   let groups : ('k, 'v list ref) Hashtbl.t = Hashtbl.create 256 in
   let per_reducer_volume = Array.make p 0. in
@@ -35,8 +21,7 @@ let run ?place star ~pairs ~reduce =
   List.iter
     (fun (key, value, producer) ->
       incr count;
-      let reducer = place key in
-      if reducer < 0 || reducer >= p then invalid_arg "Shuffle.run: placement out of range";
+      let reducer = placement ~p key in
       if reducer <> producer then
         per_reducer_volume.(reducer) <- per_reducer_volume.(reducer) +. 1.;
       per_reducer_work.(reducer) <- per_reducer_work.(reducer) +. 1.;

@@ -13,20 +13,12 @@ type stats = {
 val placement : p:int -> 'k -> int
 (** Deterministic hash placement of a key among [p] reducers. *)
 
-val speed_weighted_placement : Platform.Star.t -> 'k -> int
-(** Hash placement biased by worker speeds: a worker with a fraction
-    [x_i] of the platform's speed receives an expected fraction [x_i]
-    of the keys — the reducer-side analogue of the paper's
-    heterogeneity-aware load balancing. *)
-
 val run :
-  ?place:('k -> int) ->
   Platform.Star.t ->
   pairs:('k * 'v * int) list ->
   reduce:('k -> 'v list -> 'v) ->
   ('k * 'v) list * stats
 (** [pairs] carries [(key, value, producing_worker)].  Values reach
     their reducer in production order.  Each pair weighs one data unit;
-    each value costs one work unit to fold.  [place] overrides the
-    default hash {!placement}; it must return indices in
-    [\[0, size star)]. *)
+    each value costs one work unit to fold.  Keys go to reducers by
+    {!placement}. *)

@@ -11,21 +11,5 @@ let trace (outcome : Scheduler.outcome) =
     outcome.Scheduler.assignments;
   t
 
-let gantt ?width outcome = Des.Trace.render_gantt ?width (trace outcome)
-
-(* Chrome export of the schedule through the shared [Des.Trace] bridge.
-   A million-task outcome holds up to two intervals per executed copy;
-   [max_events] bounds the artifact via the bridge's deterministic
-   1-in-k sampler, with explicit sampled_out accounting in the emitted
-   trace_stats event. *)
-let chrome ?max_events outcome = Des.Trace.to_chrome ?max_events (trace outcome)
-
 let write_chrome ?max_events outcome path =
   Des.Trace.write_chrome ?max_events (trace outcome) path
-
-let utilizations star (outcome : Scheduler.outcome) =
-  let t = trace outcome in
-  let makespan = outcome.Scheduler.makespan in
-  Array.init (Platform.Star.size star) (fun w ->
-      if makespan <= 0. then 0.
-      else Des.Trace.busy_time t ~resource:(Printf.sprintf "w%d" w) /. makespan)

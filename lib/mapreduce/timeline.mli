@@ -1,21 +1,8 @@
 (** Visualization of a map-phase outcome: per-worker fetch/compute
-    intervals as a {!Des.Trace}, with utilization figures. *)
+    intervals as a {!Des.Trace}. *)
 
 val trace : Scheduler.outcome -> Des.Trace.t
 (** Resources ["w<i>"]: label [f] for fetch intervals, [x] for compute
     intervals (one pair per executed copy). *)
 
-val gantt : ?width:int -> Scheduler.outcome -> string
-
-val chrome : ?max_events:int -> Scheduler.outcome -> Obs.Json.t
-(** The schedule as a Chrome trace-event array (via
-    {!Des.Trace.to_chrome}): one thread row per worker, one "X" event
-    per fetch/compute interval.  [max_events] bounds the export with
-    the bridge's deterministic 1-in-k sampler; the leading
-    "trace_stats" metadata event reports recorded / sampled_out /
-    emitted counts either way. *)
-
 val write_chrome : ?max_events:int -> Scheduler.outcome -> string -> unit
-
-val utilizations : Platform.Star.t -> Scheduler.outcome -> float array
-(** Busy time / makespan per worker (0 when the makespan is 0). *)

@@ -61,8 +61,6 @@ let render t =
   List.iter render_row (List.rev t.rows);
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (render t)
-
 let print t =
   print_string (render t);
   flush stdout

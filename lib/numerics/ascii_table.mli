@@ -14,6 +14,5 @@ val set_align : t -> align list -> unit
 (** Per-column alignment; default is [Right] everywhere. *)
 
 val render : t -> string
-val pp : Format.formatter -> t -> unit
 val print : t -> unit
 (** Render to [stdout] followed by a newline flush. *)

@@ -6,9 +6,3 @@ let of_summary ?(level = 0.95) (s : Stats.summary) =
   let z = Special.normal_quantile (1. -. ((1. -. level) /. 2.)) in
   let half = z *. s.Stats.stddev /. sqrt (float_of_int s.Stats.n) in
   { lo = s.Stats.mean -. half; hi = s.Stats.mean +. half; level }
-
-let mean_interval ?level samples = of_summary ?level (Stats.summarize samples)
-let contains t x = t.lo <= x && x <= t.hi
-
-let pp ppf t =
-  Format.fprintf ppf "[%.6g, %.6g] @%.0f%%" t.lo t.hi (100. *. t.level)

@@ -4,12 +4,6 @@
 
 type interval = { lo : float; hi : float; level : float }
 
-val mean_interval : ?level:float -> float array -> interval
+val of_summary : ?level:float -> Stats.summary -> interval
 (** Two-sided interval for the mean at confidence [level] (default
     0.95): [mean ± z·sd/√n].  Requires at least 2 samples. *)
-
-val of_summary : ?level:float -> Stats.summary -> interval
-
-val contains : interval -> float -> bool
-
-val pp : Format.formatter -> interval -> unit

@@ -12,32 +12,7 @@ let gaussian rng ~mu ~sigma =
 
 let lognormal rng ~mu ~sigma = exp (gaussian rng ~mu ~sigma)
 
-let exponential rng ~rate =
-  assert (rate > 0.);
-  let rec nonone () =
-    let u = Rng.float rng in
-    if u < 1. then u else nonone ()
-  in
-  -.log (1. -. nonone ()) /. rate
-
 let pareto rng ~scale ~shape =
   assert (scale > 0. && shape > 0.);
   let u = 1. -. Rng.float rng in
   scale /. (u ** (1. /. shape))
-
-let zipf_weights ~n ~skew =
-  assert (n > 0);
-  let w = Array.init n (fun i -> 1. /. (float_of_int (i + 1) ** skew)) in
-  let total = Array.fold_left ( +. ) 0. w in
-  Array.map (fun x -> x /. total) w
-
-let categorical rng ~weights =
-  let u = Rng.float rng in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.

@@ -10,15 +10,5 @@ val gaussian : Rng.t -> mu:float -> sigma:float -> float
 val lognormal : Rng.t -> mu:float -> sigma:float -> float
 (** [exp] of a Gaussian; the paper uses [mu = 0], [sigma = 1]. *)
 
-val exponential : Rng.t -> rate:float -> float
-(** Exponential with rate [rate > 0]. *)
-
 val pareto : Rng.t -> scale:float -> shape:float -> float
 (** Pareto with minimum [scale] and tail index [shape]. *)
-
-val zipf_weights : n:int -> skew:float -> float array
-(** Normalized Zipf probability vector of length [n] with exponent
-    [skew]; used to generate skewed key populations for sorting. *)
-
-val categorical : Rng.t -> weights:float array -> int
-(** Draw an index according to a normalized probability vector. *)

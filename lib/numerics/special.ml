@@ -8,8 +8,6 @@ let erf x =
   let poly = ((((((((a5 *. t) +. a4) *. t) +. a3) *. t) +. a2) *. t) +. a1) *. t in
   sign *. (1. -. (poly *. exp (-.x *. x)))
 
-let erfc x = 1. -. erf x
-
 let normal_cdf ?(mu = 0.) ?(sigma = 1.) x =
   0.5 *. (1. +. erf ((x -. mu) /. (sigma *. sqrt 2.)))
 
@@ -55,29 +53,3 @@ let normal_quantile p =
   let e = normal_cdf x -. p in
   let u = e *. sqrt (2. *. Float.pi) *. exp (x *. x /. 2.) in
   x -. (u /. (1. +. (x *. u /. 2.)))
-
-(* Lanczos, g = 7, n = 9. *)
-let lanczos =
-  [| 0.99999999999980993; 676.5203681218851; -1259.1392167224028; 771.32342877765313;
-     -176.61502916214059; 12.507343278686905; -0.13857109526572012;
-     9.9843695780195716e-6; 1.5056327351493116e-7 |]
-[@@nldl.allow "S201"] (* read-only coefficient table *)
-
-let rec log_gamma x =
-  if x <= 0. then invalid_arg "Special.log_gamma: x must be > 0";
-  if x < 0.5 then
-    (* Reflection. *)
-    log (Float.pi /. sin (Float.pi *. x)) -. log_gamma (1. -. x)
-  else begin
-    let x = x -. 1. in
-    let acc = ref lanczos.(0) in
-    for i = 1 to 8 do
-      acc := !acc +. (lanczos.(i) /. (x +. float_of_int i))
-    done;
-    let t = x +. 7.5 in
-    (0.5 *. log (2. *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
-  end
-
-let log_factorial n =
-  if n < 0 then invalid_arg "Special.log_factorial: negative";
-  log_gamma (float_of_int (n + 1))

@@ -1,12 +1,10 @@
-(** Special functions needed by the statistical checks: error function,
-    normal CDF/quantile, log-gamma.  Implementations are classical
+(** Special functions needed by the statistical checks: error function
+    and normal CDF/quantile.  Implementations are classical
     rational/series approximations with documented absolute error. *)
 
 val erf : float -> float
 (** Abramowitz-Stegun 7.1.26 rational approximation; absolute error
     below 1.5e-7. *)
-
-val erfc : float -> float
 
 val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
 (** Φ((x-mu)/sigma). *)
@@ -15,9 +13,3 @@ val normal_quantile : float -> float
 (** Inverse standard-normal CDF (Acklam's algorithm, refined by one
     Newton step; |error| < 1e-9).  Raises [Invalid_argument] outside
     (0, 1). *)
-
-val log_gamma : float -> float
-(** Lanczos approximation, [x > 0]; relative error below 1e-10. *)
-
-val log_factorial : int -> float
-(** [log n!] via {!log_gamma}. *)

@@ -164,13 +164,6 @@ let[@inline] [@nldl.bounds_validated "Hist.bucket_of"] record_into s v =
 
 let record h v = if Atomic.get enabled_flag then record_into (shard h) v
 
-(* Seconds -> integer nanoseconds after the flag check, so simulated
-   time distributions share the bucket geometry with the wall clock and
-   the disabled path stays allocation-free. *)
-let record_s h s =
-  if Atomic.get enabled_flag then
-    record_into (shard h) (int_of_float (s *. 1e9))
-
 (* --- snapshot ----------------------------------------------------------- *)
 
 type summary = {

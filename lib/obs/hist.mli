@@ -8,8 +8,8 @@
     relative error.  The full non-negative [int] range fits in
     {!n_buckets} slots (~15 kB per histogram per recording domain).
 
-    Disabled-mode contract (the default): {!record}/{!record_s} are a
-    single atomic flag load and allocate zero words.  Enabled-mode
+    Disabled-mode contract (the default): {!record} is a
+    single atomic flag load and allocates zero words.  Enabled-mode
     recording is also allocation-free once a domain's shard exists; hot
     loops should hoist {!shard} out of the loop and use {!record_into}
     (unconditional — gate it on your own cached enabled check).
@@ -30,10 +30,6 @@ val name : t -> string
 
 val record : t -> int -> unit
 (** Count one sample.  Zero-allocation; no-op while disabled. *)
-
-val record_s : t -> float -> unit
-(** [record_s h seconds] records a duration in seconds as integer
-    nanoseconds (conversion happens after the enabled check). *)
 
 type shard
 (** One domain's slots for one histogram. *)

@@ -127,5 +127,3 @@ let reset () =
   List.iter (fun s -> Array.fill s.s_counts 0 (Array.length s.s_counts) 0) !shards;
   List.iter (fun g -> g.g_value <- Float.nan) !gauges;
   Mutex.unlock mutex
-
-let counter_value snap name = List.assoc_opt name snap.counters

@@ -42,5 +42,3 @@ val snapshot : unit -> snapshot
 
 val reset : unit -> unit
 (** Zero every shard and reset gauges to NaN.  Registrations remain. *)
-
-val counter_value : snapshot -> string -> int option

@@ -20,7 +20,6 @@ let[@inline] keep e =
   if take then e.kept <- e.kept + 1;
   take
 
-let seen e = e.seen
 let kept e = e.kept
 
 let stride ~budget n =

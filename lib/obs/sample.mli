@@ -1,9 +1,9 @@
 (** Deterministic sampling for bounded trace/timeline exports.
 
     The sampler is replayable — the set of kept elements is a pure
-    function of [k] and the offered stream — and keeps explicit
-    seen/kept accounting so exporters can state exactly how much was
-    dropped (no silent truncation). *)
+    function of [k] and the offered stream — and counts what it kept so
+    exporters can state exactly how much was dropped (no silent
+    truncation). *)
 
 type every
 (** Systematic 1-in-k sampler (keeps elements 0, k, 2k, ...). *)
@@ -15,7 +15,6 @@ val every : int -> every
 val keep : every -> bool
 (** Decide the next element; zero allocation, safe in hot loops. *)
 
-val seen : every -> int
 val kept : every -> int
 
 val stride : budget:int -> int -> int

@@ -65,19 +65,6 @@ let begin_span name = if Atomic.get enabled_flag then record 0 name
 let end_span name = if Atomic.get enabled_flag then record 1 name
 let instant name = if Atomic.get enabled_flag then record 2 name
 
-let with_span name f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    record 0 name;
-    match f () with
-    | v ->
-        record 1 name;
-        v
-    | exception e ->
-        record 1 name;
-        raise e
-  end
-
 (* --- collection -------------------------------------------------------- *)
 
 type kind = Begin | End | Instant

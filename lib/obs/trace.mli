@@ -24,11 +24,6 @@ val end_span : string -> unit
 val instant : string -> unit
 (** A zero-duration marker event. *)
 
-val with_span : string -> (unit -> 'a) -> 'a
-(** [with_span name f] wraps [f] in a span, ending it on exceptions
-    too.  Convenience for drivers; hot kernels should prefer explicit
-    [begin_span]/[end_span] so no closure is built when disabled. *)
-
 type kind = Begin | End | Instant
 type event = { domain : int; ts_ns : int; kind : kind; name : string }
 

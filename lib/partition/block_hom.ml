@@ -76,7 +76,3 @@ let commhom_over_k ?(target_imbalance = 0.01) ?(max_k = 128) star ~n =
     if result.imbalance <= target_imbalance || k >= max_k then result else search (k + 1)
   in
   search 1
-
-let ideal_ratio star =
-  let x = Star.relative_speeds star in
-  1. /. (sqrt x.(0) *. Kahan.sum_by sqrt x)

@@ -43,8 +43,3 @@ val commhom_over_k :
 (** Increase [k] until [imbalance <= target_imbalance] (default 0.01,
     the paper's 1%) or [k = max_k] (default 128); returns the first
     result meeting the target, or the last one attempted. *)
-
-val ideal_ratio : Platform.Star.t -> float
-(** Closed-form ratio of [Commhom] to the lower bound when all
-    quantities are treated as reals: [1 / (√x₁ · Σ √x_i)]
-    (= [Σs_i / (√s₁ · Σ √s_i)], the quantity bounded in §4.1.3). *)

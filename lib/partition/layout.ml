@@ -1,11 +1,7 @@
 type t = { rects : Rect.t array }
 
-let size t = Array.length t.rects
 let areas t = Array.map Rect.area t.rects
 let sum_half_perimeters t = Numerics.Kahan.sum_by Rect.half_perimeter t.rects
-
-let max_half_perimeter t =
-  Array.fold_left (fun acc r -> Float.max acc (Rect.half_perimeter r)) 0. t.rects
 
 let communication_volume t ~n = n *. sum_half_perimeters t
 
@@ -39,11 +35,6 @@ let validate ?(tol = 1e-9) ?expected_areas t =
               fail "rect %d has area %.12g, prescribed %.12g" i actual a)
           expected);
   match !problems with [] -> Ok () | msgs -> Error (String.concat "; " (List.rev msgs))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>layout (%d zones, C=%.6g):@," (size t) (sum_half_perimeters t);
-  Array.iteri (fun i r -> Format.fprintf ppf "  %d: %a@," i Rect.pp r) t.rects;
-  Format.fprintf ppf "@]"
 
 let markers = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

@@ -17,12 +17,3 @@ let intersection_area a b =
   if dx > 0. && dy > 0. then dx *. dy else 0.
 
 let overlaps ?(tol = 1e-12) a b = intersection_area a b > tol
-
-let equal ?(tol = 1e-12) a b =
-  Float.abs (a.x -. b.x) <= tol
-  && Float.abs (a.y -. b.y) <= tol
-  && Float.abs (a.width -. b.width) <= tol
-  && Float.abs (a.height -. b.height) <= tol
-
-let pp ppf r =
-  Format.fprintf ppf "[%.4g,%.4g]x[%.4g,%.4g]" r.x (x_max r) r.y (y_max r)

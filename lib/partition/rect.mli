@@ -23,6 +23,3 @@ val contains : t -> x:float -> y:float -> bool
 val intersection_area : t -> t -> float
 val overlaps : ?tol:float -> t -> t -> bool
 (** True when the open interiors intersect with area above [tol]. *)
-
-val equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,11 +1,4 @@
-module Stats = Numerics.Stats
 module Kahan = Numerics.Kahan
-
-let speed_ratio star = (Star.fastest star).Processor.speed /. (Star.slowest star).Processor.speed
-
-let coefficient_of_variation star = Stats.coefficient_of_variation (Star.speeds star)
-
-let sum_sqrt_relative star = Kahan.sum_by sqrt (Star.relative_speeds star)
 
 let hom_over_het_bound star =
   let speeds = Star.speeds star in

@@ -1,15 +1,6 @@
-(** Heterogeneity measures of a platform, used to relate the measured
-    communication ratios of Figure 4 to how skewed the speed vector is. *)
-
-val speed_ratio : Star.t -> float
-(** [s_max / s_min], >= 1. *)
-
-val coefficient_of_variation : Star.t -> float
-(** stddev / mean of the speed vector; 0 for homogeneous platforms. *)
-
-val sum_sqrt_relative : Star.t -> float
-(** [Σ √x_i] where [x_i] are relative speeds: the quantity appearing in
-    the communication lower bound [LBComm = 2N Σ √x_i]. *)
+(** Closed-form bounds on the Hom/Het communication ratio (Section
+    4.1.3), which relate the measured ratios of Figure 4 to how skewed
+    the speed vector is. *)
 
 val hom_over_het_bound : Star.t -> float
 (** The ratio lower bound of Section 4.1.3:

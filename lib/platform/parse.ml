@@ -53,14 +53,3 @@ let of_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error msg -> Error msg
-
-let to_string star =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "# speed bandwidth latency\n";
-  Array.iter
-    (fun (p : Processor.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.17g %.17g %.17g\n" p.Processor.speed p.Processor.bandwidth
-           p.Processor.latency))
-    (Star.workers star);
-  Buffer.contents buf

@@ -9,7 +9,3 @@ val of_string : string -> (Star.t, string) result
 (** Error messages carry the 1-based line number. *)
 
 val of_file : string -> (Star.t, string) result
-
-val to_string : Star.t -> string
-(** Canonical rendering (platform order), re-parseable by
-    {!of_string}. *)

@@ -11,8 +11,5 @@ let c p = 1. /. p.bandwidth
 let compute_time p ~work = work /. p.speed
 let transfer_time p ~data = if data > 0. then p.latency +. (data /. p.bandwidth) else 0.
 
-let equal a b =
-  a.id = b.id && a.speed = b.speed && a.bandwidth = b.bandwidth && a.latency = b.latency
-
 let pp ppf p =
   Format.fprintf ppf "P%d(s=%.4g, bw=%.4g, lat=%.4g)" p.id p.speed p.bandwidth p.latency

@@ -29,5 +29,4 @@ val compute_time : t -> work:float -> float
 val transfer_time : t -> data:float -> float
 (** Time to receive [data] units, including latency when [data > 0]. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -42,11 +42,3 @@ let of_name = function
   | "lognormal" -> Some paper_lognormal
   | "bimodal" -> Some (Bimodal { slow = 1.; factor = 10. })
   | _ -> None
-
-let pp ppf t =
-  match t with
-  | Homogeneous s -> Format.fprintf ppf "homogeneous(s=%.4g)" s
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform[%.4g,%.4g]" lo hi
-  | Lognormal { mu; sigma } -> Format.fprintf ppf "lognormal(mu=%.4g,sigma=%.4g)" mu sigma
-  | Bimodal { slow; factor } -> Format.fprintf ppf "bimodal(slow=%.4g,x%.4g)" slow factor
-  | Pareto { scale; shape } -> Format.fprintf ppf "pareto(scale=%.4g,shape=%.4g)" scale shape

@@ -29,5 +29,3 @@ val name : t -> string
 val of_name : string -> t option
 (** Inverse of {!name} for the paper's three profiles plus ["bimodal"];
     used by the CLI. *)
-
-val pp : Format.formatter -> t -> unit

@@ -42,8 +42,22 @@ let create procs =
   let total_speed = Numerics.Kahan.sum_by (fun (p : Processor.t) -> p.speed) workers in
   { workers; total_speed }
 
+(* [create] on [Processor.make ?bandwidth ?latency ~id:(i + 1)] of each
+   speed, without the intermediate list and records: the first worker
+   carries the defaults and the link checks, every speed is checked in
+   list order, and the sorted array is built once. *)
 let of_speeds ?bandwidth ?latency speeds =
-  create (List.mapi (fun i s -> Processor.make ?bandwidth ?latency ~id:(i + 1) ~speed:s ()) speeds)
+  let speeds = Array.of_list speeds in
+  if Array.length speeds = 0 then invalid_arg "Star.create: at least one worker required";
+  let first = Processor.make ?bandwidth ?latency ~id:1 ~speed:speeds.(0) () in
+  Array.iter
+    (fun s -> if s <= 0. then invalid_arg "Processor.make: speed must be positive")
+    speeds;
+  let workers =
+    Array.map (fun i -> { first with Processor.id = i + 1; speed = speeds.(i) }) (order_by_speed speeds)
+  in
+  let total_speed = Numerics.Kahan.sum_by (fun (p : Processor.t) -> p.speed) workers in
+  { workers; total_speed }
 
 let size t = Array.length t.workers
 let workers t = Array.copy t.workers
@@ -53,10 +67,6 @@ let speeds t = Array.map (fun (p : Processor.t) -> p.speed) t.workers
 let relative_speeds t = Array.map (fun (p : Processor.t) -> p.speed /. t.total_speed) t.workers
 let slowest t = t.workers.(0)
 let fastest t = t.workers.(Array.length t.workers - 1)
-
-let is_homogeneous ?(tol = 1e-9) t =
-  let s0 = (slowest t).speed and s1 = (fastest t).speed in
-  s1 -. s0 <= tol *. s1
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>star platform, %d workers:@," (size t);

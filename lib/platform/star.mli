@@ -33,8 +33,4 @@ val speeds : t -> float array
 val slowest : t -> Processor.t
 val fastest : t -> Processor.t
 
-val is_homogeneous : ?tol:float -> t -> bool
-(** All speeds within relative tolerance [tol] (default [1e-9]) of each
-    other. *)
-
 val pp : Format.formatter -> t -> unit

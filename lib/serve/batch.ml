@@ -43,9 +43,10 @@ let error_line ?solver ~code msg =
 let deadline_ns cfg =
   match cfg.deadline_s with None -> max_int | Some d -> int_of_float (d *. 1e9)
 
-(* A request whose wall-clock budget is already spent is rejected before
-   any solver work — this is what makes [deadline_s = Some 0.] an
-   admission test rather than a race. *)
+(* Checked at admission only, against the batch's start: a miss reached
+   after the cut-off is rejected before any solver work, and no solve is
+   ever interrupted.  [deadline_s = Some 0.] is therefore an admission
+   test rather than a race. *)
 let expired t ~t0 = Obs.Clock.now_ns () - t0 > deadline_ns t.cfg
 
 let count_rejected t =

@@ -9,7 +9,12 @@
 type config = {
   cache_capacity : int;  (** LRU entries; > 0 *)
   queue_depth : int;  (** cache misses admitted per batch; overflow is rejected *)
-  deadline_s : float option;  (** per-request wall-clock budget *)
+  deadline_s : float option;
+      (** admission cut-off in seconds, timed from the start of the
+          batch: a cache miss reached after it is answered ["deadline"]
+          unsolved.  It is checked only at admission, before any solve,
+          so it never bounds a solve: an admitted request runs to the
+          end. *)
 }
 
 val default_config : config
@@ -26,7 +31,7 @@ val handle_batch : ?control:(string -> string) -> t -> string array -> string ar
     semantically-equal spellings hit the fingerprint LRU after one
     decode.  Misses are deduplicated by fingerprint,
     those beyond [queue_depth] are rejected with an ["overloaded"]
-    error and those past the deadline with ["deadline"]; the admitted
+    error and those reached after [deadline_s] with ["deadline"]; the admitted
     ones are answered by {!Api.Eval.eval} concurrently on the pool
     ({!Exec.Pool.default_domains} wide).  Successful answers are
     cached; error answers (a raising solver gives ["solver_failure"])

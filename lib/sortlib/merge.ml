@@ -1,26 +1,3 @@
-let is_sorted a =
-  let ok = ref true in
-  for i = 0 to Array.length a - 2 do
-    if a.(i) > a.(i + 1) then ok := false
-  done;
-  !ok
-
-let two_way a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0. in
-  let i = ref 0 and j = ref 0 in
-  for k = 0 to na + nb - 1 do
-    if !i < na && (!j >= nb || a.(!i) <= b.(!j)) then begin
-      out.(k) <- a.(!i);
-      incr i
-    end
-    else begin
-      out.(k) <- b.(!j);
-      incr j
-    end
-  done;
-  out
-
 (* Reusable k-way merge state: a manual binary min-heap over (head
    value, run index) pairs kept in two parallel flat arrays, plus
    per-run read cursors.  Allocated once per sort, so the merge phase
@@ -102,30 +79,3 @@ let k_way_strided mg ~src ~bounds ~runs ~stride ~off ~dst ~dst_lo =
     end
   done;
   !out - dst_lo
-
-(* List-of-runs convenience entry point: pack the runs into one flat
-   buffer and reuse the strided zero-alloc merger above. *)
-let k_way runs =
-  List.iter (fun run -> assert (is_sorted run)) runs;
-  let runs = Array.of_list (List.filter (fun r -> Array.length r > 0) runs) in
-  let k = Array.length runs in
-  if k = 0 then [||]
-  else if k = 1 then Array.copy runs.(0)
-  else begin
-    let total = Array.fold_left (fun acc r -> acc + Array.length r) 0 runs in
-    let src = Array.make total 0. in
-    let bounds = Array.make (k + 1) 0 in
-    let off = ref 0 in
-    for r = 0 to k - 1 do
-      bounds.(r) <- !off;
-      Array.blit runs.(r) 0 src !off (Array.length runs.(r));
-      off := !off + Array.length runs.(r)
-    done;
-    bounds.(k) <- total;
-    let dst = Array.make total 0. in
-    let merged =
-      k_way_strided (merger ~k) ~src ~bounds ~runs:k ~stride:1 ~off:0 ~dst ~dst_lo:0
-    in
-    assert (merged = total);
-    dst
-  end

@@ -1,12 +1,6 @@
 (** K-way merge of sorted runs with a binary heap — the linear-ithmic
-    building block the bucket-merging phases of PSRS and the MapReduce
-    sort reducers need ([O(N log k)] instead of re-sorting,
-    [O(N log N)]). *)
-
-val k_way : float array list -> float array
-(** Merge sorted runs into one sorted array.  Runs must each be sorted
-    ascending (checked in debug builds via [assert]); empty runs are
-    fine. *)
+    building block of PSRS's bucket-merging phase ([O(N log k)] instead
+    of re-sorting, [O(N log N)]). *)
 
 type merger
 (** Reusable k-way merge state (heap + cursors, [O(k)] ints and floats),
@@ -34,8 +28,3 @@ val k_way_strided :
     bucket boundaries of chunk [r], so [off = b] selects bucket [b] of
     every chunk).  Runs must each be sorted ascending and [dst] must not
     alias [src].  Beyond the reusable [mg], no allocation. *)
-
-val two_way : float array -> float array -> float array
-(** The classical binary merge, exposed for tests and small cases. *)
-
-val is_sorted : float array -> bool

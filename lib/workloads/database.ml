@@ -18,7 +18,6 @@ type query = {
   weight : record -> float;
 }
 
-let count_where ~name predicate = { name; predicate; weight = (fun _ -> 1.) }
 let sum_where ~name predicate weight = { name; predicate; weight }
 
 type execution = {

@@ -18,7 +18,6 @@ type query = {
   weight : record -> float;  (** contribution of a matching record *)
 }
 
-val count_where : name:string -> (record -> bool) -> query
 val sum_where : name:string -> (record -> bool) -> (record -> float) -> query
 
 val scan : query -> record array -> float

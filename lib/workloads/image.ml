@@ -17,14 +17,6 @@ let box_blur size =
   let w = 1. /. float_of_int (size * size) in
   Array.make_matrix size size w
 
-let sharpen =
-  [| [| 0.; -1.; 0. |]; [| -1.; 5.; -1. |]; [| 0.; -1.; 0. |] |]
-[@@nldl.allow "S201"] (* read-only convolution kernel *)
-
-let edge_detect =
-  [| [| -1.; -1.; -1. |]; [| -1.; 8.; -1. |]; [| -1.; -1.; -1. |] |]
-[@@nldl.allow "S201"] (* read-only convolution kernel *)
-
 (* Convolve rows [row0, row0+rows) of [image], reading neighbours with
    zero padding; writes into the same rows of [target]. *)
 let convolve_rows image ~kernel ~radius ~row0 ~rows target =
@@ -44,12 +36,6 @@ let convolve_rows image ~kernel ~radius ~row0 ~rows target =
       Matrix.set target i j !acc
     done
   done
-
-let convolve image ~kernel =
-  let radius = check_kernel kernel in
-  let target = Matrix.create ~rows:(Matrix.rows image) ~cols:(Matrix.cols image) in
-  convolve_rows image ~kernel ~radius ~row0:0 ~rows:(Matrix.rows image) target;
-  target
 
 type distribution = {
   bands : (int * int) array;

@@ -13,18 +13,12 @@ type kernel = float array array
 val box_blur : int -> kernel
 (** Normalized [size × size] averaging kernel (odd [size]). *)
 
-val sharpen : kernel
-val edge_detect : kernel
-
-val convolve : Linalg.Matrix.t -> kernel:kernel -> Linalg.Matrix.t
-(** Sequential 2D convolution with zero padding at the borders. *)
-
 type distribution = {
   bands : (int * int) array;  (** per worker: first row, row count *)
   halo_rows : int;  (** total extra rows shipped as halo *)
   communication : float;  (** pixels sent, bands + halos *)
   makespan : float;  (** parallel-link model: transfer then compute *)
-  result : Linalg.Matrix.t;  (** assembled output, equals {!convolve} *)
+  result : Linalg.Matrix.t;  (** assembled output: the whole image convolved, zero-padded *)
 }
 
 val distribute :

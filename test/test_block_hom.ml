@@ -74,10 +74,6 @@ let test_invalid_inputs () =
     (Invalid_argument "Block_hom.demand_driven: k must be > 0") (fun () ->
       ignore (Block_hom.demand_driven het ~n:10. ~k:0))
 
-let test_ideal_ratio_closed_form () =
-  (* Homogeneous: 1/(√(1/p)·p·√(1/p)) = 1. *)
-  checkf "homogeneous ideal ratio" ~eps:1e-12 1. (Block_hom.ideal_ratio hom16)
-
 let qcheck_comm_grows_with_k =
   QCheck.Test.make ~name:"communication tracks the closed form 2nk/sqrt(x1)" ~count:100
     QCheck.(pair (list_of_size Gen.(int_range 1 8) (float_range 0.5 8.)) (int_range 1 6))
@@ -121,7 +117,6 @@ let suites =
         Alcotest.test_case "hom/k caps at max_k" `Quick test_commhom_over_k_max_cap;
         Alcotest.test_case "makespan consistent" `Quick test_makespan_consistent;
         Alcotest.test_case "invalid inputs" `Quick test_invalid_inputs;
-        Alcotest.test_case "ideal ratio" `Quick test_ideal_ratio_closed_form;
         QCheck_alcotest.to_alcotest qcheck_comm_grows_with_k;
         QCheck_alcotest.to_alcotest qcheck_work_conserved;
       ] );

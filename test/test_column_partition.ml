@@ -115,7 +115,12 @@ let qcheck_peri_max_le_peri_sum_max =
       let areas = Array.of_list (List.map (fun a -> a /. total) raw) in
       let max_cost = (Column_partition.peri_max ~areas).Column_partition.cost in
       let sum_layout = Column_partition.peri_sum_layout ~areas in
-      max_cost <= Layout.max_half_perimeter sum_layout +. 1e-9)
+      let max_zone =
+        Array.fold_left
+          (fun acc r -> Float.max acc (Partition.Rect.half_perimeter r))
+          0. sum_layout.Layout.rects
+      in
+      max_cost <= max_zone +. 1e-9)
 
 let test_strategies_homogeneous () =
   let star = Platform.Star.of_speeds (List.init 16 (fun _ -> 1.)) in

@@ -149,21 +149,7 @@ let test_best_order_beats_heuristics () =
     (fun order ->
       checkb "best <= heuristic" true
         (best.Ordering.makespan <= Ordering.makespan star ~order ~total +. 1e-9))
-    [
-      Ordering.identity_order 3;
-      Ordering.by_bandwidth star;
-      Ordering.by_latency star;
-      Ordering.by_speed star;
-    ]
-
-let test_heuristic_orders_are_permutations () =
-  let star = lazy_star [ 1.; 2.; 0.5; 0.1 ] [ 1.; 2.; 3.; 4. ] in
-  List.iter
-    (fun order ->
-      let sorted = Array.copy order in
-      Array.sort compare sorted;
-      Alcotest.(check (array int)) "permutation" [| 0; 1; 2; 3 |] sorted)
-    [ Ordering.by_bandwidth star; Ordering.by_latency star; Ordering.by_speed star ]
+    [ Ordering.identity_order 3; [| 2; 1; 0 |]; [| 1; 0; 2 |] ]
 
 let test_exhaustive_size_guard () =
   let star = Star.of_speeds (List.init 10 (fun i -> float_of_int (i + 1))) in
@@ -195,7 +181,12 @@ let qcheck_affine_participants_positive =
 type instance = { star : Star.t; cost : Cost_model.t; total : float }
 
 let print_instance i =
-  Printf.sprintf "%s total=%h workers=[%s]" (Cost_model.name i.cost) i.total
+  Printf.sprintf "%s total=%h workers=[%s]"
+    (match i.cost with
+     | Cost_model.Linear -> "linear"
+     | Cost_model.Power a -> Printf.sprintf "power(%h)" a
+     | Cost_model.N_log_n -> "nlogn")
+    i.total
     (String.concat "; "
        (Array.to_list
           (Array.map
@@ -302,8 +293,6 @@ let suites =
           test_one_port_closed_form_uses_bandwidth_order;
         Alcotest.test_case "matters with latency" `Quick test_order_matters_with_latency;
         Alcotest.test_case "best beats heuristics" `Quick test_best_order_beats_heuristics;
-        Alcotest.test_case "heuristics are permutations" `Quick
-          test_heuristic_orders_are_permutations;
         Alcotest.test_case "exhaustive size guard" `Quick test_exhaustive_size_guard;
       ] );
   ]

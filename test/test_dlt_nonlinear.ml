@@ -168,7 +168,11 @@ type instance = {
 let print_instance i =
   Printf.sprintf "%s %s total=%h workers=[%s]"
     (match i.comm with Schedule.Parallel -> "parallel" | Schedule.One_port -> "one-port")
-    (Cost_model.name i.cost) i.total
+    (match i.cost with
+     | Cost_model.Linear -> "linear"
+     | Cost_model.Power a -> Printf.sprintf "power(%h)" a
+     | Cost_model.N_log_n -> "nlogn")
+    i.total
     (String.concat "; "
        (Array.to_list
           (Array.map

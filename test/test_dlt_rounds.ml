@@ -105,14 +105,6 @@ let test_invalid_inputs () =
 let test_ideal_makespan () =
   checkf "W / Σs" (100. /. 7.) (Bounds.ideal_makespan star Cost_model.Linear ~total:100.)
 
-let test_communication_bound () =
-  checkf "total / Σbw" (100. /. 3.) (Bounds.communication_bound star ~total:100.)
-
-let test_efficiency_bounded () =
-  let makespan = Linear.parallel_makespan star ~total:100. in
-  let eff = Bounds.efficiency star Cost_model.Linear ~total:100. ~makespan in
-  checkb "efficiency in (0,1]" true (eff > 0. && eff <= 1.)
-
 let test_divisible_ideal_linear_matches () =
   checkf "divisible ideal == ideal for linear" ~eps:1e-6
     (Bounds.ideal_makespan star Cost_model.Linear ~total:100.)
@@ -162,8 +154,6 @@ let suites =
     ( "bounds",
       [
         Alcotest.test_case "ideal makespan" `Quick test_ideal_makespan;
-        Alcotest.test_case "communication bound" `Quick test_communication_bound;
-        Alcotest.test_case "efficiency bounded" `Quick test_efficiency_bounded;
         Alcotest.test_case "divisible ideal linear" `Quick test_divisible_ideal_linear_matches;
         Alcotest.test_case "divisible ideal below schedule" `Quick
           test_divisible_ideal_below_schedule;

@@ -141,11 +141,6 @@ let test_c25d_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_c25d_best_replication () =
-  Alcotest.(check int) "p=32 -> c=2" 2 (C25d.best_replication ~p:32);
-  Alcotest.(check int) "p=16 -> c=1" 1 (C25d.best_replication ~p:16);
-  Alcotest.(check int) "p=64 -> c=4" 4 (C25d.best_replication ~p:64)
-
 (* --- histogram sort --- *)
 
 let test_histogram_sorts () =
@@ -201,7 +196,7 @@ let qcheck_histogram_sorts =
 let test_combiner_preserves_output () =
   let docs = [| "a b a a"; "b b a" |] in
   let star = Platform.Star.of_speeds [ 1.; 2. ] in
-  let job = Mapreduce.Jobs.word_count ~docs in
+  let job = Word_count.job ~docs in
   let reduce _ vs = List.fold_left ( + ) 0 vs in
   let plain = Mapreduce.Engine.run star job ~reduce in
   let combined = Mapreduce.Engine.run ~combine:reduce star job ~reduce in
@@ -213,7 +208,7 @@ let test_combiner_preserves_output () =
 let test_combiner_cuts_shuffle () =
   let docs = [| "x x x x x x x x"; "x x x x" |] in
   let star = Platform.Star.of_speeds [ 1.; 2. ] in
-  let job = Mapreduce.Jobs.word_count ~docs in
+  let job = Word_count.job ~docs in
   let reduce _ vs = List.fold_left ( + ) 0 vs in
   let plain = Mapreduce.Engine.run star job ~reduce in
   let combined = Mapreduce.Engine.run ~combine:reduce star job ~reduce in
@@ -274,7 +269,6 @@ let suites =
         Alcotest.test_case "matches 2D at c=1" `Quick test_c25d_matches_2d;
         Alcotest.test_case "replication saves sqrt(c)" `Quick test_c25d_replication_saves;
         Alcotest.test_case "validation" `Quick test_c25d_validation;
-        Alcotest.test_case "best replication" `Quick test_c25d_best_replication;
       ] );
     ( "histogram sort",
       [

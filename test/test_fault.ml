@@ -148,8 +148,7 @@ let test_permanent_crash_leaves_unfinished () =
     Scheduler.run ~faults:plan star ~tasks:(simple_tasks 5) ~block_size:(fun _ -> 0.)
   in
   checkb "some tasks unfinished" true (outcome.Scheduler.unfinished <> []);
-  checkb "early tasks done" true (Float.is_finite outcome.Scheduler.completion.(0));
-  checkf "imbalance stays finite" 0. (Scheduler.imbalance outcome)
+  checkb "early tasks done" true (Float.is_finite outcome.Scheduler.completion.(0))
 
 let test_total_fetch_failure_exhausts_retries () =
   (* Every fetch on the only link fails: retries exhaust, the pair is

@@ -15,30 +15,11 @@ let test_pareto_profile () =
   Alcotest.(check string) "name" "pareto"
     (Profiles.name (Profiles.Pareto { scale = 1.; shape = 1. }))
 
-let test_profile_pp () =
-  let render profile = Format.asprintf "%a" Profiles.pp profile in
-  List.iter
-    (fun profile -> checkb "pp non-empty" true (String.length (render profile) > 0))
-    [
-      Profiles.paper_homogeneous;
-      Profiles.paper_uniform;
-      Profiles.paper_lognormal;
-      Profiles.Bimodal { slow = 1.; factor = 2. };
-      Profiles.Pareto { scale = 1.; shape = 2. };
-    ]
-
 let test_schedule_pp () =
   let star = Star.of_speeds [ 1.; 2. ] in
   let schedule = Dlt.Linear.schedule Dlt.Schedule.One_port star ~total:10. in
   let rendered = Format.asprintf "%a" Dlt.Schedule.pp schedule in
   checkb "mentions makespan" true (String.length rendered > 20)
-
-let test_layout_pp_and_cost_model_pp () =
-  let layout = Partition.Column_partition.peri_sum_layout ~areas:[| 0.5; 0.5 |] in
-  checkb "layout pp" true
-    (String.length (Format.asprintf "%a" Partition.Layout.pp layout) > 0);
-  Alcotest.(check string) "cost model names" "nlogn"
-    (Dlt.Cost_model.name Dlt.Cost_model.N_log_n)
 
 let test_fraction_validation () =
   List.iter
@@ -61,20 +42,6 @@ let test_engine_step () =
   checkb "second step" true (Des.Engine.step engine);
   checkb "drained" false (Des.Engine.step engine)
 
-let test_processor_equal () =
-  let p = Platform.Processor.make ~id:1 ~speed:2. () in
-  checkb "equal to itself" true (Platform.Processor.equal p p);
-  checkb "id matters" false
-    (Platform.Processor.equal p (Platform.Processor.make ~id:2 ~speed:2. ()))
-
-let test_metrics_on_generated () =
-  let rng = Rng.create ~seed:192 () in
-  let star = Profiles.generate rng ~p:30 Profiles.paper_lognormal in
-  checkb "speed ratio > 1" true (Platform.Metrics.speed_ratio star > 1.);
-  checkb "cv > 0" true (Platform.Metrics.coefficient_of_variation star > 0.);
-  checkb "sum sqrt relative <= sqrt p" true
-    (Platform.Metrics.sum_sqrt_relative star <= sqrt 30. +. 1e-9)
-
 let test_ascii_chart_flat_series () =
   (* Constant series exercise the degenerate-span path. *)
   let series =
@@ -95,13 +62,9 @@ let suites =
     ( "coverage gaps",
       [
         Alcotest.test_case "pareto profile" `Quick test_pareto_profile;
-        Alcotest.test_case "profile pp" `Quick test_profile_pp;
         Alcotest.test_case "schedule pp" `Quick test_schedule_pp;
-        Alcotest.test_case "layout/cost pp" `Quick test_layout_pp_and_cost_model_pp;
         Alcotest.test_case "fraction validation" `Quick test_fraction_validation;
         Alcotest.test_case "engine step" `Quick test_engine_step;
-        Alcotest.test_case "processor equal" `Quick test_processor_equal;
-        Alcotest.test_case "metrics" `Quick test_metrics_on_generated;
         Alcotest.test_case "flat chart" `Quick test_ascii_chart_flat_series;
         Alcotest.test_case "report helpers" `Quick test_report_helpers;
       ] );

@@ -3,7 +3,6 @@
    repository's "global" consistency laws. *)
 
 module Star = Platform.Star
-module Processor = Platform.Processor
 module Rng = Numerics.Rng
 
 let random_star ?(min_p = 1) ?(max_p = 12) seed =
@@ -108,25 +107,6 @@ let multi_round_base_case =
       in
       Float.abs (simulated -. Dlt.Linear.parallel_makespan star ~total:30.) < 1e-6)
 
-(* Fluid with dedicated links reproduces the independent-link model. *)
-let fluid_dedicated_links =
-  qtest "fluid with private links = independent transfer times" (fun seed ->
-      let star = random_star ~min_p:1 ~max_p:6 seed in
-      let workers = Star.workers star in
-      let links =
-        Array.map (fun (p : Processor.t) -> { Des.Fluid.capacity = p.Processor.bandwidth }) workers
-      in
-      let flows =
-        Array.to_list
-          (Array.mapi (fun i _ -> Des.Fluid.make_flow ~id:i ~size:10. ~links:[ i ] ()) workers)
-      in
-      let completions = Des.Fluid.run ~links ~flows in
-      List.for_all
-        (fun c ->
-          let proc = workers.(c.Des.Fluid.flow) in
-          Float.abs (c.Des.Fluid.finish -. (10. /. proc.Processor.bandwidth)) < 1e-6)
-        completions)
-
 let suites =
   [
     ( "cross-module invariants",
@@ -141,6 +121,5 @@ let suites =
           steady_state_bounds_batch;
           sorting_gap_consistency;
           multi_round_base_case;
-          fluid_dedicated_links;
         ] );
   ]

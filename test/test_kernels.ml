@@ -214,7 +214,7 @@ let test_comparisons_counted () =
           Alcotest.(check (option int))
             (Printf.sprintf "scatter.comparisons at p = %d, %d domains" p domains)
             (Some (2 * n * levels))
-            (Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "scatter.comparisons"))
+            (List.assoc_opt "scatter.comparisons" (Obs.Metrics.snapshot ()).Obs.Metrics.counters))
         [ 1; 2 ])
     [ (16, 4); (17, 5) ]
 

@@ -194,6 +194,15 @@ let r401 =
              \  let f _ = Fix.State.total := 1 in\n\
              \  Exec.Pool.parallel_for pool n f\n" );
          ]);
+    Alcotest.test_case "fires through a submodule of the same file" `Quick
+      (fires "R401"
+         [
+           ( "lib/fix/user.ml",
+             "let hits = ref 0\n\
+              module Counter = struct let bump () = incr hits end\n\
+              let run pool = Exec.Pool.parallel_for pool 10 (fun _ -> \
+              Counter.bump ())\n" );
+         ]);
     Alcotest.test_case "silent without a parallel context" `Quick
       (silent "R401"
          [
@@ -327,6 +336,14 @@ let r403 =
          [
            ("lib/fix/io.ml", "let fetch () = Unix.sleepf 0.1\n");
            ("lib/fix/user.ml", par_user "Fix.Io.fetch ()");
+         ]);
+    Alcotest.test_case "fires through a submodule of the same file" `Quick
+      (fires "R403"
+         [
+           ( "lib/fix/user.ml",
+             "module Wait = struct let nap () = Unix.sleepf 0.1 end\n\
+              let run pool = Exec.Pool.parallel_for pool 10 (fun _ -> \
+              Wait.nap ())\n" );
          ]);
     Alcotest.test_case "silent off the pool" `Quick
       (silent "R403"

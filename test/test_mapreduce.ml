@@ -120,11 +120,6 @@ let test_speculation_never_hurts_completion () =
   checkb "makespan not worse" true
     (spec.Scheduler.makespan <= plain.Scheduler.makespan +. 1e-9)
 
-let test_imbalance_metric () =
-  let star = Star.of_speeds [ 1.; 1. ] in
-  let outcome = Scheduler.run star ~tasks:(simple_tasks 4) ~block_size:unit_block in
-  checkf "perfectly balanced" 0. (Scheduler.imbalance outcome)
-
 let qcheck_scheduler_conservation =
   QCheck.Test.make ~name:"scheduler: copies cover all tasks exactly once without speculation"
     ~count:100
@@ -164,7 +159,7 @@ let test_shuffle_value_order_preserved () =
 let test_word_count () =
   let docs = [| "the cat sat"; "the dog"; "cat" |] in
   let star = Star.of_speeds [ 1.; 2. ] in
-  let job = Jobs.word_count ~docs in
+  let job = Word_count.job ~docs in
   let result = Engine.run star job ~reduce:(fun _ vs -> List.fold_left ( + ) 0 vs) in
   let counts = List.sort compare result.Engine.output in
   Alcotest.(check (list (pair string int)))
@@ -226,15 +221,6 @@ let test_engine_id_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_total_communication () =
-  let docs = [| "a b"; "c d" |] in
-  let star = Star.of_speeds [ 1. ] in
-  let job = Jobs.word_count ~docs in
-  let result = Engine.run star job ~reduce:(fun _ vs -> List.fold_left ( + ) 0 vs) in
-  checkb "total comm = map + shuffle" true
-    (Engine.total_communication result
-    = result.Engine.map.Scheduler.communication +. result.Engine.shuffle.Shuffle.volume)
-
 let suites =
   [
     ( "mapreduce scheduler",
@@ -251,7 +237,6 @@ let suites =
           test_speculation_duplicates_straggler;
         Alcotest.test_case "speculation never hurts" `Quick
           test_speculation_never_hurts_completion;
-        Alcotest.test_case "imbalance metric" `Quick test_imbalance_metric;
         QCheck_alcotest.to_alcotest qcheck_scheduler_conservation;
       ] );
     ( "shuffle",
@@ -268,6 +253,5 @@ let suites =
         Alcotest.test_case "replication factor" `Quick test_replication_factor;
         Alcotest.test_case "chunk validation" `Quick test_job_chunk_validation;
         Alcotest.test_case "task id validation" `Quick test_engine_id_validation;
-        Alcotest.test_case "total communication" `Quick test_total_communication;
       ] );
   ]

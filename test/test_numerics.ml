@@ -26,33 +26,9 @@ let test_summary () =
   checkf "summary max" 5. s.Stats.max;
   Alcotest.(check int) "summary n" 3 s.Stats.n
 
-let test_median_odd () = checkf "odd median" 3. (Stats.median [| 5.; 1.; 3. |])
-let test_median_even () = checkf "even median" 2.5 (Stats.median [| 4.; 1.; 2.; 3. |])
-
-let test_quantiles () =
-  let a = [| 0.; 1.; 2.; 3.; 4. |] in
-  checkf "q0" 0. (Stats.quantile a 0.);
-  checkf "q1" 4. (Stats.quantile a 1.);
-  checkf "q0.25" 1. (Stats.quantile a 0.25)
-
-let test_quantile_does_not_mutate () =
-  let a = [| 3.; 1.; 2. |] in
-  ignore (Stats.quantile a 0.5);
-  Alcotest.(check (array (float 0.))) "input untouched" [| 3.; 1.; 2. |] a
-
 let test_empty_raises () =
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty array") (fun () ->
       ignore (Stats.mean [||]))
-
-let qcheck_quantile_monotone =
-  QCheck.Test.make ~name:"quantile is monotone in q" ~count:200
-    QCheck.(
-      pair
-        (array_of_size Gen.(int_range 1 50) (float_range (-100.) 100.))
-        (pair (float_range 0. 1.) (float_range 0. 1.)))
-    (fun (a, (q1, q2)) ->
-      let lo = Float.min q1 q2 and hi = Float.max q1 q2 in
-      Stats.quantile a lo <= Stats.quantile a hi +. 1e-9)
 
 let qcheck_mean_bounds =
   QCheck.Test.make ~name:"mean between min and max" ~count:200
@@ -200,12 +176,7 @@ let suites =
         Alcotest.test_case "variance constant" `Quick test_variance_constant;
         Alcotest.test_case "variance singleton" `Quick test_variance_singleton;
         Alcotest.test_case "summary" `Quick test_summary;
-        Alcotest.test_case "median odd" `Quick test_median_odd;
-        Alcotest.test_case "median even" `Quick test_median_even;
-        Alcotest.test_case "quantiles" `Quick test_quantiles;
-        Alcotest.test_case "quantile pure" `Quick test_quantile_does_not_mutate;
         Alcotest.test_case "empty raises" `Quick test_empty_raises;
-        QCheck_alcotest.to_alcotest qcheck_quantile_monotone;
         QCheck_alcotest.to_alcotest qcheck_mean_bounds;
       ] );
     ( "kahan",

@@ -53,7 +53,6 @@ let test_layout_valid () =
 
 let test_layout_measures () =
   checkf "sum half perims" 4. (Layout.sum_half_perimeters quadrants);
-  checkf "max half perim" 1. (Layout.max_half_perimeter quadrants);
   checkf "comm volume" 400. (Layout.communication_volume quadrants ~n:100.)
 
 let test_layout_detects_overlap () =

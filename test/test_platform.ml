@@ -42,10 +42,6 @@ let test_star_empty () =
     (Invalid_argument "Star.create: at least one worker required") (fun () ->
       ignore (Star.of_speeds []))
 
-let test_homogeneity () =
-  checkb "homogeneous" true (Star.is_homogeneous (Star.of_speeds [ 2.; 2.; 2. ]));
-  checkb "heterogeneous" false (Star.is_homogeneous (Star.of_speeds [ 1.; 2. ]))
-
 let test_workers_copy () =
   let star = Star.of_speeds [ 1.; 2. ] in
   let workers = Star.workers star in
@@ -65,7 +61,8 @@ let test_profile_sizes () =
     [ Profiles.paper_homogeneous; Profiles.paper_uniform; Profiles.paper_lognormal ]
 
 let test_profile_homogeneous () =
-  checkb "all speed 1" true (Star.is_homogeneous (generate Profiles.paper_homogeneous 10))
+  checkb "all speed 1" true
+    (Array.for_all (fun s -> s = 1.) (Star.speeds (generate Profiles.paper_homogeneous 10)))
 
 let test_profile_uniform_range () =
   let star = generate Profiles.paper_uniform 200 in
@@ -92,17 +89,6 @@ let test_profile_names () =
       | None -> Alcotest.fail ("unknown profile " ^ name))
     [ "homogeneous"; "uniform"; "lognormal"; "bimodal" ];
   checkb "bogus name rejected" true (Profiles.of_name "bogus" = None)
-
-let test_metrics_speed_ratio () =
-  checkf "ratio" 4. (Metrics.speed_ratio (Star.of_speeds [ 1.; 2.; 4. ]))
-
-let test_metrics_cv () =
-  checkf "cv homogeneous" 0. (Metrics.coefficient_of_variation (Star.of_speeds [ 2.; 2. ]))
-
-let test_metrics_lower_bound_quantity () =
-  (* p equal workers: Σ√(1/p) = √p. *)
-  let star = Star.of_speeds [ 1.; 1.; 1.; 1. ] in
-  checkf "sum sqrt relative" 2. (Metrics.sum_sqrt_relative star)
 
 let test_metrics_bimodal_bound () =
   checkf "k=1 bound" 1. (Metrics.bimodal_rho_bound ~factor:1.);
@@ -139,6 +125,36 @@ let qcheck_star_order_is_stable_sort =
       Array.map (fun (p : Processor.t) -> p.id) expected
       = Array.map (fun (p : Processor.t) -> p.id) (Star.workers (Star.create procs)))
 
+(* [Star.of_speeds] builds the sorted workers directly; it must give
+   the platform [Star.create] gives on the [Processor.make] records,
+   total speed bit for bit, and raise what that path raises. *)
+let qcheck_of_speeds_is_create =
+  QCheck.Test.make ~name:"of_speeds = create on Processor.make records" ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 0 70)
+           (make ~print:string_of_float
+              Gen.(oneof [ map (fun k -> float_of_int k /. 4.) (int_range 0 12); float_range 0.01 10. ])))
+        (make ~print:string_of_float Gen.(oneofl [ 1.; 2.5; 0.; -1. ]))
+        (make ~print:string_of_float Gen.(oneofl [ 0.; 0.01; -0.5 ])))
+    (fun (speeds, bandwidth, latency) ->
+      let outcome f = match f () with s -> Ok s | exception Invalid_argument m -> Error m in
+      let via_create =
+        outcome (fun () ->
+            Star.create
+              (List.mapi
+                 (fun i speed -> Processor.make ~bandwidth ~latency ~id:(i + 1) ~speed ())
+                 speeds))
+      in
+      match (outcome (fun () -> Star.of_speeds ~bandwidth ~latency speeds), via_create) with
+      | Ok a, Ok b ->
+          Star.workers a = Star.workers b
+          && Int64.equal
+               (Int64.bits_of_float (Star.total_speed a))
+               (Int64.bits_of_float (Star.total_speed b))
+      | Error a, Error b -> a = b
+      | _ -> false)
+
 let suites =
   [
     ( "processor",
@@ -151,10 +167,10 @@ let suites =
         Alcotest.test_case "sorted by speed" `Quick test_star_sorted;
         Alcotest.test_case "totals" `Quick test_star_totals;
         Alcotest.test_case "empty rejected" `Quick test_star_empty;
-        Alcotest.test_case "homogeneity" `Quick test_homogeneity;
         Alcotest.test_case "workers returns copy" `Quick test_workers_copy;
         QCheck_alcotest.to_alcotest qcheck_relative_speeds;
         QCheck_alcotest.to_alcotest qcheck_star_order_is_stable_sort;
+        QCheck_alcotest.to_alcotest qcheck_of_speeds_is_create;
       ] );
     ( "profiles",
       [
@@ -167,9 +183,6 @@ let suites =
       ] );
     ( "metrics",
       [
-        Alcotest.test_case "speed ratio" `Quick test_metrics_speed_ratio;
-        Alcotest.test_case "cv" `Quick test_metrics_cv;
-        Alcotest.test_case "sum sqrt relative" `Quick test_metrics_lower_bound_quantity;
         Alcotest.test_case "bimodal bound" `Quick test_metrics_bimodal_bound;
         Alcotest.test_case "hom/het bound" `Quick test_metrics_hom_over_het;
       ] );

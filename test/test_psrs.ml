@@ -93,21 +93,6 @@ let test_affinity_with_speculation_and_jitter () =
        outcome.Mapreduce.Scheduler.completion);
   checkb "makespan positive" true (outcome.Mapreduce.Scheduler.makespan > 0.)
 
-let test_combiner_with_weighted_placement () =
-  let docs = Array.make 6 "x y x x y z" in
-  let star = Star.of_speeds ~bandwidth:1e6 [ 1.; 1.; 6. ] in
-  let job = Mapreduce.Jobs.word_count ~docs in
-  let reduce _ vs = List.fold_left ( + ) 0 vs in
-  let result =
-    Mapreduce.Engine.run ~combine:reduce
-      ~place:(Mapreduce.Shuffle.speed_weighted_placement star)
-      star job ~reduce
-  in
-  Alcotest.(check (list (pair string int)))
-    "counts correct"
-    [ ("x", 18); ("y", 12); ("z", 6) ]
-    (List.sort compare result.Mapreduce.Engine.output)
-
 let test_nlogn_nonlinear_solver () =
   (* §3 via the solver: an N log N load benefits from many workers far
      more than an N² one. *)
@@ -154,8 +139,6 @@ let suites =
       [
         Alcotest.test_case "affinity + speculation + jitter" `Quick
           test_affinity_with_speculation_and_jitter;
-        Alcotest.test_case "combiner + weighted placement" `Quick
-          test_combiner_with_weighted_placement;
         Alcotest.test_case "N log N through the solver" `Quick test_nlogn_nonlinear_solver;
       ] );
   ]

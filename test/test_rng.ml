@@ -95,35 +95,14 @@ let test_lognormal_median () =
   let rng = Rng.create ~seed:19 () in
   let xs = Array.init 50_000 (fun _ -> Distributions.lognormal rng ~mu:0. ~sigma:1.) in
   (* The median of lognormal(0,1) is exp(0) = 1. *)
-  checkb "lognormal median near 1" true (Float.abs (Numerics.Stats.median xs -. 1.) < 0.05)
-
-let test_exponential_mean () =
-  let rng = Rng.create ~seed:21 () in
-  let xs = Array.init 50_000 (fun _ -> Distributions.exponential rng ~rate:2.) in
-  checkb "exponential mean near 1/rate" true (Float.abs (Numerics.Stats.mean xs -. 0.5) < 0.02)
+  Array.sort Float.compare xs;
+  checkb "lognormal median near 1" true (Float.abs (xs.(25_000) -. 1.) < 0.05)
 
 let test_pareto_support () =
   let rng = Rng.create ~seed:23 () in
   for _ = 1 to 1_000 do
     checkb "pareto >= scale" true (Distributions.pareto rng ~scale:2. ~shape:1.5 >= 2.)
   done
-
-let test_zipf_weights () =
-  let w = Distributions.zipf_weights ~n:10 ~skew:1. in
-  checkb "zipf normalized" true (Float.abs (Numerics.Kahan.sum w -. 1.) < 1e-12);
-  checkb "zipf decreasing" true
-    (Array.for_all Fun.id (Array.init 9 (fun i -> w.(i) >= w.(i + 1))))
-
-let test_categorical () =
-  let rng = Rng.create ~seed:25 () in
-  let weights = [| 0.5; 0.25; 0.25 |] in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 20_000 do
-    let i = Distributions.categorical rng ~weights in
-    counts.(i) <- counts.(i) + 1
-  done;
-  checkb "categorical proportions" true
-    (Float.abs ((float_of_int counts.(0) /. 20_000.) -. 0.5) < 0.02)
 
 let qcheck_int_bound =
   QCheck.Test.make ~name:"Rng.int always within bound" ~count:500
@@ -162,9 +141,6 @@ let suites =
         Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
         Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
         Alcotest.test_case "lognormal median" `Quick test_lognormal_median;
-        Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         Alcotest.test_case "pareto support" `Quick test_pareto_support;
-        Alcotest.test_case "zipf weights" `Quick test_zipf_weights;
-        Alcotest.test_case "categorical proportions" `Quick test_categorical;
       ] );
   ]

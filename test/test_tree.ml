@@ -115,26 +115,13 @@ let qcheck_tree_conservation =
 
 (* --- MapReduce timeline --- *)
 
-let test_timeline_utilization () =
-  let star = Star.of_speeds [ 1.; 1. ] in
-  let tasks = Array.init 4 (fun i -> Task.make ~id:i ~data_ids:[| i |] ~cost:1.) in
-  let outcome = Scheduler.run star ~tasks ~block_size:(fun _ -> 1.) in
-  let u = Timeline.utilizations star outcome in
-  Array.iter (fun x -> checkb "utilization in (0,1]" true (x > 0. && x <= 1.)) u
-
 let test_timeline_gantt () =
   let star = Star.of_speeds [ 1.; 2. ] in
   let tasks = Array.init 6 (fun i -> Task.make ~id:i ~data_ids:[| i |] ~cost:2.) in
   let outcome = Scheduler.run star ~tasks ~block_size:(fun _ -> 1.) in
-  let gantt = Timeline.gantt outcome in
+  let gantt = Des.Trace.render_gantt (Timeline.trace outcome) in
   checkb "renders fetch marks" true (String.contains gantt 'f');
   checkb "renders compute marks" true (String.contains gantt 'x')
-
-let test_timeline_empty () =
-  let star = Star.of_speeds [ 1. ] in
-  let outcome = Scheduler.run star ~tasks:[||] ~block_size:(fun _ -> 1.) in
-  Alcotest.(check (array (float 0.))) "no work, zero utilization" [| 0. |]
-    (Timeline.utilizations star outcome)
 
 let suites =
   [
@@ -152,8 +139,6 @@ let suites =
       ] );
     ( "mapreduce timeline",
       [
-        Alcotest.test_case "utilization" `Quick test_timeline_utilization;
         Alcotest.test_case "gantt" `Quick test_timeline_gantt;
-        Alcotest.test_case "empty" `Quick test_timeline_empty;
       ] );
   ]

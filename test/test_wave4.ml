@@ -1,9 +1,8 @@
-(* Hierarchical platforms, reducer placement, CSV output. *)
+(* Hierarchical platforms, CSV output. *)
 
 module Topology = Platform.Topology
 module Star = Platform.Star
 module Processor = Platform.Processor
-module Shuffle = Mapreduce.Shuffle
 module Csv_out = Experiments.Csv_out
 module Rng = Numerics.Rng
 
@@ -82,47 +81,6 @@ let qcheck_aggregation_bounded =
       && proc.Processor.speed <= Topology.total_speed node +. 1e-9
       && proc.Processor.speed > 0.)
 
-(* --- reducer placement --- *)
-
-let test_speed_weighted_placement_range () =
-  let star = Star.of_speeds [ 1.; 2.; 3. ] in
-  for key = 0 to 1_000 do
-    let r = Shuffle.speed_weighted_placement star key in
-    checkb "in range" true (r >= 0 && r < 3)
-  done
-
-let test_speed_weighted_placement_proportions () =
-  let star = Star.of_speeds [ 1.; 4. ] in
-  let counts = Array.make 2 0 in
-  for key = 0 to 20_000 do
-    let r = Shuffle.speed_weighted_placement star key in
-    counts.(r) <- counts.(r) + 1
-  done;
-  let fast_share = float_of_int counts.(1) /. 20_001. in
-  checkb "fast worker gets ~80%" true (Float.abs (fast_share -. 0.8) < 0.03)
-
-let test_custom_placement_balances_reducers () =
-  (* Heterogeneous platform, many keys, compute-bound reducers (ample
-     bandwidth): speed-weighted placement should cut the reduce-phase
-     time versus plain hashing. *)
-  let star = Star.of_speeds ~bandwidth:1e6 [ 1.; 1.; 8. ] in
-  let pairs = List.init 3_000 (fun i -> (i, 1, 0)) in
-  let reduce _ vs = List.fold_left ( + ) 0 vs in
-  let _, hash_stats = Shuffle.run star ~pairs ~reduce in
-  let _, weighted_stats =
-    Shuffle.run ~place:(Shuffle.speed_weighted_placement star) star ~pairs ~reduce
-  in
-  checkb "weighted reduce faster" true
-    (weighted_stats.Shuffle.reduce_time < hash_stats.Shuffle.reduce_time)
-
-let test_placement_out_of_range_rejected () =
-  let star = Star.of_speeds [ 1.; 1. ] in
-  checkb "bad placement rejected" true
-    (try
-       ignore (Shuffle.run ~place:(fun _ -> 7) star ~pairs:[ ("k", 1, 0) ] ~reduce:(fun _ v -> List.hd v));
-       false
-     with Invalid_argument _ -> true)
-
 (* --- CSV --- *)
 
 let test_csv_plain () =
@@ -172,13 +130,6 @@ let suites =
         Alcotest.test_case "aggregation loss" `Quick test_aggregation_loss;
         Alcotest.test_case "empty cluster rejected" `Quick test_empty_cluster_rejected;
         QCheck_alcotest.to_alcotest qcheck_aggregation_bounded;
-      ] );
-    ( "reducer placement",
-      [
-        Alcotest.test_case "range" `Quick test_speed_weighted_placement_range;
-        Alcotest.test_case "proportions" `Quick test_speed_weighted_placement_proportions;
-        Alcotest.test_case "balances reducers" `Quick test_custom_placement_balances_reducers;
-        Alcotest.test_case "out of range rejected" `Quick test_placement_out_of_range_rejected;
       ] );
     ( "csv output",
       [

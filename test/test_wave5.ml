@@ -4,8 +4,6 @@
 module Cannon = Linalg.Cannon
 module Summa = Linalg.Summa
 module Matrix = Linalg.Matrix
-module Jobs = Mapreduce.Jobs
-module Engine = Mapreduce.Engine
 module Simulate = Dlt.Simulate
 module Schedule = Dlt.Schedule
 module Linear = Dlt.Linear
@@ -70,47 +68,6 @@ let qcheck_cannon =
       let stats = Cannon.distributed ~grid a b in
       Matrix.approx_equal stats.Cannon.result (Matrix.mul a b))
 
-(* --- MapReduce distributed sort --- *)
-
-let sort_via_mapreduce star keys chunk p =
-  let rng = Rng.create ~seed:88 () in
-  let s = Sortlib.Sample_sort.default_oversampling ~n:(Array.length keys) in
-  let splitters = Sortlib.Sample_sort.choose_splitters_floats rng keys ~p ~s in
-  let job = Jobs.distributed_sort ~keys ~chunk ~splitters in
-  let reduce _ runs =
-    let merged = Array.concat runs in
-    Array.sort Float.compare merged;
-    merged
-  in
-  let result = Engine.run star job ~reduce in
-  (Jobs.assemble_sorted result.Engine.output, result)
-
-let test_mr_sort_correct () =
-  let rng = Rng.create ~seed:89 () in
-  let keys = Array.init 10_000 (fun _ -> Rng.float rng) in
-  let star = Star.of_speeds [ 1.; 2.; 4. ] in
-  let sorted, _ = sort_via_mapreduce star keys 500 8 in
-  let reference = Array.copy keys in
-  Array.sort Float.compare reference;
-  Alcotest.(check (array (float 0.))) "sorted" reference sorted
-
-let test_mr_sort_pairs_linear () =
-  (* A linear-complexity job: exactly one intermediate pair per key —
-     no data inflation, unlike the replicated matmul. *)
-  let rng = Rng.create ~seed:90 () in
-  let keys = Array.init 2_000 (fun _ -> Rng.float rng) in
-  let star = Star.of_speeds [ 1.; 1. ] in
-  let _, result = sort_via_mapreduce star keys 100 4 in
-  Alcotest.(check int) "one pair per key" 2_000
-    result.Engine.shuffle.Mapreduce.Shuffle.pairs
-
-let test_mr_sort_chunk_validation () =
-  checkb "chunk must divide" true
-    (try
-       ignore (Jobs.distributed_sort ~keys:(Array.make 10 0.) ~chunk:3 ~splitters:[||]);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- schedule replay --- *)
 
 let star3 = Star.of_speeds ~bandwidth:2. [ 1.; 2.; 4. ]
@@ -151,12 +108,6 @@ let suites =
         Alcotest.test_case "vs summa volume" `Quick test_cannon_vs_summa_volume;
         Alcotest.test_case "validation" `Quick test_cannon_validation;
         QCheck_alcotest.to_alcotest qcheck_cannon;
-      ] );
-    ( "mapreduce sort",
-      [
-        Alcotest.test_case "correct" `Quick test_mr_sort_correct;
-        Alcotest.test_case "one pair per key" `Quick test_mr_sort_pairs_linear;
-        Alcotest.test_case "chunk validation" `Quick test_mr_sort_chunk_validation;
       ] );
     ( "schedule replay",
       [
