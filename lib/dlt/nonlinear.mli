@@ -13,7 +13,22 @@
     [dn_i/dT = 1/(c_i + w_i·work'(n_i))] (under [One_port] scaled by
     how much of [dT] the earlier transfers leave) comes free with the
     shares.  Both iterations keep a bracket and bisect whenever a step
-    leaves it. *)
+    leaves it.
+
+    The makespan iteration is inexact while its steps are long: each
+    share takes one Newton step from its warm start (its previous value
+    moved along [dn_i/dT]; under [Parallel] the first start is the
+    compute-only equal finish behind the lower bound), not a converged
+    solve, until a step is within 1e-5 of its iterate.  Exact sweeps
+    then finish the solve to the same tolerances; the fixed participant
+    sets of the selection below are solved by exact sweeps throughout.
+    The bracket stays sound because the finish time is convex: one
+    Newton step from any positive share lands at or above its root, so
+    a coarse [Σ n_i(T) - total] is at or above the true one.  Under
+    [Parallel] a coarse value [<= 0] still proves [T] is below the
+    makespan; under [One_port] a larger share delays the later
+    transfers, so a coarse value moves neither end.  A coarse step that
+    leaves the bracket ends the coarse phase. *)
 
 val worker_share :
   Platform.Processor.t -> Cost_model.t -> offset:float -> deadline:float -> float
@@ -60,3 +75,19 @@ val quadratic_share :
 val schedule :
   Schedule.comm_model -> Platform.Star.t -> Cost_model.t -> total:float -> Schedule.t
 (** Executable schedule realizing {!equal_finish_allocation}. *)
+
+(** Internals the test suite states laws about; no program uses them. *)
+module For_tests : sig
+  val share_step : Cost_model.t -> c:float -> w:float -> budget:float -> float -> float
+  (** [share_step cost ~c ~w ~budget n] is what a coarse makespan iterate
+      gives a share whose warm start is [n > 0]: one Newton step on
+      [c·n + w·work(n) = budget], capped at the share's upper bound. *)
+
+  val fixed_set_residual :
+    Platform.Processor.t array -> Cost_model.t -> total:float -> float -> float
+  (** [fixed_set_residual procs cost ~total t] is [Σ n_i(t) - total] for
+      the fixed participant set [procs], served in that order under
+      [One_port], every member's latency charged (a member with no
+      budget takes a negative share), with every share solved exactly:
+      the function whose root is the set's makespan. *)
+end

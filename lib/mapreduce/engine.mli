@@ -18,14 +18,8 @@ type ('k, 'v) result = {
 
 val run :
   ?config:Scheduler.config ->
-  ?combine:('k -> 'v list -> 'v) ->
   Platform.Star.t ->
   ('k, 'v) job ->
   reduce:('k -> 'v list -> 'v) ->
   ('k, 'v) result
-(** Raises [Invalid_argument] when task ids are not [0..n-1] in order.
-
-    [combine] is the classic map-side combiner: same-key pairs emitted
-    by one task are pre-folded before the shuffle, cutting its volume
-    (it must be the same associative fold as [reduce] for the output to
-    be unchanged). *)
+(** Raises [Invalid_argument] when task ids are not [0..n-1] in order. *)

@@ -90,6 +90,27 @@ let put_digits b last d n =
   done;
   if n land 1 = 1 then Bytes.set b (!pos + 1) (Char.chr (48 + !d))
 
+(* [put_digits] on the magnitude negated, which also represents
+   [min_int]. *)
+let write_int b i =
+  let neg = i < 0 in
+  let m = if neg then i else -i in
+  let n = ref 1 and q = ref (m / 10) in
+  while !q <> 0 do
+    incr n;
+    q := !q / 10
+  done;
+  let s = Bool.to_int neg and m = ref m in
+  if neg then Bytes.set b 0 '-';
+  let pos = ref (s + !n - 2) in
+  for _ = 1 to !n / 2 do
+    Bytes.set_uint16_le b !pos digit_pairs.(-(!m mod 100));
+    m := !m / 100;
+    pos := !pos - 2
+  done;
+  if !n land 1 = 1 then Bytes.set b s (Char.chr (48 - !m));
+  s + !n
+
 (* The [count] digits written one place right of [first] move left, and
    a point follows them. *)
 let point_after b ~first ~count =

@@ -41,12 +41,14 @@ let add_escaped buf s =
    write "-0.0" instead, so a negative zero survives a round trip. *)
 let negative_zero f = Float.equal f 0. && Float.sign_bit f
 
-let rec emit buf indent v =
+let add_int buf scratch i = Buffer.add_subbytes buf scratch 0 (Float_print.write_int scratch i)
+
+let rec emit buf scratch indent v =
   let pad n = String.make n ' ' in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf scratch i
   | Float f ->
       if negative_zero f then Buffer.add_string buf "-0.0"
       else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
@@ -62,7 +64,7 @@ let rec emit buf indent v =
         (fun i item ->
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf (pad (indent + 2));
-          emit buf (indent + 2) item)
+          emit buf scratch (indent + 2) item)
         items;
       Buffer.add_char buf '\n';
       Buffer.add_string buf (pad indent);
@@ -77,7 +79,7 @@ let rec emit buf indent v =
           Buffer.add_char buf '"';
           add_escaped buf k;
           Buffer.add_string buf "\": ";
-          emit buf (indent + 2) item)
+          emit buf scratch (indent + 2) item)
         fields;
       Buffer.add_char buf '\n';
       Buffer.add_string buf (pad indent);
@@ -85,7 +87,7 @@ let rec emit buf indent v =
 
 let to_string v =
   let buf = Buffer.create 1024 in
-  emit buf 0 v;
+  emit buf (Bytes.create Float_print.max_length) 0 v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
@@ -97,13 +99,13 @@ let to_string v =
    generates those digits without calling libc. *)
 let float_compact f = if Float.is_finite f then Float_print.render f else "null"
 
-(* Floats go straight into [buf] through one scratch of
+(* Floats and ints go straight into [buf] through one scratch of
    [Float_print.max_length] bytes per document. *)
 let rec emit_compact buf scratch v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf scratch i
   | Float f ->
       if negative_zero f then Buffer.add_string buf "-0.0"
       else if Float.is_finite f then

@@ -293,6 +293,105 @@ let test_safeguarded_platforms () =
         300. );
     ]
 
+(* The root of [c·n + w·work(n) = budget], bisected down to adjacent
+   floats. *)
+let finish_root cost ~c ~w ~budget =
+  let f n = (c *. n) +. (w *. Cost_model.work cost n) -. budget in
+  let lo = ref 0. and hi = ref 1. in
+  while f !hi < 0. do
+    hi := 2. *. !hi
+  done;
+  let mid () = !lo +. (0.5 *. (!hi -. !lo)) in
+  while mid () > !lo && mid () < !hi do
+    let m = mid () in
+    if f m < 0. then lo := m else hi := m
+  done;
+  !hi
+
+let log_uniform lo hi =
+  QCheck.Gen.map (fun u -> lo *. ((hi /. lo) ** u)) (QCheck.Gen.float_bound_inclusive 1.)
+
+let share_step_gen =
+  QCheck.Gen.(
+    let* cost =
+      oneof
+        [
+          map (fun a -> Cost_model.Power a) (float_range 1.05 4.);
+          return Cost_model.N_log_n;
+          return Cost_model.Linear;
+        ]
+    in
+    let* c = log_uniform 1e-2 1e2 and* w = log_uniform 1e-2 1e2 in
+    let* budget = log_uniform 1e-3 1e6 in
+    let+ start = float_range (-6.) 6. in
+    (cost, c, w, budget, start))
+
+(* A coarse makespan iterate moves each share by one Newton step, and
+   under [Parallel] takes [F <= 0] as proof that the iterate is below
+   the makespan: that rests on this law.  The finish time is convex and
+   increasing in the share, so one step from any [x > 0] lands at or
+   above the root, up to the rounding of the step: within 4 ulps of the
+   larger of [x] and the root (a far start cancels digits). *)
+let qcheck_share_step_above_root =
+  QCheck.Test.make ~name:"one Newton share step lands at or above the root" ~count:2000
+    (QCheck.make
+       ~print:(fun (cost, c, w, budget, start) ->
+         Printf.sprintf "%s c=%h w=%h budget=%h start=root*10^%h"
+           (match cost with
+            | Cost_model.Linear -> "linear"
+            | Cost_model.Power a -> Printf.sprintf "power(%h)" a
+            | Cost_model.N_log_n -> "nlogn")
+           c w budget start)
+       share_step_gen)
+    (fun (cost, c, w, budget, start) ->
+      let root = finish_root cost ~c ~w ~budget in
+      let x = root *. (10. ** start) in
+      let n = Nonlinear.For_tests.share_step cost ~c ~w ~budget x in
+      let big = Float.max x root in
+      let ulp = Float.succ big -. big in
+      Float.is_finite n && n >= root -. (4. *. ulp))
+
+(* A fixed participant set, every latency charged, has one makespan
+   because its [Σ n_i(T)] never falls as [T] grows; the participant
+   selection relies on it.  Without the charge it does fall: a worker
+   that joins pushes every later transfer back by its latency.  Checked
+   on a grid of 257 makespans up to twice the platform's, on small
+   platforms with latencies of up to 10 and totals of 1 to 100, so that
+   a latency is not small against the grid's spacing. *)
+let qcheck_fixed_set_monotone =
+  let gen =
+    QCheck.Gen.(
+      let* p = int_range 1 16 in
+      let* workers =
+        list_repeat p (triple (float_range 0.1 10.) (float_range 0.5 5.) (float_range 0. 10.))
+      in
+      let* cost =
+        oneof [ map (fun a -> Cost_model.Power a) (float_range 1.05 4.); return Cost_model.N_log_n ]
+      in
+      let+ total = float_range 1. 100. in
+      let star =
+        Star.create
+          (List.mapi
+             (fun i (speed, bandwidth, latency) ->
+               Processor.make ~id:(i + 1) ~speed ~bandwidth ~latency ())
+             workers)
+      in
+      { comm = Schedule.One_port; star; cost; total })
+  in
+  QCheck.Test.make ~name:"fixed-set residual is nondecreasing in the makespan" ~count:200
+    (QCheck.make ~print:print_instance gen)
+    (fun { star; cost; total; _ } ->
+      let order = Linear.one_port_order star in
+      let procs = Array.map (Star.worker star) order in
+      let _, makespan = Nonlinear.equal_finish_allocation Schedule.One_port star cost ~total in
+      let residual = Nonlinear.For_tests.fixed_set_residual procs cost ~total in
+      let grid = List.init 257 (fun j -> residual (makespan *. float_of_int j /. 128.)) in
+      let rec nondecreasing = function
+        | f :: (f' :: _ as rest) -> f <= f' +. (1e-12 *. total) && nondecreasing rest
+        | [ _ ] | [] -> true
+      in
+      nondecreasing grid)
+
 (* Makespans within 1e-12 relative, each share within 1e-12·total.
    Shares are not compared relative to themselves: trailing one-port
    shares of ~1e-10 are ill-conditioned in both solvers. *)
@@ -314,23 +413,59 @@ let qcheck_oracle_agreement =
       if selects comm star then snd fast <= snd oracle *. (1. +. 1e-12)
       else agrees total fast oracle)
 
-let test_oracle_traffic_sweep () =
-  (* The serve benchmark's ratio requests: p = 64, speeds in [0.5, 8],
-     alpha in [1.2, 3], totals in [100, 1e4], three decimals, either
-     communication model. *)
+(* The serve benchmark's ratio requests: p = 64, speeds in [0.5, 8],
+   alpha in [1.2, 3], totals in [100, 1e4], three decimals, either
+   communication model. *)
+let ratio_traffic () =
   let module Rng = Numerics.Rng in
   let rng = Rng.create ~seed:2013 () in
   let round3 x = Float.round (x *. 1000.) /. 1000. in
-  for _ = 1 to 1000 do
-    let total = round3 (Rng.uniform rng 100. 10_000.) in
-    let comm = if Rng.bool rng then Schedule.Parallel else Schedule.One_port in
-    let cost = Cost_model.Power (round3 (Rng.uniform rng 1.2 3.)) in
-    let star = Star.of_speeds (List.init 64 (fun _ -> round3 (Rng.uniform rng 0.5 8.))) in
-    checkb "agrees with the oracle" true
-      (agrees total
-         (Nonlinear.equal_finish_allocation comm star cost ~total)
-         (Nonlinear_oracle.equal_finish_allocation comm star cost ~total))
-  done
+  List.init 1000 (fun _ ->
+      let total = round3 (Rng.uniform rng 100. 10_000.) in
+      let comm = if Rng.bool rng then Schedule.Parallel else Schedule.One_port in
+      let cost = Cost_model.Power (round3 (Rng.uniform rng 1.2 3.)) in
+      let star = Star.of_speeds (List.init 64 (fun _ -> round3 (Rng.uniform rng 0.5 8.))) in
+      { comm; star; cost; total })
+
+let test_oracle_traffic_sweep () =
+  List.iter
+    (fun { comm; star; cost; total } ->
+      checkb "agrees with the oracle" true
+        (agrees total
+           (Nonlinear.equal_finish_allocation comm star cost ~total)
+           (Nonlinear_oracle.equal_finish_allocation comm star cost ~total)))
+    (ratio_traffic ())
+
+(* The solver's work, counted rather than timed: on the ratio traffic
+   (one makespan solve per request, no latency) each of the 64 shares
+   takes about one Newton step per makespan iterate, ~4 iterates and
+   ~300 steps per request under either model.  Converged sweeps at
+   every iterate took ~1,000 (Parallel) and ~800 (One_port); 450 leaves
+   room for rounding-level changes, not for a return to them. *)
+let test_share_steps_counted () =
+  let counter name = List.assoc name (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+  List.iter
+    (fun (label, model) ->
+      let requests = List.filter (fun i -> i.comm = model) (ratio_traffic ()) in
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.set_enabled false)
+        (fun () ->
+          List.iter
+            (fun { comm; star; cost; total } ->
+              ignore (Nonlinear.equal_finish_allocation comm star cost ~total))
+            requests);
+      let per_request name =
+        float_of_int (counter name) /. float_of_int (List.length requests)
+      in
+      let steps = per_request "nonlinear.share_steps" in
+      let evals = per_request "nonlinear.makespan_evals" in
+      Printf.printf "%s: %.1f share steps and %.2f makespan evaluations per solve\n" label
+        steps evals;
+      checkb (label ^ ": at most 450 share steps per solve") true (steps <= 450.);
+      checkb (label ^ ": a share step per worker per evaluation") true (steps >= 64. *. evals))
+    [ ("parallel", Schedule.Parallel); ("one-port", Schedule.One_port) ]
 
 let qcheck_fraction_bounds =
   QCheck.Test.make ~name:"done_fraction in (0,1] for any split" ~count:200
@@ -361,7 +496,11 @@ let suites =
         Alcotest.test_case "safeguarded platforms" `Quick test_safeguarded_platforms;
         Alcotest.test_case "oracle agreement on ratio traffic" `Quick
           test_oracle_traffic_sweep;
+        Alcotest.test_case "share steps counted on ratio traffic" `Quick
+          test_share_steps_counted;
         QCheck_alcotest.to_alcotest qcheck_quadratic_closed_form;
+        QCheck_alcotest.to_alcotest qcheck_share_step_above_root;
+        QCheck_alcotest.to_alcotest qcheck_fixed_set_monotone;
       ] );
     ( "no free lunch (fractions)",
       [

@@ -1,6 +1,5 @@
 (* Ablation machinery: recursive bisection partitioner, SUMMA, the 2.5D
-   communication model, histogram sort, map-side combiners and
-   straggler jitter. *)
+   communication model, histogram sort and straggler jitter. *)
 
 module Bisection = Partition.Bisection
 module Column_partition = Partition.Column_partition
@@ -193,29 +192,6 @@ let qcheck_histogram_sorts =
 
 (* --- combiner and jitter --- *)
 
-let test_combiner_preserves_output () =
-  let docs = [| "a b a a"; "b b a" |] in
-  let star = Platform.Star.of_speeds [ 1.; 2. ] in
-  let job = Word_count.job ~docs in
-  let reduce _ vs = List.fold_left ( + ) 0 vs in
-  let plain = Mapreduce.Engine.run star job ~reduce in
-  let combined = Mapreduce.Engine.run ~combine:reduce star job ~reduce in
-  Alcotest.(check (list (pair string int)))
-    "same counts"
-    (List.sort compare plain.Mapreduce.Engine.output)
-    (List.sort compare combined.Mapreduce.Engine.output)
-
-let test_combiner_cuts_shuffle () =
-  let docs = [| "x x x x x x x x"; "x x x x" |] in
-  let star = Platform.Star.of_speeds [ 1.; 2. ] in
-  let job = Word_count.job ~docs in
-  let reduce _ vs = List.fold_left ( + ) 0 vs in
-  let plain = Mapreduce.Engine.run star job ~reduce in
-  let combined = Mapreduce.Engine.run ~combine:reduce star job ~reduce in
-  Alcotest.(check int) "12 raw pairs" 12 plain.Mapreduce.Engine.shuffle.Mapreduce.Shuffle.pairs;
-  Alcotest.(check int) "2 combined pairs" 2
-    combined.Mapreduce.Engine.shuffle.Mapreduce.Shuffle.pairs
-
 let test_jitter_determinism () =
   let star = Platform.Star.of_speeds [ 1.; 1. ] in
   let tasks = Array.init 10 (fun i -> Mapreduce.Task.make ~id:i ~data_ids:[| i |] ~cost:5.) in
@@ -282,8 +258,6 @@ let suites =
       ] );
     ( "combiner and jitter",
       [
-        Alcotest.test_case "combiner preserves output" `Quick test_combiner_preserves_output;
-        Alcotest.test_case "combiner cuts shuffle" `Quick test_combiner_cuts_shuffle;
         Alcotest.test_case "jitter determinism" `Quick test_jitter_determinism;
         Alcotest.test_case "speculation rescues stragglers" `Quick
           test_jitter_speculation_rescues;

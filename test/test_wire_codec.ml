@@ -379,6 +379,25 @@ let law_emitter =
     (QCheck.make ~print:Json_oracle.to_compact tree_gen) (fun t ->
       String.equal (J.to_compact t) (Json_oracle.to_compact t))
 
+(* Both emitters write an [Int] from the digit-pair table, as
+   [string_of_int] spells it. *)
+let law_ints =
+  QCheck.Test.make ~count:5_000 ~name:"(b) emitted ints = string_of_int"
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(
+          oneof
+            [
+              int;
+              small_signed_int;
+              map (fun k -> 1 lsl k) (int_bound 61);
+              oneofl [ 0; 1; -1; min_int; max_int ];
+            ]))
+    (fun i ->
+      let text = string_of_int i in
+      String.equal (J.to_compact (J.Int i)) text
+      && String.equal (J.to_string (J.Int i)) (text ^ "\n"))
+
 let law_keys =
   QCheck.Test.make ~count:5_000 ~name:"(c) raw-bit keys collide exactly when decimal keys do"
     (QCheck.make
@@ -483,7 +502,7 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           law_documents; law_numbers; law_number_chars; law_spellings; law_damaged;
-          law_broken_lines; law_bytes; law_emitter; law_keys;
+          law_broken_lines; law_bytes; law_emitter; law_ints; law_keys;
         ]
       @ [
           Alcotest.test_case "fixed number spellings" `Quick test_fixed_numbers;
