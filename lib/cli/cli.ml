@@ -10,25 +10,6 @@
 
 open Cmdliner
 
-(* The one non-experiment subcommand: the static invariant checker,
-   registered through the same Registry plumbing so it gets -v,
-   --trace/--metrics and --csv/--json for free.  Its exit status is the
-   gate result, so `nldl lint` can serve as a CI step directly. *)
-let lint_entry =
-  let run thunk () =
-    let o : Lint.Cmd.outcome = thunk () in
-    (* The rich findings JSON (counts, per-finding "new" flags) stays on
-       Lint.Cmd's own flag; the Registry --json surface gets the findings
-       table in the standard Api.Response envelope like every command. *)
-    ( Some (Experiments.Registry.table ~header:o.Lint.Cmd.header ~rows:o.Lint.Cmd.rows),
-      o.Lint.Cmd.status )
-  in
-  Experiments.Registry.gated ~name:"lint"
-    ~synopsis:
-      "Statically check the tree's determinism, unsafe-zone and domain-safety \
-       invariants."
-    Term.(const run $ Lint.Cmd.embedded_term)
-
 (* nldl profile EXPERIMENT [--out FILE] [--trace-events N] [-- ARG...]:
    look the experiment up in the catalog, re-evaluate its own argument
    term on the passthrough args (everything after --), run the thunk
@@ -153,7 +134,7 @@ let command =
   Cmd.group
     (Cmd.info "nldl" ~version ~doc)
     (List.map Experiments.Registry.to_cmd
-       (Experiments.Catalog.all @ [ lint_entry; profile_entry ]))
+       (Experiments.Catalog.all @ [ profile_entry ]))
 
 let run () = Cmd.eval' command
 

@@ -25,5 +25,5 @@ val eval_for_test : string list -> (capture, [ `Parse | `Term | `Exn ]) result
 (** The documented programmatic entry for tests: run
     [nldl args...] in-process with stdout captured, returning what the
     command printed and the exit status it returned (gated commands
-    such as [nldl lint] or [nldl query] may return non-zero).
+    such as [nldl query] or [nldl profile] may return non-zero).
     [--help]/[--version] count as status 0. *)

@@ -188,7 +188,7 @@ let to_cmd e =
     let out, status = thunk () in
     dump e.name out csv json;
     finish_obs obs;
-    (* Gated commands (nldl lint) carry the gate result in their exit
+    (* Gated commands (nldl query, nldl profile) carry the gate result in their exit
        code, returned after the flushes so --trace/--json stay intact. *)
     status
   in

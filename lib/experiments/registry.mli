@@ -46,8 +46,8 @@ val entry : name:string -> synopsis:string -> (unit -> output option) Cmdliner.T
 
 val gated : name:string -> synopsis:string -> (unit -> output option * int) Cmdliner.Term.t -> entry
 (** Command whose thunk also decides the process exit status (e.g.
-    [nldl lint] failing on new findings); {!to_cmd} returns it after
-    the trace/metrics/csv/json flushes. *)
+    [nldl query] exiting 2 when it cannot reach its daemon); {!to_cmd}
+    returns it after the trace/metrics/csv/json flushes. *)
 
 (** {1 Shared argument terms} *)
 

@@ -1,11 +1,13 @@
 (* Cross-module value-level call graph.
 
-   Phase 1 (per file, cacheable): [extract] walks one parsetree and
-   produces a [fragment] — the file's top-level value definitions, every
-   identifier each one references, the mutation / blocking / unsafe
-   sites inside it, and the references made from inside arguments of a
-   parallel primitive.  Fragments are plain data (no [Location.t], no
-   closures) so they marshal into the digest-keyed cache.
+   Phase 1 (per file, cacheable): [extend] layers the extraction onto
+   the lint rules' [Ast_iterator], so the one walk of a file that runs
+   the rules also collects its [fragment] — the file's top-level value
+   definitions, every identifier each one references, the mutation /
+   blocking / unsafe sites inside it, and the references made from
+   inside arguments of a parallel primitive.  Fragments are plain data
+   (no [Location.t], no closures) so they marshal into the digest-keyed
+   cache.
 
    Phase 2 (whole program): [build] indexes every definition of every
    fragment under all dotted suffixes of its qualified path
@@ -178,23 +180,7 @@ let pos_of (loc : Location.t) =
   let p = loc.Location.loc_start in
   { line = p.Lexing.pos_lnum; col = p.Lexing.pos_cnum - p.Lexing.pos_bol }
 
-let rec peel e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> peel e
-  | _ -> e
-
-let ident_path e =
-  match (peel e).pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match try Longident.flatten txt with _ -> [] with
-      | "Stdlib" :: rest -> rest
-      | p -> p)
-  | _ -> []
-
-let longident_path lid =
-  match try Longident.flatten lid with _ -> [] with
-  | "Stdlib" :: rest -> rest
-  | p -> p
+let peeled_path e = Rules.ident_path (Rules.peel e)
 
 let rec pattern_vars p acc =
   match p.ppat_desc with
@@ -220,9 +206,9 @@ let is_var_name v =
   && (match v.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
 
 let rec expr_vars e acc =
-  match (peel e).pexp_desc with
+  match (Rules.peel e).pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      match longident_path txt with
+      match Rules.longident_path txt with
       | [ v ] when is_var_name v -> v :: acc
       | _ -> acc)
   | Pexp_field (b, _) -> expr_vars b acc
@@ -234,21 +220,25 @@ let rec expr_vars e acc =
 (* Accumulator for the definition currently being walked. *)
 type def_builder = {
   mutable b_refs : string list list;
+  mutable b_nrefs : int;  (* List.length b_refs *)
   mutable b_escape_refs : (string list * string) list;
   mutable b_sites : site list;
+  mutable b_nsites : int;  (* List.length b_sites *)
   mutable b_guards : string list;
 }
 
-type ctx = {
-  file : string;
-  file_allows : string list;
+(* Extraction state for one file.  Allow suppression is read from the
+   rules' [scope], whose stack {!Rules.scoping} maintains on the same
+   walk; everything else here is context only the extraction needs. *)
+type state = {
+  scope : Rules.scope;
+  modpath : string list;
   mutable modstack : string list;  (* reversed nested-module names *)
   mutable opens : string list list;
   mutable aliases : (string * string list) list;
   mutable defs : def list;  (* reversed *)
   mutable parallel_sites : (pos * string) list;
   mutable cur : def_builder option;
-  mutable allow_stack : string list list;
   mutable bv_stack : string list;  (* bounds_validated payloads in scope *)
   mutable protect_depth : int;
   mutable par_prim : string option;  (* innermost parallel-argument context *)
@@ -257,20 +247,47 @@ type ctx = {
       (* let-bound names in scope, with their expressions' refs and sites *)
 }
 
-let allowed ctx id =
-  List.mem id ctx.file_allows
-  || List.exists (fun ids -> List.mem id ids) ctx.allow_stack
+let state (scope : Rules.scope) =
+  let modpath = modpath_of_file scope.file in
+  {
+    scope;
+    modpath;
+    modstack = List.rev modpath;
+    opens = [];
+    aliases = [];
+    defs = [];
+    parallel_sites = [];
+    cur = None;
+    bv_stack = [];
+    protect_depth = 0;
+    par_prim = None;
+    forvars = [];
+    locals = [];
+  }
 
-let bounds_validated_of attrs =
-  List.fold_left
-    (fun acc (a : attribute) ->
+let fragment st =
+  {
+    f_file = st.scope.file;
+    f_modpath = st.modpath;
+    f_opens = List.rev st.opens;
+    f_aliases = List.rev st.aliases;
+    f_defs = List.rev st.defs;
+    f_unsafe_zone = st.scope.unsafe_zone;
+    f_domain_safe = st.scope.domain_safe;
+    f_parallel_sites = List.rev st.parallel_sites;
+  }
+
+let push_bounds_validated st attrs =
+  List.iter
+    (fun (a : attribute) ->
       if a.attr_name.Location.txt = "nldl.bounds_validated" then
-        match Attrs.string_payload a with Some s -> Some s | None -> acc
-      else acc)
-    None attrs
+        match Attrs.string_payload a with
+        | Some s -> st.bv_stack <- s :: st.bv_stack
+        | None -> ())
+    attrs
 
-let add_site ctx ~loc kind =
-  match ctx.cur with
+let add_site st ~loc kind =
+  match st.cur with
   | None -> ()
   | Some b ->
       let rule =
@@ -283,19 +300,30 @@ let add_site ctx ~loc kind =
         {
           s_pos = pos_of loc;
           s_kind = kind;
-          s_allowed = allowed ctx rule;
-          s_direct = ctx.par_prim;
+          s_allowed = Rules.allowed st.scope rule;
+          s_direct = st.par_prim;
         }
-        :: b.b_sites
+        :: b.b_sites;
+      b.b_nsites <- b.b_nsites + 1
+
+let mutation st ~loc path op =
+  add_site st ~loc
+    (Mutation
+       {
+         m_target = String.concat "." path;
+         m_path = path;
+         m_op = op;
+         m_protected = st.protect_depth > 0;
+       })
 
 (* A local closure named inside a parallel argument
    ([let f i = … in Exec.Pool.parallel_for pool n f]) runs on the pool
    as if written inline: its refs (and those of the locals it names)
    become escape refs, and its sites count as direct. *)
-let escape_local ctx b prim path =
+let escape_local st b prim path =
   let rec go seen = function
     | [ v ] when not (List.mem v seen) -> (
-        match List.assoc_opt v ctx.locals with
+        match List.assoc_opt v st.locals with
         | None -> ()
         | Some (refs, sites) ->
             b.b_escape_refs <- List.map (fun r -> (r, prim)) refs @ b.b_escape_refs;
@@ -308,291 +336,47 @@ let escape_local ctx b prim path =
   in
   go [] path
 
-let add_ref ctx path =
-  match ctx.cur with
+let add_ref st path =
+  match st.cur with
   | None -> ()
   | Some b -> (
       b.b_refs <- path :: b.b_refs;
-      match ctx.par_prim with
+      b.b_nrefs <- b.b_nrefs + 1;
+      match st.par_prim with
       | Some prim ->
           b.b_escape_refs <- (path, prim) :: b.b_escape_refs;
-          escape_local ctx b prim path
+          escape_local st b prim path
       | None -> ())
 
-let add_guards ctx e =
-  match ctx.cur with
+let add_guards st e =
+  match st.cur with
   | None -> ()
   | Some b -> b.b_guards <- expr_vars e b.b_guards
 
-let rec walk_expr ctx e =
-  let allows = Attrs.allows e.pexp_attributes in
-  let saved_allow = ctx.allow_stack in
-  if allows <> [] then ctx.allow_stack <- allows :: ctx.allow_stack;
-  let saved_bv = ctx.bv_stack in
-  (match bounds_validated_of e.pexp_attributes with
-  | Some s -> ctx.bv_stack <- s :: ctx.bv_stack
-  | None -> ());
-  (match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> add_ref ctx (longident_path txt)
-  | Pexp_apply (f, args) -> walk_apply ctx e f args
-  | Pexp_setfield (target, field, v) ->
-      (match ident_path target with
-      | [] -> ()
-      | path ->
-          let fname =
-            match longident_path field.Location.txt with
-            | [] -> "?"
-            | p -> List.nth p (List.length p - 1)
-          in
-          add_site ctx ~loc:e.pexp_loc
-            (Mutation
-               {
-                 m_target = String.concat "." path;
-                 m_path = path;
-                 m_op = "." ^ fname ^ " <-";
-                 m_protected = ctx.protect_depth > 0;
-               }));
-      walk_expr ctx target;
-      walk_expr ctx v
-  | Pexp_for (pat, lo, hi, _, body) ->
-      walk_expr ctx lo;
-      walk_expr ctx hi;
-      let saved = ctx.forvars in
-      ctx.forvars <- pattern_vars pat ctx.forvars;
-      walk_expr ctx body;
-      ctx.forvars <- saved
-  | Pexp_ifthenelse (c, t, f) ->
-      add_guards ctx c;
-      walk_expr ctx c;
-      walk_expr ctx t;
-      Option.iter (walk_expr ctx) f
-  | Pexp_while (c, body) ->
-      add_guards ctx c;
-      walk_expr ctx c;
-      walk_expr ctx body
-  | Pexp_assert c ->
-      add_guards ctx c;
-      walk_expr ctx c
-  | Pexp_match (s, cases) | Pexp_try (s, cases) ->
-      walk_expr ctx s;
-      walk_cases ctx cases
-  | Pexp_function cases -> walk_cases ctx cases
-  | Pexp_fun (_, default, _, body) ->
-      Option.iter (walk_expr ctx) default;
-      walk_expr ctx body
-  | Pexp_let (_, vbs, body) ->
-      let saved = ctx.locals in
-      List.iter (fun vb -> walk_local ctx vb) vbs;
-      walk_expr ctx body;
-      ctx.locals <- saved
-  | Pexp_open (od, body) ->
-      (match od.popen_expr.pmod_desc with
-      | Pmod_ident { txt; _ } -> ctx.opens <- longident_path txt :: ctx.opens
-      | _ -> ());
-      walk_expr ctx body
-  | Pexp_letmodule (name, me, body) ->
-      (match (name.Location.txt, me.pmod_desc) with
-      | Some n, Pmod_ident { txt; _ } ->
-          ctx.aliases <- (n, longident_path txt) :: ctx.aliases
-      | _ -> ());
-      walk_module_expr ctx me;
-      walk_expr ctx body
-  | Pexp_sequence (a, b) ->
-      walk_expr ctx a;
-      walk_expr ctx b
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_lazy e
-  | Pexp_newtype (_, e) | Pexp_poly (e, _) | Pexp_send (e, _) ->
-      walk_expr ctx e
-  | Pexp_tuple es | Pexp_array es -> List.iter (walk_expr ctx) es
-  | Pexp_construct (_, arg) | Pexp_variant (_, arg) ->
-      Option.iter (walk_expr ctx) arg
-  | Pexp_record (fields, base) ->
-      List.iter (fun (_, e) -> walk_expr ctx e) fields;
-      Option.iter (walk_expr ctx) base
-  | Pexp_field (b, _) -> walk_expr ctx b
-  | Pexp_letexception (_, body) -> walk_expr ctx body
-  | Pexp_letop { let_; ands; body } ->
-      walk_expr ctx let_.pbop_exp;
-      List.iter (fun a -> walk_expr ctx a.pbop_exp) ands;
-      walk_expr ctx body
-  | Pexp_constant _ | Pexp_new _ | Pexp_pack _ | Pexp_extension _
-  | Pexp_object _ | Pexp_override _ | Pexp_setinstvar _ | Pexp_unreachable ->
-      ());
-  ctx.allow_stack <- saved_allow;
-  ctx.bv_stack <- saved_bv
-
-and walk_cases ctx cases =
-  List.iter
-    (fun c ->
-      (match c.pc_guard with
-      | Some g ->
-          add_guards ctx g;
-          walk_expr ctx g
-      | None -> ());
-      walk_expr ctx c.pc_rhs)
-    cases
-
-and walk_apply ctx e f args =
-  let callee = ident_path f in
-  (* Record the callee reference itself (outside any argument context it
-     may open below). *)
-  walk_expr ctx f;
-  (* Mutation: [:=]/[incr]/[decr] and [M.set]-shaped stores on an
-     identifier target. *)
-  (match (store_op callee, args) with
-  | Some op, (_, target) :: _ -> (
-      match ident_path target with
-      | [] -> ()
-      | path ->
-          add_site ctx ~loc:e.pexp_loc
-            (Mutation
-               {
-                 m_target = String.concat "." path;
-                 m_path = path;
-                 m_op = op;
-                 m_protected = ctx.protect_depth > 0;
-               }))
-  | _ -> ());
-  (* Unsafe access: obligation payload for R402. *)
-  (match List.rev callee with
-  | last :: _ :: _ when String.length last > 7 && String.sub last 0 7 = "unsafe_"
-    -> (
-      match args with
-      | [] -> ()
-      | _ :: index_args ->
-          let index_args =
-            (* the final argument of a store is the value, not an index *)
-            if
-              (match List.rev callee with
-              | l :: _ ->
-                  (String.length l >= 3
-                  && String.sub l (String.length l - 3) 3 = "set")
-                  || l = "unsafe_fill" || l = "unsafe_blit"
-              | [] -> false)
-              && List.length index_args > 1
-            then
-              List.filteri
-                (fun i _ -> i < List.length index_args - 1)
-                index_args
-            else index_args
-          in
-          let vars =
-            List.sort_uniq String.compare
-              (List.fold_left
-                 (fun acc (_, a) -> expr_vars a acc)
-                 [] index_args)
-          in
-          add_site ctx ~loc:e.pexp_loc
-            (Unsafe
-               {
-                 u_callee = String.concat "." callee;
-                 u_vars = vars;
-                 u_forvars = List.sort_uniq String.compare ctx.forvars;
-                 u_validated_by =
-                   (match ctx.bv_stack with s :: _ -> Some s | [] -> None);
-               }))
-  | _ -> ());
-  (* Blocking syscalls. *)
-  if List.mem callee blocking_prims then
-    add_site ctx ~loc:e.pexp_loc (Blocking (String.concat "." callee));
-  (* Argument context: Mutex.protect guards its argument; a parallel
-     primitive makes everything inside its arguments escape. *)
-  if callee = [ "Mutex"; "protect" ] then begin
-    ctx.protect_depth <- ctx.protect_depth + 1;
-    List.iter (fun (_, a) -> walk_expr ctx a) args;
-    ctx.protect_depth <- ctx.protect_depth - 1
-  end
-  else
-    match parallel_prim callee with
-    | Some prim ->
-        ctx.parallel_sites <- (pos_of e.pexp_loc, prim) :: ctx.parallel_sites;
-        let saved = ctx.par_prim in
-        ctx.par_prim <- Some prim;
-        List.iter (fun (_, a) -> walk_expr ctx a) args;
-        ctx.par_prim <- saved
-    | None -> List.iter (fun (_, a) -> walk_expr ctx a) args
-
-(* A let-bound name: remember the refs and sites its expression recorded. *)
-and walk_local ctx vb =
-  match (ctx.cur, vb.pvb_pat.ppat_desc) with
-  | Some b, Ppat_var { txt; _ } ->
-      let refs = List.length b.b_refs and sites = List.length b.b_sites in
-      walk_vb_expr ctx vb;
-      let added l before = List.filteri (fun i _ -> i < List.length l - before) l in
-      ctx.locals <- (txt, (added b.b_refs refs, added b.b_sites sites)) :: ctx.locals
-  | _ -> walk_vb_expr ctx vb
-
-(* A let inside an expression: its attributes still scope allows and
-   bounds_validated over the bound body. *)
-and walk_vb_expr ctx vb =
-  let allows = Attrs.allows vb.pvb_attributes in
-  let saved_allow = ctx.allow_stack in
-  if allows <> [] then ctx.allow_stack <- allows :: ctx.allow_stack;
-  let saved_bv = ctx.bv_stack in
-  (match bounds_validated_of vb.pvb_attributes with
-  | Some s -> ctx.bv_stack <- s :: ctx.bv_stack
-  | None -> ());
-  walk_expr ctx vb.pvb_expr;
-  ctx.allow_stack <- saved_allow;
-  ctx.bv_stack <- saved_bv
-
-and walk_module_expr ctx me =
-  match me.pmod_desc with
-  | Pmod_structure str -> walk_structure ctx str
-  | Pmod_functor (_, body) -> walk_module_expr ctx body
-  | Pmod_constraint (me, _) -> walk_module_expr ctx me
-  | Pmod_apply (a, b) ->
-      walk_module_expr ctx a;
-      walk_module_expr ctx b
-  | Pmod_apply_unit a -> walk_module_expr ctx a
-  | Pmod_ident _ | Pmod_unpack _ | Pmod_extension _ -> ()
-
-and walk_structure ctx str = List.iter (walk_structure_item ctx) str
-
-and walk_structure_item ctx si =
-  match si.pstr_desc with
-  | Pstr_value (_, vbs) when ctx.cur = None ->
-      List.iter (fun vb -> walk_top_binding ctx vb) vbs
-  | Pstr_value (_, vbs) -> List.iter (fun vb -> walk_vb_expr ctx vb) vbs
-  | Pstr_eval (e, _) when ctx.cur = None ->
-      finish_def ctx ~names:[ "_" ] ~loc:si.pstr_loc (fun () ->
-          walk_expr ctx e)
-  | Pstr_eval (e, _) -> walk_expr ctx e
-  | Pstr_module mb -> walk_module_binding ctx mb
-  | Pstr_recmodule mbs -> List.iter (walk_module_binding ctx) mbs
-  | Pstr_open od -> (
-      match od.popen_expr.pmod_desc with
-      | Pmod_ident { txt; _ } -> ctx.opens <- longident_path txt :: ctx.opens
-      | me -> walk_module_expr ctx { od.popen_expr with pmod_desc = me })
-  | Pstr_include id -> walk_module_expr ctx id.pincl_mod
-  | Pstr_attribute _ | Pstr_primitive _ | Pstr_type _ | Pstr_typext _
-  | Pstr_exception _ | Pstr_modtype _ | Pstr_class _ | Pstr_class_type _
-  | Pstr_extension _ ->
-      ()
-
-and walk_module_binding ctx mb =
-  match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-  | Some n, Pmod_ident { txt; _ } ->
-      ctx.aliases <- (n, longident_path txt) :: ctx.aliases
-  | name, _ ->
-      let saved = ctx.modstack in
-      (match name with Some n -> ctx.modstack <- n :: ctx.modstack | None -> ());
-      walk_module_expr ctx mb.pmb_expr;
-      ctx.modstack <- saved
-
-and finish_def ctx ~names ~loc ?(is_func = false) walk =
+(* A top-level definition: everything walked between [open_def] and
+   [close_def] is attributed to it. *)
+let open_def st =
   let b =
-    { b_refs = []; b_escape_refs = []; b_sites = []; b_guards = [] }
+    {
+      b_refs = [];
+      b_nrefs = 0;
+      b_escape_refs = [];
+      b_sites = [];
+      b_nsites = 0;
+      b_guards = [];
+    }
   in
-  ctx.cur <- Some b;
-  walk ();
-  ctx.cur <- None;
+  st.cur <- Some b;
+  b
+
+let close_def st b ~names ~loc ~is_func =
+  st.cur <- None;
+  st.locals <- [];
   let first = match names with n :: _ -> n | [] -> "_" in
-  let path = List.rev_append ctx.modstack [ first ] in
-  ctx.defs <-
+  st.defs <-
     {
       d_names = names;
-      d_path = path;
+      d_path = List.rev_append st.modstack [ first ];
       d_pos = pos_of loc;
       d_is_func = is_func;
       d_refs = List.sort_uniq compare b.b_refs;
@@ -600,63 +384,167 @@ and finish_def ctx ~names ~loc ?(is_func = false) walk =
       d_sites = List.rev b.b_sites;
       d_guards = List.sort_uniq String.compare b.b_guards;
     }
-    :: ctx.defs
+    :: st.defs
 
-and walk_top_binding ctx vb =
-  let names =
-    match List.rev (pattern_vars vb.pvb_pat []) with
-    | [] -> [ "_" ]
-    | ns -> ns
-  in
-  let allows = Attrs.allows vb.pvb_attributes in
-  let saved_allow = ctx.allow_stack in
-  if allows <> [] then ctx.allow_stack <- allows :: ctx.allow_stack;
-  let saved_bv = ctx.bv_stack in
-  (match bounds_validated_of vb.pvb_attributes with
-  | Some s -> ctx.bv_stack <- s :: ctx.bv_stack
-  | None -> ());
-  let rec is_func e =
-    match (peel e).pexp_desc with
-    | Pexp_fun _ | Pexp_function _ -> true
-    | Pexp_newtype (_, e) -> is_func e
-    | _ -> false
-  in
-  finish_def ctx ~names ~loc:vb.pvb_loc ~is_func:(is_func vb.pvb_expr)
-    (fun () -> walk_expr ctx vb.pvb_expr);
-  ctx.allow_stack <- saved_allow;
-  ctx.bv_stack <- saved_bv
+let rec is_func e =
+  match (Rules.peel e).pexp_desc with
+  | Pexp_fun _ | Pexp_function _ -> true
+  | Pexp_newtype (_, e) -> is_func e
+  | _ -> false
 
-let extract ~file ~(marks : Attrs.file_marks) (str : structure) =
-  let modpath = modpath_of_file file in
-  let ctx =
-    {
-      file;
-      file_allows = marks.file_allows;
-      modstack = List.rev modpath;
-      opens = [];
-      aliases = [];
-      defs = [];
-      parallel_sites = [];
-      cur = None;
-      allow_stack = [];
-      bv_stack = [];
-      protect_depth = 0;
-      par_prim = None;
-      forvars = [];
-      locals = [];
-    }
+(* The final argument of a store is the value, not an index. *)
+let is_store_callee callee =
+  match List.rev callee with
+  | l :: _ ->
+      (String.length l >= 3 && String.sub l (String.length l - 3) 3 = "set")
+      || l = "unsafe_fill" || l = "unsafe_blit"
+  | [] -> false
+
+(* An application: record its sites, then walk the callee outside and
+   the arguments inside the context the callee opens ([Mutex.protect]
+   guards its argument; a parallel primitive makes everything inside
+   its arguments escape). *)
+let apply st (self : Ast_iterator.iterator) e f args =
+  let callee = peeled_path f in
+  self.expr self f;
+  (match (store_op callee, args) with
+  | Some op, (_, target) :: _ -> (
+      match peeled_path target with
+      | [] -> ()
+      | path -> mutation st ~loc:e.pexp_loc path op)
+  | _ -> ());
+  (if Rules.is_unsafe_path callee then
+     match args with
+     | [] -> ()
+     | _ :: index_args ->
+         let n = List.length index_args in
+         let index_args =
+           if is_store_callee callee && n > 1 then
+             List.filteri (fun i _ -> i < n - 1) index_args
+           else index_args
+         in
+         add_site st ~loc:e.pexp_loc
+           (Unsafe
+              {
+                u_callee = String.concat "." callee;
+                u_vars =
+                  List.sort_uniq String.compare
+                    (List.fold_left (fun acc (_, a) -> expr_vars a acc) [] index_args);
+                u_forvars = List.sort_uniq String.compare st.forvars;
+                u_validated_by =
+                  (match st.bv_stack with s :: _ -> Some s | [] -> None);
+              }));
+  if List.mem callee blocking_prims then
+    add_site st ~loc:e.pexp_loc (Blocking (String.concat "." callee));
+  let protect_depth = st.protect_depth and par_prim = st.par_prim in
+  (if callee = [ "Mutex"; "protect" ] then st.protect_depth <- protect_depth + 1
+   else
+     match parallel_prim callee with
+     | Some prim ->
+         st.parallel_sites <- (pos_of e.pexp_loc, prim) :: st.parallel_sites;
+         st.par_prim <- Some prim
+     | None -> ());
+  List.iter (fun (_, a) -> self.expr self a) args;
+  st.protect_depth <- protect_depth;
+  st.par_prim <- par_prim
+
+(* The extraction layer.  The driver composes it as the base of the rule
+   fold, so one walk per file serves the rules and the graph. *)
+let extend st (it : Ast_iterator.iterator) : Ast_iterator.iterator =
+  (* Payloads are annotations, not code: a top-level attribute's string
+     would otherwise read as a module-initialisation expression. *)
+  let attribute _ _ = () in
+  let expr self e =
+    let bv_stack = st.bv_stack and forvars = st.forvars and locals = st.locals in
+    (match e.pexp_attributes with [] -> () | attrs -> push_bounds_validated st attrs);
+    (match e.pexp_desc with
+    | Pexp_apply (f, args) -> apply st self e f args
+    | desc ->
+        (match desc with
+        | Pexp_ident _ -> add_ref st (Rules.ident_path e)
+        | Pexp_setfield (target, field, _) -> (
+            match peeled_path target with
+            | [] -> ()
+            | path ->
+                mutation st ~loc:e.pexp_loc path
+                  ("." ^ Longident.last field.Location.txt ^ " <-"))
+        | Pexp_for (pat, _, _, _, _) -> st.forvars <- pattern_vars pat st.forvars
+        | Pexp_ifthenelse (c, _, _) | Pexp_while (c, _) | Pexp_assert c ->
+            add_guards st c
+        | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, _)
+          ->
+            st.opens <- Rules.longident_path txt :: st.opens
+        | Pexp_letmodule
+            ({ txt = Some n; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, _) ->
+            st.aliases <- (n, Rules.longident_path txt) :: st.aliases
+        | _ -> ());
+        it.expr self e);
+    st.bv_stack <- bv_stack;
+    st.forvars <- forvars;
+    st.locals <- locals
   in
-  walk_structure ctx str;
-  {
-    f_file = file;
-    f_modpath = modpath;
-    f_opens = List.rev ctx.opens;
-    f_aliases = List.rev ctx.aliases;
-    f_defs = List.rev ctx.defs;
-    f_unsafe_zone = marks.unsafe_zone <> None;
-    f_domain_safe = marks.domain_safe <> None;
-    f_parallel_sites = List.rev ctx.parallel_sites;
-  }
+  let case self c =
+    (match c.pc_guard with Some g -> add_guards st g | None -> ());
+    it.case self c
+  in
+  let value_binding self vb =
+    let bv_stack = st.bv_stack in
+    push_bounds_validated st vb.pvb_attributes;
+    (match (st.cur, vb.pvb_pat.ppat_desc) with
+    | None, _ ->
+        let b = open_def st in
+        it.value_binding self vb;
+        let names =
+          match List.rev (pattern_vars vb.pvb_pat []) with [] -> [ "_" ] | ns -> ns
+        in
+        close_def st b ~names ~loc:vb.pvb_loc ~is_func:(is_func vb.pvb_expr)
+    | Some b, Ppat_var { txt; _ } ->
+        (* A let-bound name: remember the refs and sites its expression
+           recorded, for [escape_local]. *)
+        let refs = b.b_nrefs and sites = b.b_nsites in
+        it.value_binding self vb;
+        let rec take n l =
+          match l with x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> []
+        in
+        st.locals <-
+          (txt, (take (b.b_nrefs - refs) b.b_refs, take (b.b_nsites - sites) b.b_sites))
+          :: st.locals
+    | Some _, _ -> it.value_binding self vb);
+    st.bv_stack <- bv_stack
+  in
+  let structure_item self si =
+    match si.pstr_desc with
+    | Pstr_eval _ when st.cur = None ->
+        let b = open_def st in
+        it.structure_item self si;
+        close_def st b ~names:[ "_" ] ~loc:si.pstr_loc ~is_func:false
+    | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+        st.opens <- Rules.longident_path txt :: st.opens
+    | _ -> it.structure_item self si
+  in
+  let module_binding self mb =
+    let rec unpack me =
+      match me.pmod_desc with
+      | Pmod_unpack _ -> true
+      | Pmod_constraint (me, _) -> unpack me
+      | _ -> false
+    in
+    match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
+    | Some n, Pmod_ident { txt; _ } ->
+        st.aliases <- (n, Rules.longident_path txt) :: st.aliases
+    | Some n, _ when st.cur = None && unpack mb.pmb_expr ->
+        (* [module M = (val e : S)] runs [e] at module initialisation:
+           a definition named [M], like a [let]. *)
+        let b = open_def st in
+        it.module_binding self mb;
+        close_def st b ~names:[ n ] ~loc:mb.pmb_loc ~is_func:false
+    | name, _ ->
+        let modstack = st.modstack in
+        Option.iter (fun n -> st.modstack <- n :: modstack) name;
+        it.module_binding self mb;
+        st.modstack <- modstack
+  in
+  { it with attribute; expr; case; value_binding; structure_item; module_binding }
 
 (* --- whole-program graph ------------------------------------------------ *)
 

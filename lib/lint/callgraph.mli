@@ -1,7 +1,7 @@
 (** Cross-module value-level call graph.
 
-    Built in two phases: {!extract} turns one file's parsetree into a
-    marshal-friendly {!fragment} (cacheable per content digest), and
+    Built in two phases: {!extend} collects one file's marshal-friendly
+    {!fragment} (cacheable per content digest) on the rules' walk, and
     {!build} links all fragments into a graph whose nodes are top-level
     value bindings and whose edges are identifier references.
 
@@ -66,14 +66,23 @@ type fragment = {
 val empty_fragment : file:string -> fragment
 (** Fragment for interfaces and unparseable files: no defs, no sites. *)
 
-val modpath_of_file : string -> string list
-(** [lib/exec/pool.ml] -> [\["Exec"; "Pool"\]]; executables are bare. *)
+type state
+(** Extraction state for one file. *)
 
-val parallel_prim : string list -> string option
-(** Recognize a parallel fan-out primitive by callee path. *)
+val state : Rules.scope -> state
+(** Fresh state for the file [scope] describes; allow suppression of a
+    site is read from [scope] at the point the site is walked. *)
 
-val extract :
-  file:string -> marks:Attrs.file_marks -> Parsetree.structure -> fragment
+val extend : state -> Ast_iterator.iterator -> Ast_iterator.iterator
+(** The extraction layer.  The driver makes it the base of the rule
+    fold, under {!Rules.scoping}, so one walk serves the rules and the
+    graph.  It does not descend into attribute payloads.  A top-level
+    [let], a top-level expression and a top-level
+    [module M = (val e : S)] each become a definition ([_] for an
+    unnamed one, [M] for the module). *)
+
+val fragment : state -> fragment
+(** The fragment of everything walked so far. *)
 
 (** {1 Whole-program graph} *)
 

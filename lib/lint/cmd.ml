@@ -1,16 +1,13 @@
 open Cmdliner
 
-type outcome = {
-  header : string list;
-  rows : string list list;
-  out_json : Obs.Json.t;
-  status : int;
-}
-
 let dirs =
   Arg.(
     value & pos_all string Driver.default_roots
-    & info [] ~docv:"DIR" ~doc:"Directories to lint (default: lib bin bench test).")
+    & info [] ~docv:"DIR"
+        ~doc:
+          ("Directories to lint (default: "
+          ^ String.concat " " Driver.default_roots
+          ^ ")."))
 
 let root =
   Arg.(
@@ -29,11 +26,11 @@ let update =
     & info [ "update-baseline" ]
         ~doc:"Rewrite the baseline to the current findings instead of gating.")
 
-let json_out ~name =
+let json_out =
   Arg.(
     value
     & opt (some string) None
-    & info [ name ] ~docv:"FILE"
+    & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the findings as JSON to $(docv) (\"-\" = stdout).")
 
 let graph_json_out =
@@ -66,10 +63,10 @@ let print_rules () =
     Rules.catalog
 
 let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
-    rules () =
+    rules =
   if rules then begin
     print_rules ();
-    { header = [ "rule"; "synopsis" ]; rows = []; out_json = Obs.Json.Null; status = 0 }
+    0
   end
   else begin
     let r =
@@ -77,12 +74,11 @@ let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
         ?cache_dir ~use_cache:(not no_cache) ()
     in
     print_string (Driver.render r);
-    let j = Driver.json r in
     (match json_out with
     | None -> ()
-    | Some "-" -> print_string (Obs.Json.to_string j)
+    | Some "-" -> print_string (Obs.Json.to_string (Driver.json r))
     | Some path ->
-        Obs.Json.write_file path j;
+        Obs.Json.write_file path (Driver.json r);
         Printf.eprintf "Lint findings written to %s\n%!" path);
     (match graph_json_out with
     | None -> ()
@@ -90,29 +86,8 @@ let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
     | Some path ->
         Obs.Json.write_file path (Driver.graph_json r);
         Printf.eprintf "Call graph written to %s\n%!" path);
-    {
-      header = [ "rule"; "file"; "line"; "col"; "message" ];
-      rows =
-        List.map
-          (fun (f : Finding.t) ->
-            [ f.rule; f.file; string_of_int f.line; string_of_int f.col; f.message ])
-          r.findings;
-      out_json = j;
-      status = (if update || Driver.gate_ok r then 0 else 1);
-    }
+    if update || Driver.gate_ok r then 0 else 1
   end
-
-let make_thunk_term ~json_flag =
-  Term.(
-    const execute $ root $ dirs $ baseline $ update $ json_out ~name:json_flag
-    $ graph_json_out $ no_cache $ cache_dir $ rules_flag)
-
-let thunk_term = make_thunk_term ~json_flag:"json"
-
-(* The Experiments.Registry wrapper already owns [--json] (series dump),
-   so the embedded [nldl lint] subcommand exposes the artifact under a
-   distinct name. *)
-let embedded_term = make_thunk_term ~json_flag:"lint-json"
 
 let command =
   let doc = "Static invariant checker for the nldl tree (D/U/S/H/R rules)" in
@@ -131,4 +106,6 @@ let command =
   in
   Cmd.v
     (Cmd.info "nldl_lint" ~doc ~man)
-    Term.(const (fun thunk -> (thunk ()).status) $ thunk_term)
+    Term.(
+      const execute $ root $ dirs $ baseline $ update $ json_out $ graph_json_out
+      $ no_cache $ cache_dir $ rules_flag)

@@ -1,24 +1,9 @@
-(** Cmdliner surface shared by the standalone [nldl_lint] executable
-    and the [nldl lint] subcommand. *)
-
-type outcome = {
-  header : string list;
-  rows : string list list;  (** one row per finding *)
-  out_json : Obs.Json.t;
-  status : int;  (** 0 = gate passed, 1 = new findings *)
-}
-
-val thunk_term : (unit -> outcome) Cmdliner.Term.t
-(** Parses [DIR...] positionals plus [--root], [--baseline],
-    [--update-baseline], [--json FILE] and [--rules]; running the thunk
-    lints, prints the human report (or the rule catalog for [--rules]),
-    writes the JSON artifact if asked, and returns the outcome. *)
-
-val embedded_term : (unit -> outcome) Cmdliner.Term.t
-(** Same as {!thunk_term} but the findings artifact flag is
-    [--lint-json], leaving [--json] to the wrapping
-    [Experiments.Registry] command. *)
+(** Cmdliner surface of the [nldl_lint] executable. *)
 
 val command : int Cmdliner.Cmd.t
-(** The standalone command; evaluate with [Cmd.eval'] so the exit code
-    carries the gate result. *)
+(** Parses [DIR...] positionals (default {!Driver.default_roots}) plus
+    [--root], [--baseline], [--update-baseline], [--json FILE],
+    [--graph-json FILE], [--no-cache], [--cache-dir DIR] and [--rules];
+    lints, prints the human report (or the rule catalog for [--rules])
+    and writes the artifacts asked for.  Evaluate with [Cmd.eval'] so
+    the exit code carries the gate result: 0 passed, 1 new findings. *)

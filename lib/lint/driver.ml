@@ -1,4 +1,4 @@
-let default_roots = [ "lib"; "bin"; "bench"; "test" ]
+let default_roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 
 (* Normalize to '/' separators so findings and baselines are identical
    across platforms (and so scoping prefixes match). *)
@@ -30,11 +30,11 @@ let scope_of ~file ~(marks : Attrs.file_marks) ~emit : Rules.scope =
     emit;
   }
 
-let iterator scope =
+(* The rules fold over [base]; [Rules.scoping] goes outermost so that
+   suppression is in force for every layer, the base included. *)
+let iterator scope base =
   Rules.scoping scope
-    (List.fold_left
-       (fun it (r : Rules.t) -> r.extend scope it)
-       Ast_iterator.default_iterator Rules.all)
+    (List.fold_left (fun it (r : Rules.t) -> r.extend scope it) base Rules.all)
 
 (* Annotation hygiene that needs whole-file context. *)
 let mark_findings ~file ~(marks : Attrs.file_marks) ~unsafe_sites =
@@ -72,8 +72,9 @@ let mark_findings ~file ~(marks : Attrs.file_marks) ~unsafe_sites =
                name))
       marks.unknown
 
-(* Phase 1 for one unit: per-file rules + call-graph fragment.  Pure in
-   the source (path + content), which is what makes it cacheable. *)
+(* Phase 1 for one unit: per-file rules + call-graph fragment, from one
+   walk.  Pure in the source (path + content), which is what makes it
+   cacheable. *)
 let lint_source (src : Source.t) : Finding.t list * Callgraph.fragment =
   let file = src.Source.file in
   let findings = ref [] in
@@ -92,17 +93,18 @@ let lint_source (src : Source.t) : Finding.t list * Callgraph.fragment =
          walking keeps any future signature-level rules wired. *)
       let marks = Attrs.empty_marks in
       let scope = scope_of ~file ~marks ~emit in
-      let it = iterator scope in
+      let it = iterator scope Ast_iterator.default_iterator in
       it.signature it sg;
       (List.rev !findings, Callgraph.empty_fragment ~file)
   | Source.Structure str ->
       let marks = Attrs.file_marks str in
       let scope = scope_of ~file ~marks ~emit in
-      let it = iterator scope in
+      let graph = Callgraph.state scope in
+      let it = iterator scope (Callgraph.extend graph Ast_iterator.default_iterator) in
       it.structure it str;
       ( mark_findings ~file ~marks ~unsafe_sites:scope.unsafe_sites
         @ List.rev !findings,
-        Callgraph.extract ~file ~marks str )
+        Callgraph.fragment graph )
 
 (* Phase 2: link fragments, close over parallel escapes, run R401-403. *)
 let analyze_fragments frags =

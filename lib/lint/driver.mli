@@ -1,17 +1,19 @@
 (** The two-phase lint pipeline.
 
-    Phase 1 parses every unit through {!Source} and runs the per-file
-    rule registry ({!Rules.all} under {!Rules.scoping}, plus the
-    driver-side U102/U103/X001/E000 checks), producing findings and a
-    {!Callgraph.fragment} per file; this phase is pure in (path,
-    content) and cached on disk through {!Cache}.  Phase 2 links all
-    fragments into the whole-program {!Callgraph}, computes the
-    parallel {!Escape} set and evaluates the interprocedural rules
+    Phase 1 parses every unit through {!Source} and walks it once: the
+    per-file rule registry ({!Rules.all}) folds over the
+    {!Callgraph.extend} extraction under {!Rules.scoping}, so the walk
+    yields the findings (plus the driver-side U102/U103/X001/E000
+    checks) and the file's {!Callgraph.fragment}; this phase is pure
+    in (path, content) and cached on disk through {!Cache}.  Phase 2
+    links all fragments into the whole-program {!Callgraph}, computes
+    the parallel {!Escape} set and evaluates the interprocedural rules
     R401/R402/R403 ({!Interproc}).  H304 (missing [.mli]) still runs on
     the collected file list. *)
 
 val default_roots : string list
-(** [lib bin bench test]. *)
+(** [lib bin bench test examples]: the tree [dune build @lint] and CI
+    lint. *)
 
 val lint_string : file:string -> string -> Finding.t list
 (** Lint one compilation unit given as a string; [file] is the

@@ -38,16 +38,22 @@ let report scope ~id ~loc message =
 
 (* --- shared syntax helpers ---------------------------------------------- *)
 
-(* Flattened path of an identifier expression, with any [Stdlib.]
+(* Flattened path of a long identifier, with any [Stdlib.]
    qualification stripped so [Stdlib.Random.int] and [Random.int] hit
    the same rule. *)
+let longident_path lid =
+  match try Longident.flatten lid with _ -> [] with
+  | "Stdlib" :: rest -> rest
+  | p -> p
+
 let ident_path e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match try Longident.flatten txt with _ -> [] with
-      | "Stdlib" :: rest -> rest
-      | p -> p)
-  | _ -> []
+  match e.pexp_desc with Pexp_ident { txt; _ } -> longident_path txt | _ -> []
+
+(* [M.unsafe_*]: an unchecked access (U101's and R402's subject). *)
+let is_unsafe_path path =
+  match List.rev path with
+  | last :: _ :: _ -> String.length last > 7 && String.sub last 0 7 = "unsafe_"
+  | _ -> false
 
 let rec peel e =
   match e.pexp_desc with
@@ -112,17 +118,15 @@ let u101 =
     synopsis = "*.unsafe_* access only inside an [@@@nldl.unsafe_zone] module";
     extend =
       on_expr (fun scope e ->
-          match List.rev (ident_path e) with
-          | last :: _ :: _
-            when String.length last > 7 && String.sub last 0 7 = "unsafe_" ->
-              scope.unsafe_sites <- scope.unsafe_sites + 1;
-              if not scope.unsafe_zone then
-                report scope ~id:"U101" ~loc:e.pexp_loc
-                  (Printf.sprintf
+          if is_unsafe_path (ident_path e) then begin
+            scope.unsafe_sites <- scope.unsafe_sites + 1;
+            if not scope.unsafe_zone then
+              report scope ~id:"U101" ~loc:e.pexp_loc
+                (Printf.sprintf
                    "%s outside an [@@@nldl.unsafe_zone \"reason\"] module; validate \
                     bounds first and annotate the module, or use safe access"
-                     (String.concat "." (ident_path e)))
-          | _ -> ());
+                   (String.concat "." (ident_path e)))
+          end);
   }
 
 (* --- S: domain safety --------------------------------------------------- *)

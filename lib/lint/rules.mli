@@ -56,6 +56,21 @@ val allowed : scope -> string -> bool
 
 val report : scope -> id:string -> loc:Location.t -> string -> unit
 
+(** {1 Syntax helpers shared with {!Callgraph}} *)
+
+val longident_path : Longident.t -> string list
+(** Flattened path with a leading [Stdlib] stripped. *)
+
+val ident_path : Parsetree.expression -> string list
+(** {!longident_path} of an identifier expression; [[]] for anything
+    else. *)
+
+val peel : Parsetree.expression -> Parsetree.expression
+(** Strip type constraints, coercions and local opens. *)
+
+val is_unsafe_path : string list -> bool
+(** Is this callee path an unchecked [M.unsafe_*] access? *)
+
 val all : t list
 (** The syntactic rules, in id order. *)
 
@@ -65,7 +80,8 @@ val catalog : (string * string) list
     listing and the CONTRIBUTING.md table. *)
 
 val scoping : scope -> Ast_iterator.iterator -> Ast_iterator.iterator
-(** Outermost layer: pushes [[\@nldl.allow]] sets found on expressions
-    and module bindings onto [allow_stack] and tracks [expr_depth]
-    around expression descent.  Must wrap the composed rule iterator
-    so suppression is in force when the rules run. *)
+(** Outermost layer: pushes [[\@nldl.allow]] sets found on expressions,
+    value bindings and module bindings onto [allow_stack] and tracks
+    [expr_depth] around expression descent.  Must wrap the composed
+    iterator so suppression is in force when the rules run, and when
+    the {!Callgraph.extend} base records a site. *)

@@ -80,6 +80,31 @@ let callgraph =
         in
         let go = node_of g "Fix.User.go" in
         Alcotest.(check (list int)) "no succs" [] (Lint.Callgraph.succs g go));
+    Alcotest.test_case "module unpack is a definition" `Quick (fun () ->
+        let g, _, _ =
+          Lint.Driver.analyze_strings
+            [
+              ( "lib/fix/sched.ml",
+                "let src = Logs.Src.create \"fix\"\n\
+                 module Log = (val Logs.src_log src : Logs.LOG)\n\
+                 let hits = ref 0\n\
+                 module Counted : Logs.LOG = (val (hits := 1; Logs.src_log src))\n"
+              );
+            ]
+        in
+        let log = node_of g "Fix.Sched.Log" in
+        Alcotest.(check bool)
+          "Log -> src edge" true
+          (List.mem (node_of g "Fix.Sched.src") (Lint.Callgraph.succs g log));
+        let _, counted = Lint.Callgraph.def_of g (node_of g "Fix.Sched.Counted") in
+        Alcotest.(check (list string))
+          "write inside (val ...)" [ "hits" ]
+          (List.filter_map
+             (fun (s : Lint.Callgraph.site) ->
+               match s.s_kind with
+               | Lint.Callgraph.Mutation m -> Some m.m_target
+               | _ -> None)
+             counted.d_sites));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -200,6 +225,16 @@ let r401 =
            ( "lib/fix/user.ml",
              "let hits = ref 0\n\
               module Counter = struct let bump () = incr hits end\n\
+              let run pool = Exec.Pool.parallel_for pool 10 (fun _ -> \
+              Counter.bump ())\n" );
+         ]);
+    Alcotest.test_case "module-binding allow suppresses" `Quick
+      (silent "R401"
+         [
+           ( "lib/fix/user.ml",
+             "let hits = ref 0\n\
+              module Counter = struct let bump () = incr hits end \
+              [@@nldl.allow \"R401\"]\n\
               let run pool = Exec.Pool.parallel_for pool 10 (fun _ -> \
               Counter.bump ())\n" );
          ]);
@@ -483,6 +518,91 @@ let rec find_repo_root dir =
     let parent = Filename.dirname dir in
     if parent = dir then None else find_repo_root parent
 
+(* DESIGN.md §17: every lib/ definition that no program reaches stays on
+   purpose, and is listed here with its reason.  The programs are bin/,
+   bench/, examples/ and perfbench/; module initialisation ([let () =
+   ...], [module M = (val ...)]) runs whenever its module is linked, so
+   it is a root too.  A new entry needs a §17 reason; a definition that
+   leaves the list either found a caller or was deleted. *)
+let keep_list =
+  [
+    (* test entry points *)
+    "Cli.Cli.eval_for_test";
+    "Cli.Cli.eval_value";
+    "Lint.Callgraph.find";
+    "Lint.Driver.analyze_strings";
+    "Lint.Driver.lint_string";
+    "Lint.Driver.lint_strings";
+    "Dlt.Nonlinear.For_tests.fixed_set_residual";
+    "Dlt.Nonlinear.For_tests.share_step";
+    (* validators *)
+    "Dlt.Schedule.float_close";
+    "Dlt.Schedule.validate";
+    "Partition.Layout.validate";
+    "Partition.Rect.intersection_area";
+    "Partition.Rect.overlaps";
+    (* references a remaining test compares against *)
+    "Dlt.Bounds.divisible_ideal_makespan";
+    "Dlt.Nonlinear.quadratic_share";
+    "Dlt.Nonlinear.worker_share";
+    "Dlt.Simulate.makespan";
+    "Experiments.Csv_out.parse";
+    "Kernels.Scatter.bucket_index_floats";
+    "Linalg.Cannon.word_volume";
+    "Linalg.Matmul.lower_bound_communication";
+    "Linalg.Matrix.outer";
+    "Linalg.Outer_product.demand_driven_blocks";
+    "Linalg.Outer_product.sequential";
+    "Linalg.Summa.message_count";
+    "Linalg.Summa.word_volume";
+    "Partition.Lower_bound.peri_max";
+    (* read only to keep the unused-field warning on *)
+    "Exec.Pool._touch_pads";
+  ]
+
+let reachability =
+  Alcotest.test_case "unreached lib/ definitions are the keep-list" `Quick
+    (fun () ->
+      match find_repo_root (Sys.getcwd ()) with
+      | None -> ()
+      | Some root ->
+          let r =
+            Lint.Driver.run ~root
+              ~roots:[ "lib"; "bin"; "bench"; "examples"; "perfbench" ]
+              ()
+          in
+          let g = r.graph in
+          let in_lib (n : Lint.Callgraph.node) =
+            String.length n.n_file >= 4 && String.sub n.n_file 0 4 = "lib/"
+          in
+          let module_init (n : Lint.Callgraph.node) =
+            match List.rev n.n_path with
+            | last :: _ -> (
+                last = "_" || match last.[0] with 'A' .. 'Z' -> true | _ -> false)
+            | [] -> false
+          in
+          let seen = Array.make (Lint.Callgraph.node_count g) false in
+          let rec visit id =
+            if not seen.(id) then begin
+              seen.(id) <- true;
+              List.iter visit (Lint.Callgraph.succs g id)
+            end
+          in
+          for id = 0 to Lint.Callgraph.node_count g - 1 do
+            let n = Lint.Callgraph.node g id in
+            if (not (in_lib n)) || module_init n then visit id
+          done;
+          let unreached = ref [] in
+          for id = 0 to Lint.Callgraph.node_count g - 1 do
+            let n = Lint.Callgraph.node g id in
+            if in_lib n && not seen.(id) then
+              unreached := String.concat "." n.n_path :: !unreached
+          done;
+          Alcotest.(check (list string))
+            "unreached lib/ definitions"
+            (List.sort String.compare keep_list)
+            (List.sort String.compare !unreached))
+
 let real_tree =
   [
     Alcotest.test_case "graph covers the tree, no R40x findings" `Quick
@@ -505,6 +625,7 @@ let real_tree =
                      (fun r -> String.length k >= 4 && String.sub k 0 4 = r)
                      [ "R401"; "R402"; "R403" ])
                  (List.map Lint.Finding.key r.fresh)));
+    reachability;
   ]
 
 let suites =
