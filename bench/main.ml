@@ -679,17 +679,15 @@ let report_json_codec () =
       ("compact_over_sprintf17", Obs.Json.Float ratio);
     ]
 
-(* --- lint time: two-phase pipeline vs per-file baseline --------------- *)
+(* --- lint time: what phase 2 adds to phase 1 ------------------------------ *)
 
-(* Three driver runs over the committed tree: the PR-5 per-file
-   behaviour (no callgraph, no cache), the full two-phase pipeline on a
-   cold cache, and a rerun against the warm cache.  The interprocedural
-   layer's whole cost budget is "parse dominates": linking fragments and
-   walking the escape set must stay within one extra parse pass, and the
-   cache must make reruns cheap enough for a pre-commit hook. *)
+(* One driver run over the committed tree, timed by phase inside the run:
+   phase 1 (read, parse, per-file rules and call-graph extraction) and
+   phase 2 (link, escape, R401-R403).  The interprocedural layer's whole
+   cost budget is "parse dominates": linking fragments and walking the
+   escape set must stay within one extra parse pass. *)
 let report_lint_time () =
-  Printf.printf
-    "\n-- lint time (per-file baseline vs two-phase, cold vs warm cache) --\n%!";
+  Printf.printf "\n-- lint time (phase 1 vs both phases, one run) --\n%!";
   let rec find_root dir =
     if
       Sys.file_exists (Filename.concat dir "dune-project")
@@ -704,51 +702,22 @@ let report_lint_time () =
       Printf.printf "repo root not found; section skipped\n%!";
       Obs.Json.Null
   | Some root ->
-      (* A fresh directory per run keeps the cold measurement honest
-         even when a developer cache exists; Cache creates it on first
-         store. *)
-      let cache_dir = Filename.temp_file "nldl-lint-bench" "" in
-      Sys.remove cache_dir;
-      let time f =
-        let t0 = Obs.Clock.now_ns () in
-        let r = f () in
-        (r, Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0))
-      in
-      let run ~use_cache ~interproc () =
-        Lint.Driver.run ~root ~roots:[ "lib"; "bin" ] ~cache_dir ~use_cache
-          ~interproc ()
-      in
-      let baseline, per_file_s = time (run ~use_cache:false ~interproc:false) in
-      let cold, cold_s = time (run ~use_cache:true ~interproc:true) in
-      let warm, warm_s = time (run ~use_cache:true ~interproc:true) in
-      (let rec rm p =
-         if Sys.is_directory p then begin
-           Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-           Unix.rmdir p
-         end
-         else Sys.remove p
-       in
-       if Sys.file_exists cache_dir then rm cache_dir);
-      let full_over_per_file = cold_s /. per_file_s in
-      let cold_over_warm = cold_s /. warm_s in
+      let r = Lint.Driver.run ~root ~roots:[ "lib"; "bin" ] () in
+      let p1 = r.Lint.Driver.phase1_s and p2 = r.Lint.Driver.phase2_s in
+      let full_over_per_file = (p1 +. p2) /. p1 in
+      let nodes = Lint.Callgraph.node_count r.Lint.Driver.graph in
       Printf.printf
-        "per-file %.0f ms, two-phase cold %.0f ms (%.2fx), warm %.0f ms \
-         (%.1fx faster; %d hit, %d miss) over %d files\n%!"
-        (per_file_s *. 1e3) (cold_s *. 1e3) full_over_per_file (warm_s *. 1e3)
-        cold_over_warm warm.Lint.Driver.cache_hits warm.Lint.Driver.cache_misses
-        cold.Lint.Driver.files;
-      assert (warm.Lint.Driver.cache_misses = 0);
-      assert (Lint.Callgraph.node_count cold.Lint.Driver.graph > 0);
-      ignore baseline;
+        "phase 1 %.0f ms, phase 2 %.0f ms: both phases %.2fx phase 1 over %d \
+         files\n%!"
+        (p1 *. 1e3) (p2 *. 1e3) full_over_per_file r.Lint.Driver.files;
+      assert (nodes > 0);
       Obs.Json.Obj
         [
-          ("files", Obs.Json.Int cold.Lint.Driver.files);
-          ("graph_nodes", Obs.Json.Int (Lint.Callgraph.node_count cold.Lint.Driver.graph));
-          ("per_file_seconds", Obs.Json.Float per_file_s);
-          ("cold_seconds", Obs.Json.Float cold_s);
-          ("warm_seconds", Obs.Json.Float warm_s);
+          ("files", Obs.Json.Int r.Lint.Driver.files);
+          ("graph_nodes", Obs.Json.Int nodes);
+          ("phase1_seconds", Obs.Json.Float p1);
+          ("phase2_seconds", Obs.Json.Float p2);
           ("full_over_per_file", Obs.Json.Float full_over_per_file);
-          ("cold_over_warm", Obs.Json.Float cold_over_warm);
         ]
 
 (* --- Allocation accounting --------------------------------------------- *)

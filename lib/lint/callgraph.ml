@@ -1,13 +1,12 @@
 (* Cross-module value-level call graph.
 
-   Phase 1 (per file, cacheable): [extend] layers the extraction onto
-   the lint rules' [Ast_iterator], so the one walk of a file that runs
-   the rules also collects its [fragment] — the file's top-level value
+   Phase 1 (per file): [extend] layers the extraction onto the lint
+   rules' [Ast_iterator], so the one walk of a file that runs the rules
+   also collects its [fragment] — the file's top-level value
    definitions, every identifier each one references, the mutation /
    blocking / unsafe sites inside it, and the references made from
    inside arguments of a parallel primitive.  Fragments are plain data
-   (no [Location.t], no closures) so they marshal into the digest-keyed
-   cache.
+   (no [Location.t], no closures).
 
    Phase 2 (whole program): [build] indexes every definition of every
    fragment under all dotted suffixes of its qualified path

@@ -1,7 +1,7 @@
 (** Cross-module value-level call graph.
 
-    Built in two phases: {!extend} collects one file's marshal-friendly
-    {!fragment} (cacheable per content digest) on the rules' walk, and
+    Built in two phases: {!extend} collects one file's plain-data
+    {!fragment} on the rules' walk, and
     {!build} links all fragments into a graph whose nodes are top-level
     value bindings and whose edges are identifier references.
 

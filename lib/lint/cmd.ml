@@ -13,18 +13,7 @@ let root =
   Arg.(
     value & opt string "."
     & info [ "root" ] ~docv:"DIR"
-        ~doc:"Repository root; DIRs and --baseline are resolved against it.")
-
-let baseline =
-  Arg.(
-    value & opt string "lint_baseline.txt"
-    & info [ "baseline" ] ~docv:"FILE" ~doc:"Baseline of tolerated findings.")
-
-let update =
-  Arg.(
-    value & flag
-    & info [ "update-baseline" ]
-        ~doc:"Rewrite the baseline to the current findings instead of gating.")
+        ~doc:"Repository root; DIRs are resolved against it.")
 
 let json_out =
   Arg.(
@@ -42,18 +31,6 @@ let graph_json_out =
           "Write the call-graph/escape-set artifact to $(docv) (\"-\" = \
            stdout).")
 
-let no_cache =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Disable the digest-keyed phase-1 cache.")
-
-let cache_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Phase-1 cache directory (default: under the system temp dir).")
-
 let rules_flag =
   Arg.(value & flag & info [ "rules" ] ~doc:"List the rule catalog and exit.")
 
@@ -62,17 +39,13 @@ let print_rules () =
     (fun (id, synopsis) -> Printf.printf "%-5s %s\n" id synopsis)
     Rules.catalog
 
-let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
-    rules =
+let execute root dirs json_out graph_json_out rules =
   if rules then begin
     print_rules ();
     0
   end
   else begin
-    let r =
-      Driver.run ~root ~roots:dirs ~baseline_file:baseline ~update_baseline:update
-        ?cache_dir ~use_cache:(not no_cache) ()
-    in
+    let r = Driver.run ~root ~roots:dirs () in
     print_string (Driver.render r);
     (match json_out with
     | None -> ()
@@ -86,7 +59,7 @@ let execute root dirs baseline update json_out graph_json_out no_cache cache_dir
     | Some path ->
         Obs.Json.write_file path (Driver.graph_json r);
         Printf.eprintf "Call graph written to %s\n%!" path);
-    if update || Driver.gate_ok r then 0 else 1
+    if Driver.gate_ok r then 0 else 1
   end
 
 let command =
@@ -100,12 +73,10 @@ let command =
          unsafe zones (U-rules), domain safety of pool-executed libraries \
          (S-rules), hygiene (H-rules), and the interprocedural race / \
          proof-obligation / blocking-call rules (R-rules) over a whole-program \
-         call graph.  Exits 1 when a finding is not absorbed by the committed \
-         baseline.";
+         call graph.  Exits 1 on any finding.";
     ]
   in
   Cmd.v
     (Cmd.info "nldl_lint" ~doc ~man)
     Term.(
-      const execute $ root $ dirs $ baseline $ update $ json_out $ graph_json_out
-      $ no_cache $ cache_dir $ rules_flag)
+      const execute $ root $ dirs $ json_out $ graph_json_out $ rules_flag)

@@ -1,8 +1,8 @@
 (** One lint finding: a rule id anchored to a source location.
 
     Findings are value types ordered by (file, line, col, rule) so
-    reports and baselines are deterministic regardless of rule
-    registration or file-walk order. *)
+    reports are deterministic regardless of rule registration or
+    file-walk order. *)
 
 type t = {
   rule : string;  (** rule id, e.g. ["U101"] *)
@@ -18,11 +18,6 @@ val of_loc : rule:string -> file:string -> loc:Location.t -> message:string -> t
 (** Anchor at [loc]'s start position. *)
 
 val compare : t -> t -> int
-
-val key : t -> string
-(** Baseline identity: [rule ^ "|" ^ file ^ "|" ^ message] — the line
-    number is deliberately excluded so unrelated edits above a
-    baselined finding do not re-open it. *)
 
 val to_string : t -> string
 (** [file:line:col: \[rule\] message] — the compiler's error format, so

@@ -1,10 +1,10 @@
 (* Interprocedural rules R401/R402/R403, evaluated in phase 2 over the
    whole-program call graph and escape set.
 
-   Finding messages deliberately avoid line numbers: the baseline keys
-   findings by [rule|file|message], so a message that names the target
-   and its provenance survives unrelated line moves, exactly like the
-   per-file rules. *)
+   Finding messages deliberately avoid line numbers: the finding's own
+   position carries the line, and a message that names the target and
+   its provenance reads the same after unrelated line moves, exactly
+   like the per-file rules. *)
 
 let fmt = Printf.sprintf
 

@@ -17,8 +17,8 @@
     file level, evaluated during extraction. *)
 
 val findings : Callgraph.t -> Escape.t -> Finding.t list
-(** Sorted by file/line; messages are line-number-free so baseline keys
-    survive code motion. *)
+(** Sorted by file/line; messages are line-number-free, so they read the
+    same after code motion. *)
 
 val graph_json : Callgraph.t -> Escape.t -> Obs.Json.t
 (** The [--graph-json] artifact: nodes (with escape provenance), edges,

@@ -6,9 +6,9 @@
    file), so it is stripped before lexing; empty files parse to an empty
    structure rather than being special-cased anywhere else; CRLF line
    endings are already handled by the OCaml lexer and are only covered
-   by fixtures.  The digest keys the on-disk analysis cache, so it
-   covers exactly what the analysis sees: the normalized content plus
-   the repo-relative path (scoping depends on the path). *)
+   by fixtures.  A file that cannot be read (a dangling symlink, a
+   permission error) is an [Error] the driver reports as E000, never an
+   exception that aborts the run. *)
 
 let utf8_bom = "\xef\xbb\xbf"
 
@@ -31,15 +31,18 @@ let kind_of_file file = if Filename.check_suffix file ".mli" then Intf else Impl
 let of_string ~file src =
   { file; kind = kind_of_file file; content = strip_bom src }
 
+(* [Sys_error] messages read "<path>: <reason>"; the finding already
+   names the file, so keep the reason only, independent of [root]. *)
 let read ~root rel =
   let path = Filename.concat root rel in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  of_string ~file:rel src
-
-let digest t = Digest.to_hex (Digest.string (t.file ^ "\x00" ^ t.content))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | src -> Ok (of_string ~file:rel src)
+  | exception Sys_error msg ->
+      let prefix = path ^ ": " in
+      if String.starts_with ~prefix msg then
+        let n = String.length prefix in
+        Error (String.sub msg n (String.length msg - n))
+      else Error msg
 
 type ast =
   | Structure of Parsetree.structure

@@ -17,12 +17,10 @@ type t = {
 val of_string : file:string -> string -> t
 (** Normalize an in-memory unit ([.mli] suffix selects {!Intf}). *)
 
-val read : root:string -> string -> t
-(** [read ~root rel] loads [root/rel] in binary mode and normalizes. *)
-
-val digest : t -> string
-(** Hex digest of (path, normalized content) — the analysis-cache key.
-    The path is included because rule scoping depends on it. *)
+val read : root:string -> string -> (t, string) result
+(** [read ~root rel] loads [root/rel] in binary mode and normalizes.
+    [Error reason] when the file cannot be opened or read (a dangling
+    symlink, say); the channel is closed either way. *)
 
 type ast =
   | Structure of Parsetree.structure

@@ -58,7 +58,6 @@ let test_table_pins_thresholds () =
       ("obs_overhead.overhead_ratio", "<=", 1.05, "const");
       ("obs_overhead.disabled_path_fraction", "<=", 0.01, "const");
       ("lint_time.full_over_per_file", "<=", 2., "const");
-      ("lint_time.cold_over_warm", ">=", 5., "const");
       ("des_throughput.heap_ops_per_sec_1m", ">=", 0.9, "committed");
       ("des_throughput.mapreduce.events_per_sec", ">=", 0.9, "committed");
     ]

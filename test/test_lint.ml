@@ -1,18 +1,23 @@
-(* nldl-lint: fixture corpus per rule, suppression round-trips, baseline
-   semantics, and a real-tree gate check.  Fixtures go through
-   [Lint.Driver.lint_string] so no temp files are needed except for the
-   baseline and H304 directory tests. *)
+(* nldl-lint: fixture corpus per rule, suppression round-trips, the
+   driver over a directory tree, and a real-tree gate check.  Fixtures
+   go through [Lint.Driver.analyze_strings] so no temp files are needed
+   except for the directory tests. *)
 
 let rules_of findings = List.map (fun (f : Lint.Finding.t) -> f.rule) findings
 
 let has rule findings = List.mem rule (rules_of findings)
 
+(* One file through both phases; only the findings matter here. *)
+let lint ~file src =
+  let _, _, findings = Lint.Driver.analyze_strings [ (file, src) ] in
+  findings
+
 let check_fires rule ~file src () =
-  let fs = Lint.Driver.lint_string ~file src in
+  let fs = lint ~file src in
   Alcotest.(check bool) (rule ^ " fires") true (has rule fs)
 
 let check_clean ?rule ~file src () =
-  let fs = Lint.Driver.lint_string ~file src in
+  let fs = lint ~file src in
   match rule with
   | Some r -> Alcotest.(check bool) (r ^ " silent") false (has r fs)
   | None ->
@@ -198,7 +203,7 @@ let suppression =
     Alcotest.test_case "allow is rule-scoped" `Quick (fun () ->
         (* The H302 allow must not swallow the sibling H301. *)
         let fs =
-          Lint.Driver.lint_string ~file:"lib/des/x.ml"
+          lint ~file:"lib/des/x.ml"
             "[@@@nldl.allow \"H302\"]\nlet z x = x = 0.\nlet g x = Obj.magic x"
         in
         Alcotest.(check bool) "H301 survives" true (has "H301" fs);
@@ -206,66 +211,8 @@ let suppression =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Baseline semantics.                                                 *)
-
-let finding rule file message =
-  Lint.Finding.make ~rule ~file ~line:1 ~col:0 ~message
-
-let baseline =
-  [
-    Alcotest.test_case "missing file is empty" `Quick (fun () ->
-        Alcotest.(check int)
-          "entries" 0
-          (List.length (Lint.Baseline.load "/nonexistent/baseline.txt")));
-    Alcotest.test_case "save/load round-trip" `Quick (fun () ->
-        let path = Filename.temp_file "nldl_baseline" ".txt" in
-        let fs =
-          [ finding "U101" "lib/a.ml" "unsafe"; finding "H302" "lib/b.ml" "cmp" ]
-        in
-        Lint.Baseline.save path fs;
-        let entries = Lint.Baseline.load path in
-        Sys.remove path;
-        Alcotest.(check int) "entries" 2 (List.length entries);
-        let fresh, resolved = Lint.Baseline.diff ~baseline:entries fs in
-        Alcotest.(check int) "fresh" 0 (List.length fresh);
-        Alcotest.(check int) "resolved" 0 (List.length resolved));
-    Alcotest.test_case "new finding is fresh" `Quick (fun () ->
-        let entries = [] in
-        let fresh, _ =
-          Lint.Baseline.diff ~baseline:entries [ finding "U101" "lib/a.ml" "m" ]
-        in
-        Alcotest.(check int) "fresh" 1 (List.length fresh));
-    Alcotest.test_case "fixed finding is resolved" `Quick (fun () ->
-        let path = Filename.temp_file "nldl_baseline" ".txt" in
-        Lint.Baseline.save path [ finding "U101" "lib/a.ml" "m" ];
-        let entries = Lint.Baseline.load path in
-        Sys.remove path;
-        let fresh, resolved = Lint.Baseline.diff ~baseline:entries [] in
-        Alcotest.(check int) "fresh" 0 (List.length fresh);
-        Alcotest.(check int) "resolved" 1 (List.length resolved));
-    Alcotest.test_case "bag semantics: duplicate not absorbed" `Quick
-      (fun () ->
-        let entries =
-          [ { Lint.Baseline.rule = "U101"; file = "lib/a.ml"; line = 1; message = "m" } ]
-        in
-        let fresh, _ =
-          Lint.Baseline.diff ~baseline:entries
-            [ finding "U101" "lib/a.ml" "m"; finding "U101" "lib/a.ml" "m" ]
-        in
-        Alcotest.(check int) "second copy is fresh" 1 (List.length fresh));
-    Alcotest.test_case "line change does not reopen" `Quick (fun () ->
-        let entries =
-          [ { Lint.Baseline.rule = "U101"; file = "lib/a.ml"; line = 7; message = "m" } ]
-        in
-        let fresh, _ =
-          Lint.Baseline.diff ~baseline:entries
-            [ Lint.Finding.make ~rule:"U101" ~file:"lib/a.ml" ~line:99 ~col:0 ~message:"m" ]
-        in
-        Alcotest.(check int) "absorbed despite line move" 0 (List.length fresh));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Driver over a synthetic tree (H304 + gate), and the real tree.      *)
+(* Driver over a synthetic tree (H304, unreadable entries, the gate),
+   and the real tree.                                                  *)
 
 let with_temp_tree f =
   let dir = Filename.temp_file "nldl_lint_tree" "" in
@@ -274,8 +221,9 @@ let with_temp_tree f =
   Unix.mkdir (Filename.concat dir "lib") 0o755;
   Fun.protect
     ~finally:(fun () ->
+      (* [lstat], so a dangling symlink is removed, not followed. *)
       let rec rm p =
-        if Sys.is_directory p then begin
+        if (Unix.lstat p).Unix.st_kind = Unix.S_DIR then begin
           Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
           Unix.rmdir p
         end
@@ -312,19 +260,27 @@ let driver =
             Alcotest.(check int) "one missing mli" 1 (List.length h304);
             Alcotest.(check bool) "names a.ml" true
               (List.exists (fun (f : Lint.Finding.t) -> f.file = "lib/a.ml") h304)));
-    Alcotest.test_case "update-baseline then gate passes" `Quick (fun () ->
+    Alcotest.test_case "a finding fails the gate" `Quick (fun () ->
         with_temp_tree (fun dir ->
             write (Filename.concat dir "lib/a.ml") "let c = ref 0\n";
             write (Filename.concat dir "lib/a.mli") "val c : int ref\n";
-            let r1 = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
-            Alcotest.(check bool) "gate fails first" false (Lint.Driver.gate_ok r1);
-            let r2 =
-              Lint.Driver.run ~root:dir ~roots:[ "lib" ] ~update_baseline:true ()
-            in
-            Alcotest.(check bool) "baseline updated" true r2.updated;
-            let r3 = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
-            Alcotest.(check bool) "gate passes after update" true
-              (Lint.Driver.gate_ok r3)));
+            let r = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
+            Alcotest.(check (list string)) "one S201" [ "S201" ] (rules_of r.findings);
+            Alcotest.(check bool) "gate fails" false (Lint.Driver.gate_ok r)));
+    Alcotest.test_case "dangling symlink is an E000, not a crash" `Quick (fun () ->
+        with_temp_tree (fun dir ->
+            write (Filename.concat dir "lib/a.ml") "let x = 1\n";
+            write (Filename.concat dir "lib/a.mli") "val x : int\n";
+            write (Filename.concat dir "lib/b.mli") "val y : int\n";
+            Unix.symlink
+              (Filename.concat dir "nonexistent.ml")
+              (Filename.concat dir "lib/b.ml");
+            let r = Lint.Driver.run ~root:dir ~roots:[ "lib" ] () in
+            Alcotest.(check (list string))
+              "one E000 naming the file"
+              [ "lib/b.ml:1:0: [E000] cannot read: No such file or directory" ]
+              (List.map Lint.Finding.to_string r.findings);
+            Alcotest.(check bool) "gate fails" false (Lint.Driver.gate_ok r)));
     Alcotest.test_case "real tree: no new findings" `Quick (fun () ->
         (* dune runtest runs from _build/default/test; walk up to the
            source root so the check covers the committed tree. *)
@@ -333,9 +289,9 @@ let driver =
         | Some root ->
             let r = Lint.Driver.run ~root ~roots:[ "lib"; "bin" ] () in
             Alcotest.(check (list string))
-              "no new findings"
+              "no findings"
               []
-              (List.map Lint.Finding.to_string r.fresh));
+              (List.map Lint.Finding.to_string r.findings));
   ]
 
 let suites =
@@ -345,6 +301,5 @@ let suites =
     ("lint.s_rules", s_rules);
     ("lint.h_rules", h_rules);
     ("lint.suppression", suppression);
-    ("lint.baseline", baseline);
     ("lint.driver", driver);
   ]

@@ -1,19 +1,23 @@
 (* Interprocedural lint v2: callgraph resolution, parallel-escape
    fixpoint, R401/R402/R403 fixtures (trigger / non-trigger /
-   suppression), driver robustness on degenerate inputs, the phase-1
-   cache round-trip, and real-tree graph sanity.  Multi-file fixtures go
-   through [Lint.Driver.lint_strings] / [analyze_strings] so no temp
-   files are needed except for the cache tests. *)
+   suppression), driver robustness on degenerate inputs, and real-tree
+   graph sanity.  Multi-file fixtures go through
+   [Lint.Driver.analyze_strings] so no temp files are needed. *)
 
 let rules_of findings = List.map (fun (f : Lint.Finding.t) -> f.rule) findings
 let has rule findings = List.mem rule (rules_of findings)
 
+(* A fixture tree through both phases; only the findings matter here. *)
+let lint units =
+  let _, _, findings = Lint.Driver.analyze_strings units in
+  findings
+
 let fires rule units () =
-  let fs = Lint.Driver.lint_strings units in
+  let fs = lint units in
   Alcotest.(check bool) (rule ^ " fires") true (has rule fs)
 
 let silent rule units () =
-  let fs = Lint.Driver.lint_strings units in
+  let fs = lint units in
   Alcotest.(check bool) (rule ^ " silent") false (has rule fs)
 
 (* One node answering to [name], or fail the test. *)
@@ -416,94 +420,20 @@ let robustness =
     Alcotest.test_case "empty file lints clean" `Quick (fun () ->
         Alcotest.(check (list string))
           "no findings" []
-          (rules_of (Lint.Driver.lint_string ~file:"lib/fix/empty.ml" "")));
+          (rules_of (lint [ ("lib/fix/empty.ml", "") ])));
     Alcotest.test_case "UTF-8 BOM is stripped before parsing" `Quick (fun () ->
         Alcotest.(check bool) "no E000" false
-          (has "E000"
-             (Lint.Driver.lint_string ~file:"lib/fix/bom.ml"
-                "\xef\xbb\xbflet x = 1\n")));
+          (has "E000" (lint [ ("lib/fix/bom.ml", "\xef\xbb\xbflet x = 1\n") ])));
     Alcotest.test_case "CRLF endings parse" `Quick (fun () ->
         Alcotest.(check bool) "no E000" false
           (has "E000"
-             (Lint.Driver.lint_string ~file:"lib/fix/crlf.ml"
-                "let x = 1\r\nlet y = x + 1\r\n")));
+             (lint [ ("lib/fix/crlf.ml", "let x = 1\r\nlet y = x + 1\r\n") ])));
     Alcotest.test_case "interface-only unit lints clean" `Quick (fun () ->
         Alcotest.(check bool) "no E000" false
-          (has "E000"
-             (Lint.Driver.lint_string ~file:"lib/fix/sig_only.mli"
-                "val x : int\n")));
+          (has "E000" (lint [ ("lib/fix/sig_only.mli", "val x : int\n") ])));
     Alcotest.test_case "parse error still reports E000" `Quick (fun () ->
         Alcotest.(check bool) "E000" true
-          (has "E000"
-             (Lint.Driver.lint_string ~file:"lib/fix/bad.ml" "let let let")));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Cache: digest-keyed phase-1 round-trip through the driver.          *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "nldl_lint2" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm p =
-        if Sys.is_directory p then begin
-          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-      in
-      rm dir)
-    (fun () -> f dir)
-
-let write path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
-let cache =
-  [
-    Alcotest.test_case "second run hits for every file" `Quick (fun () ->
-        with_temp_dir (fun dir ->
-            let root = Filename.concat dir "tree" in
-            Unix.mkdir root 0o755;
-            Unix.mkdir (Filename.concat root "lib") 0o755;
-            write (Filename.concat root "lib/a.ml") "let x = ref 0\n";
-            write (Filename.concat root "lib/a.mli") "val x : int ref\n";
-            write (Filename.concat root "lib/b.ml") "let y = 2\n";
-            write (Filename.concat root "lib/b.mli") "val y : int\n";
-            let cache_dir = Filename.concat dir "cache" in
-            let r1 =
-              Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir ()
-            in
-            Alcotest.(check int) "all misses cold" r1.files r1.cache_misses;
-            let r2 =
-              Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir ()
-            in
-            Alcotest.(check int) "all hits warm" r2.files r2.cache_hits;
-            Alcotest.(check int) "no misses warm" 0 r2.cache_misses;
-            Alcotest.(check (list string))
-              "same findings"
-              (List.map Lint.Finding.to_string r1.findings)
-              (List.map Lint.Finding.to_string r2.findings)));
-    Alcotest.test_case "edited file misses, others hit" `Quick (fun () ->
-        with_temp_dir (fun dir ->
-            let root = Filename.concat dir "tree" in
-            Unix.mkdir root 0o755;
-            Unix.mkdir (Filename.concat root "lib") 0o755;
-            write (Filename.concat root "lib/a.ml") "let x = 1\n";
-            write (Filename.concat root "lib/a.mli") "val x : int\n";
-            write (Filename.concat root "lib/b.ml") "let y = 2\n";
-            write (Filename.concat root "lib/b.mli") "val y : int\n";
-            let cache_dir = Filename.concat dir "cache" in
-            let _ = Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir () in
-            write (Filename.concat root "lib/a.ml") "let x = 3\n";
-            let r =
-              Lint.Driver.run ~root ~roots:[ "lib" ] ~cache_dir ()
-            in
-            Alcotest.(check int) "one miss" 1 r.cache_misses;
-            Alcotest.(check int) "rest hit" (r.files - 1) r.cache_hits));
+          (has "E000" (lint [ ("lib/fix/bad.ml", "let let let") ])));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -531,8 +461,6 @@ let keep_list =
     "Cli.Cli.eval_value";
     "Lint.Callgraph.find";
     "Lint.Driver.analyze_strings";
-    "Lint.Driver.lint_string";
-    "Lint.Driver.lint_strings";
     "Dlt.Nonlinear.For_tests.fixed_set_residual";
     "Dlt.Nonlinear.For_tests.share_step";
     (* validators *)
@@ -618,13 +546,8 @@ let real_tree =
             Alcotest.(check bool) "roots found" true
               (Lint.Callgraph.roots r.graph <> []);
             Alcotest.(check (list string))
-              "no fresh interprocedural findings" []
-              (List.filter
-                 (fun k ->
-                   List.exists
-                     (fun r -> String.length k >= 4 && String.sub k 0 4 = r)
-                     [ "R401"; "R402"; "R403" ])
-                 (List.map Lint.Finding.key r.fresh)));
+              "no findings" []
+              (List.map Lint.Finding.to_string r.findings));
     reachability;
   ]
 
@@ -636,6 +559,5 @@ let suites =
     ("lint2.r402", r402);
     ("lint2.r403", r403);
     ("lint2.robustness", robustness);
-    ("lint2.cache", cache);
     ("lint2.real_tree", real_tree);
   ]
