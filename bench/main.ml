@@ -210,28 +210,34 @@ let report_sort_throughput () =
         (List.assoc name times).(t) <- s)
       pipelines
   done;
-  Experiments.Report.section
-    (Printf.sprintf "Sort throughput (N=%d, p=%d, median of %d trials)" n p trials);
-  let table = Numerics.Ascii_table.create ~headers:[ "pipeline"; "keys/sec"; "seconds" ] in
-  Numerics.Ascii_table.set_align table [ Numerics.Ascii_table.Left; Right; Right ];
-  let rows =
+  let measured =
     List.map
       (fun (name, samples) ->
         let seconds = median samples in
-        let throughput = float_of_int n /. seconds in
-        Numerics.Ascii_table.add_row table
-          [ name; Printf.sprintf "%.3e" throughput; Printf.sprintf "%.3f" seconds ];
-        ( name,
-          Obs.Json.Obj
-            [
-              ("keys_per_sec", Obs.Json.Float throughput);
-              ("median_seconds", Obs.Json.Float seconds);
-            ] ))
+        (name, float_of_int n /. seconds, seconds))
       times
   in
-  Numerics.Ascii_table.print table;
+  Experiments.Report.print
+    {
+      title = Printf.sprintf "Sort throughput (N=%d, p=%d, median of %d trials)" n p trials;
+      header = [ "pipeline"; "keys/sec"; "seconds" ];
+      rows =
+        List.map
+          (fun (name, throughput, seconds) ->
+            Experiments.Report.[ Text name; Float (throughput, 4); Float (seconds, 6) ])
+          measured;
+    };
   Obs.Json.Obj
-    ([ ("n_keys", Obs.Json.Int n); ("p", Obs.Json.Int p); ("trials", Obs.Json.Int trials) ] @ rows)
+    ([ ("n_keys", Obs.Json.Int n); ("p", Obs.Json.Int p); ("trials", Obs.Json.Int trials) ]
+    @ List.map
+        (fun (name, throughput, seconds) ->
+          ( name,
+            Obs.Json.Obj
+              [
+                ("keys_per_sec", Obs.Json.Float throughput);
+                ("median_seconds", Obs.Json.Float seconds);
+              ] ))
+        measured)
 
 let report_pool_overhead () =
   (* Tentpole check: submitting to the persistent pool must beat paying
@@ -273,8 +279,8 @@ let report_pool_overhead () =
 
 let report_fig4_scaling () =
   (* Domain-count scaling of the Fig. 4 Monte-Carlo sweep, with an
-     output-identity check: the pre-split per-trial RNGs make the rows
-     byte-identical at any domain count.
+     output-identity check: the pre-split per-trial RNGs make the typed
+     points identical at any domain count.
 
      Each domain count is timed as the median of three sweeps after an
      untimed warm-up: a single-shot timing once recorded a phantom
@@ -307,30 +313,33 @@ let report_fig4_scaling () =
               s)
         in
         Array.sort Float.compare times;
-        (d, times.(1), Experiments.Fig4.csv points))
+        (d, times.(1), points))
       domain_counts
   in
-  let _, base_seconds, base_csv = List.hd runs in
-  let identical =
-    List.for_all (fun (_, _, csv) -> csv = base_csv) runs
-  in
-  Experiments.Report.section
-    (Printf.sprintf "Fig. 4 sweep domain scaling (lognormal, %d trials/point, %d hardware domains)"
-       trials max_d);
-  let table =
-    Numerics.Ascii_table.create ~headers:[ "domains"; "seconds"; "speedup"; "output" ]
-  in
-  List.iter
-    (fun (d, seconds, csv) ->
-      Numerics.Ascii_table.add_row table
-        [
-          (if d > max_d then Printf.sprintf "%d (oversubscribed)" d else string_of_int d);
-          Printf.sprintf "%.3f" seconds;
-          Printf.sprintf "%.2fx" (base_seconds /. seconds);
-          (if csv = base_csv then "identical" else "DIFFERS");
-        ])
-    runs;
-  Numerics.Ascii_table.print table;
+  let _, base_seconds, base_points = List.hd runs in
+  (* [compare], not [=]: a NaN statistic equals itself under it. *)
+  let same points = compare points base_points = 0 in
+  let identical = List.for_all (fun (_, _, points) -> same points) runs in
+  Experiments.Report.print
+    {
+      title =
+        Printf.sprintf
+          "Fig. 4 sweep domain scaling (lognormal, %d trials/point, %d hardware domains)"
+          trials max_d;
+      header = [ "domains"; "seconds"; "speedup"; "output"; "note" ];
+      rows =
+        List.map
+          (fun (d, seconds, points) ->
+            Experiments.Report.
+              [
+                Int d;
+                Float (seconds, 6);
+                Float (base_seconds /. seconds, 3);
+                Text (if same points then "identical" else "DIFFERS");
+                Text (if d > max_d then "oversubscribed" else "");
+              ])
+          runs;
+    };
   if not identical then
     Printf.printf "WARNING: Fig. 4 output changed with the domain count!\n%!";
   Obs.Json.Obj
@@ -400,7 +409,6 @@ let big_mr_run () =
   fun () -> Mapreduce.Scheduler.run ~faults star ~tasks ~block_size:(fun _ -> 1.)
 
 let report_des_throughput ~best_mr_seconds () =
-  Experiments.Report.section "Discrete-event core throughput (events/sec)";
   (* Raw heap push+pop rate at the historical 10k micro-benchmark size
      and at 1M, where a multi-megabyte live set has to stay out of the
      minor GC's way. *)
@@ -409,18 +417,6 @@ let report_des_throughput ~best_mr_seconds () =
   let heap_s_1m = time_heap_push_pop 1_000_000 in
   let heap_rate_10k = rate_of 10_000 heap_s_10k in
   let heap_rate_1m = rate_of 1_000_000 heap_s_1m in
-  let table =
-    Numerics.Ascii_table.create ~headers:[ "workload"; "events/sec"; "seconds" ]
-  in
-  Numerics.Ascii_table.set_align table [ Numerics.Ascii_table.Left; Right; Right ];
-  List.iter
-    (fun (name, r, s) ->
-      Numerics.Ascii_table.add_row table
-        [ name; Printf.sprintf "%.3e" r; Printf.sprintf "%.4f" s ])
-    [
-      ("heap push+pop (10000)", heap_rate_10k, heap_s_10k);
-      ("heap push+pop (1000000)", heap_rate_1m, heap_s_1m);
-    ];
   (* Fault-injected MapReduce at paper-sweep scale: the end-to-end
      events/sec of the rewritten scheduler, [events_processed] over wall
      time.  This one does NOT shrink in --quick — 10^5 workers x 10^6
@@ -449,13 +445,19 @@ let report_des_throughput ~best_mr_seconds () =
   let seconds = Float.min (Float.min s1 s2) best_mr_seconds in
   let events = outcome.Mapreduce.Scheduler.events_processed in
   let mr_rate = float_of_int events /. seconds in
-  Numerics.Ascii_table.add_row table
-    [
-      Printf.sprintf "mapreduce %dx%d (faults on)" workers n_tasks;
-      Printf.sprintf "%.3e" mr_rate;
-      Printf.sprintf "%.4f" seconds;
-    ];
-  Numerics.Ascii_table.print table;
+  Experiments.Report.print
+    {
+      title = "Discrete-event core throughput (events/sec)";
+      header = [ "workload"; "events/sec"; "seconds" ];
+      rows =
+        List.map
+          (fun (name, r, s) -> Experiments.Report.[ Text name; Float (r, 4); Float (s, 6) ])
+          [
+            ("heap push+pop (10000)", heap_rate_10k, heap_s_10k);
+            ("heap push+pop (1000000)", heap_rate_1m, heap_s_1m);
+            (Printf.sprintf "mapreduce %dx%d (faults on)" workers n_tasks, mr_rate, seconds);
+          ];
+    };
   Printf.printf
     "Large MapReduce: %d events, makespan %.2f, %d retries, %d crashes, %d unfinished\n%!"
     events outcome.Mapreduce.Scheduler.makespan
@@ -501,7 +503,6 @@ let report_des_throughput ~best_mr_seconds () =
    per event (an upper bound: the scheduler executes at most ~3 gated
    sites per event). *)
 let report_obs_overhead () =
-  Experiments.Report.section "Observability overhead (big MapReduce, full stack on)";
   let run_mr = big_mr_run () in
   let prev_m = Obs.Metrics.enabled () in
   let prev_h = Obs.Hist.enabled () in
@@ -574,14 +575,22 @@ let report_obs_overhead () =
   let gated_ns = Float.max 0. ((gated_s -. base_s) /. float_of_int iters *. 1e9) in
   let ns_per_event = disabled_seconds /. float_of_int events *. 1e9 in
   let disabled_fraction = gated_ns *. 3. /. ns_per_event in
-  Printf.printf
-    "enabled %.4fs vs disabled %.4fs: %.2f%% overhead (full stack)\n\
-     disabled path: %.3f ns/gated check, %.1f ns/event -> %.3f%% charged at 3 \
-     checks/event\n\
-     %!"
-    enabled_seconds disabled_seconds
-    ((overhead_ratio -. 1.) *. 100.)
-    gated_ns ns_per_event (disabled_fraction *. 100.);
+  Experiments.Report.print
+    {
+      title = "Observability overhead (big MapReduce, full stack on)";
+      header = [ "measure"; "value" ];
+      rows =
+        List.map
+          (fun (name, v) -> Experiments.Report.[ Text name; Float (v, 6) ])
+          [
+            ("enabled seconds", enabled_seconds);
+            ("disabled seconds", disabled_seconds);
+            ("full-stack overhead %", (overhead_ratio -. 1.) *. 100.);
+            ("disabled path ns/gated check", gated_ns);
+            ("disabled path ns/event", ns_per_event);
+            ("disabled path % (3 checks/event)", disabled_fraction *. 100.);
+          ];
+    };
   ( Obs.Json.Obj
       [
         ("disabled_seconds", Obs.Json.Float disabled_seconds);
@@ -814,11 +823,6 @@ let alloc_kernels () =
   ]
 
 let report_allocations () =
-  Experiments.Report.section "Allocation counters (Gc words per run)";
-  let table =
-    Numerics.Ascii_table.create ~headers:[ "kernel"; "minor words"; "major words" ]
-  in
-  Numerics.Ascii_table.set_align table [ Numerics.Ascii_table.Left; Right; Right ];
   let measured =
     List.map
       (fun (name, f) ->
@@ -833,12 +837,19 @@ let report_allocations () =
         f ();
         let minor = Gc.minor_words () -. minor0 in
         let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
-        Numerics.Ascii_table.add_row table
-          [ name; Printf.sprintf "%.0f" minor; Printf.sprintf "%.0f" major ];
         (name, minor, major))
       (alloc_kernels ())
   in
-  Numerics.Ascii_table.print table;
+  Experiments.Report.print
+    {
+      title = "Allocation counters (Gc words per run)";
+      header = [ "kernel"; "minor words"; "major words" ];
+      rows =
+        List.map
+          (fun (name, minor, major) ->
+            Experiments.Report.[ Text name; Int (int_of_float minor); Int (int_of_float major) ])
+          measured;
+    };
   let json =
     Obs.Json.Obj
       (List.map
@@ -857,7 +868,6 @@ let write_alloc_baseline path measured =
   Printf.printf "Wrote allocation baseline to %s\n%!" path
 
 let run_micro_benchmarks () =
-  Experiments.Report.section "Bechamel micro-benchmarks";
   let tests =
     [
       test_event_heap;
@@ -879,31 +889,30 @@ let run_micro_benchmarks () =
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let table = Numerics.Ascii_table.create ~headers:[ "kernel"; "time/run"; "r^2" ] in
-  Numerics.Ascii_table.set_align table [ Numerics.Ascii_table.Left; Right; Right ];
   let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  List.iter
-    (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> e
-        | Some [] | None -> Float.nan
-      in
-      let human =
-        if estimate > 1e9 then Printf.sprintf "%.3f s" (estimate /. 1e9)
-        else if estimate > 1e6 then Printf.sprintf "%.3f ms" (estimate /. 1e6)
-        else if estimate > 1e3 then Printf.sprintf "%.3f us" (estimate /. 1e3)
-        else Printf.sprintf "%.1f ns" estimate
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "-"
-      in
-      Numerics.Ascii_table.add_row table [ name; human; r2 ])
-    rows;
-  Numerics.Ascii_table.print table;
+  Experiments.Report.print
+    {
+      title = "Bechamel micro-benchmarks";
+      header = [ "kernel"; "time/run"; "unit"; "r^2" ];
+      rows =
+        List.map
+          (fun (name, ols) ->
+            let estimate =
+              match Analyze.OLS.estimates ols with
+              | Some (e :: _) -> e
+              | Some [] | None -> Float.nan
+            in
+            let scaled, unit =
+              if estimate > 1e9 then (estimate /. 1e9, "s")
+              else if estimate > 1e6 then (estimate /. 1e6, "ms")
+              else if estimate > 1e3 then (estimate /. 1e3, "us")
+              else (estimate, "ns")
+            in
+            let r2 = Option.value (Analyze.OLS.r_square ols) ~default:Float.nan in
+            Experiments.Report.[ Text name; Float (scaled, 6); Text unit; Float (r2, 4) ])
+          rows;
+    };
   List.filter_map
     (fun (name, ols) ->
       match Analyze.OLS.estimates ols with
@@ -913,62 +922,54 @@ let run_micro_benchmarks () =
 
 (* --- Part 2: paper reproduction ---------------------------------------- *)
 
-let run_e1 () =
-  let rows = Experiments.Nonlinear_exp.run () in
-  Experiments.Nonlinear_exp.print rows
-
-let run_e2 () =
-  let sizes = if quick then [ 10_000; 100_000 ] else [ 10_000; 100_000; 1_000_000 ] in
-  let rows = Experiments.Sorting_exp.run ~sizes () in
-  Experiments.Sorting_exp.print rows;
-  let hetero = Experiments.Sorting_exp.run_hetero ~trials:(if quick then 2 else 5) () in
-  Experiments.Sorting_exp.print_hetero hetero
-
-let run_e3 () =
-  Experiments.Ratio_exp.print_bimodal (Experiments.Ratio_exp.run_bimodal ());
-  Experiments.Ratio_exp.print_general
-    (Experiments.Ratio_exp.run_general ~trials:(if quick then 5 else 20) ())
-
-let run_fig4 () =
-  let trials = if quick then 10 else 100 in
-  let figure tag profile =
-    let points = Experiments.Fig4.sweep ~trials profile in
-    Experiments.Fig4.print
-      ~title:
-        (Printf.sprintf "Figure 4(%s): ratio to lower bound, %s speeds (%d trials/point)"
-           tag (Platform.Profiles.name profile) trials)
-      points
-  in
-  figure "a" Platform.Profiles.paper_homogeneous;
-  figure "b" Platform.Profiles.paper_uniform;
-  figure "c" Platform.Profiles.paper_lognormal
-
-let run_e4 () =
-  let trials = if quick then 3 else 10 in
+(* Quick mode only shrinks the sizes; the tables are the CLI's. *)
+let run_experiments () =
+  let trials quick_trials full = if quick then quick_trials else full in
+  let print = Experiments.Report.print in
+  let open Experiments in
+  print (Nonlinear_exp.table (Nonlinear_exp.run ()));
+  print
+    (Sorting_exp.table
+       (Sorting_exp.run
+          ~sizes:(if quick then [ 10_000; 100_000 ] else [ 10_000; 100_000; 1_000_000 ])
+          ()));
+  print (Sorting_exp.hetero_table (Sorting_exp.run_hetero ~trials:(trials 2 5) ()));
+  print (Ratio_exp.bimodal_table (Ratio_exp.run_bimodal ()));
+  print (Ratio_exp.general_table (Ratio_exp.run_general ~trials:(trials 5 20) ()));
+  List.iter
+    (fun (tag, profile) ->
+      let trials = trials 10 100 in
+      let points = Fig4.sweep ~trials profile in
+      print
+        (Fig4.table
+           ~title:
+             (Printf.sprintf "Figure 4(%s): ratio to lower bound, %s speeds (%d trials/point)"
+                tag (Platform.Profiles.name profile) trials)
+           points);
+      print_string (Fig4.chart points))
+    Platform.Profiles.[ ("a", paper_homogeneous); ("b", paper_uniform); ("c", paper_lognormal) ];
   List.iter
     (fun profile ->
-      Experiments.Time_exp.print
-        ~profile:(Platform.Profiles.name profile)
-        (Experiments.Time_exp.run ~trials profile))
-    [ Platform.Profiles.paper_uniform; Platform.Profiles.paper_lognormal ]
-
-let run_ablation () =
-  let rows =
-    Experiments.Mapreduce_exp.run ~trials:(if quick then 1 else 3)
-      ~n:(if quick then 256 else 512) ()
-  in
-  Experiments.Mapreduce_exp.print rows;
-  if quick then begin
-    Experiments.Ablations.print_partitioners
-      (Experiments.Ablations.partitioners ~trials:5 ());
-    Experiments.Ablations.print_summa (Experiments.Ablations.summa_panels ~n:32 ());
-    Experiments.Ablations.print_c25d (Experiments.Ablations.c25d ());
-    Experiments.Ablations.print_splitters
-      (Experiments.Ablations.splitters ~n:20_000 ());
-    Experiments.Ablations.print_speculation (Experiments.Ablations.speculation ~trials:5 ());
-    Experiments.Ablations.print_ordering (Experiments.Ablations.ordering ())
-  end
-  else Experiments.Ablations.print_all ()
+      print
+        (Time_exp.table
+           ~profile:(Platform.Profiles.name profile)
+           (Time_exp.run ~trials:(trials 3 10) profile)))
+    Platform.Profiles.[ paper_uniform; paper_lognormal ];
+  print
+    (Mapreduce_exp.table
+       (Mapreduce_exp.run ~trials:(trials 1 3) ~n:(if quick then 256 else 512) ()));
+  List.iter print
+    (if quick then
+       Ablations.
+         [
+           partitioners_table (partitioners ~trials:5 ());
+           summa_table (summa_panels ~n:32 ());
+           c25d_table (c25d ());
+           splitters_table (splitters ~n:20_000 ());
+           speculation_table (speculation ~trials:5 ());
+           ordering_table (ordering ());
+         ]
+     else Ablations.all ())
 
 let () =
   Printf.printf "nldl bench harness (version %s)%s\n%!" Cli.version
@@ -995,12 +996,7 @@ let () =
   (match write_alloc_path with
   | Some path -> write_alloc_baseline path alloc_measured
   | None -> ());
-  run_e1 ();
-  run_e2 ();
-  run_e3 ();
-  run_fig4 ();
-  run_e4 ();
-  run_ablation ();
+  run_experiments ();
   let json =
     Obs.Json.Obj
       ([

@@ -47,26 +47,28 @@ let profile_entry =
     String.concat ", "
       (List.map (fun (e : Experiments.Registry.entry) -> e.name) Experiments.Catalog.all)
   in
-  let hist_summary_output () =
-    let header = [ "hist"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ] in
-    let rows =
-      List.filter_map
-        (fun (s : Obs.Hist.summary) ->
-          if s.Obs.Hist.count = 0 then None
-          else
-            Some
-              [
-                s.Obs.Hist.s_name;
-                string_of_int s.Obs.Hist.count;
-                Printf.sprintf "%.4g" (Obs.Hist.mean s);
-                string_of_int (Obs.Hist.quantile s 0.5);
-                string_of_int (Obs.Hist.quantile s 0.9);
-                string_of_int (Obs.Hist.quantile s 0.99);
-                string_of_int s.Obs.Hist.max_v;
-              ])
-        (Obs.Hist.snapshot ())
-    in
-    Experiments.Registry.table ~header ~rows
+  let hist_table name =
+    {
+      Experiments.Report.title = Printf.sprintf "nldl profile %s: histograms" name;
+      header = [ "hist"; "count"; "mean"; "p50"; "p90"; "p99"; "max" ];
+      rows =
+        List.filter_map
+          (fun (s : Obs.Hist.summary) ->
+            if s.Obs.Hist.count = 0 then None
+            else
+              Some
+                Experiments.Report.
+                  [
+                    Text s.Obs.Hist.s_name;
+                    Int s.Obs.Hist.count;
+                    Float (Obs.Hist.mean s, 4);
+                    Int (Obs.Hist.quantile s 0.5);
+                    Int (Obs.Hist.quantile s 0.9);
+                    Int (Obs.Hist.quantile s 0.99);
+                    Int s.Obs.Hist.max_v;
+                  ])
+          (Obs.Hist.snapshot ());
+    }
   in
   let run name args out trace_events () =
     match
@@ -77,15 +79,15 @@ let profile_entry =
     | None ->
         Printf.eprintf "nldl profile: unknown experiment %S (catalog: %s)\n%!" name
           (catalog_names ());
-        (None, 2)
+        ([], 2)
     | Some e -> (
         let inner = Cmd.v (Cmd.info name) e.term in
         match Cmd.eval_value ~argv:(Array.of_list (name :: args)) inner with
         | Error _ ->
             Printf.eprintf "nldl profile: bad arguments for %s: %s\n%!" name
               (String.concat " " args);
-            (None, 2)
-        | Ok (`Help | `Version) -> (None, 0)
+            ([], 2)
+        | Ok (`Help | `Version) -> ([], 0)
         | Ok (`Ok thunk) ->
             let prev_m = Obs.Metrics.enabled () in
             let prev_h = Obs.Hist.enabled () in
@@ -97,7 +99,7 @@ let profile_entry =
             Obs.Hist.set_enabled true;
             Obs.Trace.set_enabled true;
             let t0 = Obs.Clock.now_ns () in
-            let table, status = thunk () in
+            let tables, status = thunk () in
             let elapsed = Obs.Clock.ns_to_s (Obs.Clock.now_ns () - t0) in
             Obs.Metrics.set_enabled prev_m;
             Obs.Hist.set_enabled prev_h;
@@ -114,12 +116,10 @@ let profile_entry =
             in
             Obs.Json.write_file out report;
             Printf.eprintf "Profile written to %s\n%!" out;
-            let summary = hist_summary_output () in
-            List.iter
-              (fun row -> print_endline (String.concat "  " row))
-              (summary.Experiments.Registry.header :: summary.Experiments.Registry.rows);
-            ignore (table : Experiments.Registry.output option);
-            (Some summary, status))
+            (* The experiment's own tables are printed here; only the
+               histogram table is returned, so --csv/--json write it alone. *)
+            List.iter Experiments.Report.print tables;
+            ([ hist_table name ], status))
   in
   Experiments.Registry.gated ~name:"profile"
     ~synopsis:

@@ -244,151 +244,130 @@ let topology ?(uplinks = [ 16.; 4.; 1.; 0.25 ]) ?(total = 200.) () =
       })
     uplinks
 
-(* --- printing --- *)
+(* --- tables --- *)
 
-let print_partitioners rows =
-  Report.section "Ablation: PERI-SUM column DP vs recursive bisection (ratio to LB)";
-  let table =
-    Numerics.Ascii_table.create ~headers:[ "profile"; "p"; "column DP"; "bisection" ]
-  in
-  List.iter
-    (fun (r : partitioner_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          r.profile;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:5 r.dp_ratio;
-          Report.float_cell ~digits:5 r.bisection_ratio;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let partitioners_table rows =
+  {
+    Report.title = "Ablation: PERI-SUM column DP vs recursive bisection (ratio to LB)";
+    header = [ "profile"; "p"; "column DP"; "bisection" ];
+    rows =
+      List.map
+        (fun (r : partitioner_row) ->
+          Report.[ Text r.profile; Int r.p; Float (r.dp_ratio, 5); Float (r.bisection_ratio, 5) ])
+        rows;
+  }
 
-let print_summa rows =
-  Report.section "Ablation: SUMMA panel width (n=64, 2x2 grid)";
-  let table = Numerics.Ascii_table.create ~headers:[ "panel"; "words"; "messages" ] in
-  List.iter
-    (fun (r : summa_row) ->
-      Numerics.Ascii_table.add_row table
-        [ Report.int_cell r.panel; Report.int_cell r.words; Report.int_cell r.messages ])
-    rows;
-  Numerics.Ascii_table.print table
+let summa_table rows =
+  {
+    Report.title = "Ablation: SUMMA panel width (n=64, 2x2 grid)";
+    header = [ "panel"; "words"; "messages" ];
+    rows = List.map (fun (r : summa_row) -> Report.[ Int r.panel; Int r.words; Int r.messages ]) rows;
+  }
 
-let print_c25d rows =
-  Report.section "Ablation: 2.5D replication (communication model, n=1024)";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "p"; "c"; "words/proc"; "total words"; "speedup vs 2D" ]
-  in
-  List.iter
-    (fun (r : c25d_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.int_cell r.p;
-          Report.int_cell r.c;
-          Report.float_cell ~digits:5 r.per_processor;
-          Report.float_cell ~digits:5 r.total;
-          Report.float_cell ~digits:4 r.speedup;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let c25d_table rows =
+  {
+    Report.title = "Ablation: 2.5D replication (communication model, n=1024)";
+    header = [ "p"; "c"; "words/proc"; "total words"; "speedup vs 2D" ];
+    rows =
+      List.map
+        (fun (r : c25d_row) ->
+          Report.
+            [
+              Int r.p;
+              Int r.c;
+              Float (r.per_processor, 5);
+              Float (r.total, 5);
+              Float (r.speedup, 4);
+            ])
+        rows;
+  }
 
-let print_splitters rows =
-  Report.section "Ablation: sample-sort vs histogram-sort splitters (max bucket / ideal)";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "N"; "p"; "sample sort"; "histogram"; "histogram passes"; "PSRS" ]
-  in
-  List.iter
-    (fun (r : splitter_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.int_cell r.n;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:5 r.sample_ratio;
-          Report.float_cell ~digits:5 r.histogram_ratio;
-          Report.int_cell r.histogram_passes;
-          Report.float_cell ~digits:5 r.psrs_ratio;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let splitters_table rows =
+  {
+    Report.title = "Ablation: sample-sort vs histogram-sort splitters (max bucket / ideal)";
+    header = [ "N"; "p"; "sample sort"; "histogram"; "histogram passes"; "PSRS" ];
+    rows =
+      List.map
+        (fun (r : splitter_row) ->
+          Report.
+            [
+              Int r.n;
+              Int r.p;
+              Float (r.sample_ratio, 5);
+              Float (r.histogram_ratio, 5);
+              Int r.histogram_passes;
+              Float (r.psrs_ratio, 5);
+            ])
+        rows;
+  }
 
-let print_speculation rows =
-  Report.section "Ablation: speculative re-execution under straggler jitter";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "sigma"; "makespan plain"; "makespan spec"; "mean duplicates" ]
-  in
-  List.iter
-    (fun (r : speculation_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.float_cell r.sigma;
-          Report.float_cell ~digits:5 r.plain_makespan;
-          Report.float_cell ~digits:5 r.speculative_makespan;
-          Report.float_cell ~digits:3 r.duplicates;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let speculation_table rows =
+  {
+    Report.title = "Ablation: speculative re-execution under straggler jitter";
+    header = [ "sigma"; "makespan plain"; "makespan spec"; "mean duplicates" ];
+    rows =
+      List.map
+        (fun (r : speculation_row) ->
+          Report.
+            [
+              Float (r.sigma, 4);
+              Float (r.plain_makespan, 5);
+              Float (r.speculative_makespan, 5);
+              Float (r.duplicates, 3);
+            ])
+        rows;
+  }
 
-let print_ordering rows =
-  Report.section "Ablation: dispatch-order sensitivity of affine one-port DLT";
-  let table =
-    Numerics.Ascii_table.create ~headers:[ "p"; "latency scale"; "worst/best - 1" ]
-  in
-  List.iter
-    (fun (r : ordering_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.int_cell r.p;
-          Report.float_cell r.latency_scale;
-          Report.float_cell ~digits:5 r.spread;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let ordering_table rows =
+  {
+    Report.title = "Ablation: dispatch-order sensitivity of affine one-port DLT";
+    header = [ "p"; "latency scale"; "worst/best - 1" ];
+    rows =
+      List.map
+        (fun (r : ordering_row) ->
+          Report.[ Int r.p; Float (r.latency_scale, 4); Float (r.spread, 5) ])
+        rows;
+  }
 
-let print_matmul rows =
-  Report.section "Ablation: distributed matmul algorithms (same grid)";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "algorithm"; "n"; "p"; "words"; "messages"; "correct" ]
-  in
-  List.iter
-    (fun (r : matmul_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          r.algorithm;
-          Report.int_cell r.n;
-          Report.int_cell r.p;
-          Report.int_cell r.words;
-          Report.int_cell r.messages;
-          string_of_bool r.correct;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let matmul_table rows =
+  {
+    Report.title = "Ablation: distributed matmul algorithms (same grid)";
+    header = [ "algorithm"; "n"; "p"; "words"; "messages"; "correct" ];
+    rows =
+      List.map
+        (fun (r : matmul_row) ->
+          Report.
+            [
+              Text r.algorithm;
+              Int r.n;
+              Int r.p;
+              Int r.words;
+              Int r.messages;
+              Text (string_of_bool r.correct);
+            ])
+        rows;
+  }
 
-let print_topology rows =
-  Report.section "Ablation: hierarchy — cluster uplink vs stranded compute (2x8+2 workers)";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "uplink bw"; "aggregation loss"; "tree/flat makespan" ]
-  in
-  List.iter
-    (fun (r : topology_row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.float_cell r.uplink;
-          Report.float_cell ~digits:4 r.loss;
-          Report.float_cell ~digits:4 r.tree_vs_flat;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let topology_table rows =
+  {
+    Report.title =
+      "Ablation: hierarchy — cluster uplink vs stranded compute (2x8+2 workers)";
+    header = [ "uplink bw"; "aggregation loss"; "tree/flat makespan" ];
+    rows =
+      List.map
+        (fun (r : topology_row) ->
+          Report.[ Float (r.uplink, 4); Float (r.loss, 4); Float (r.tree_vs_flat, 4) ])
+        rows;
+  }
 
-let print_all () =
-  print_partitioners (partitioners ());
-  print_summa (summa_panels ());
-  print_c25d (c25d ());
-  print_splitters (splitters ());
-  print_speculation (speculation ());
-  print_ordering (ordering ());
-  print_matmul (matmul_algorithms ());
-  print_topology (topology ())
+let all () =
+  [
+    partitioners_table (partitioners ());
+    summa_table (summa_panels ());
+    c25d_table (c25d ());
+    splitters_table (splitters ());
+    speculation_table (speculation ());
+    ordering_table (ordering ());
+    matmul_table (matmul_algorithms ());
+    topology_table (topology ());
+  ]

@@ -66,8 +66,7 @@ val splitters :
 
 val speculation :
   ?sigmas:float list -> ?trials:int -> ?tasks:int -> ?p:int -> unit -> speculation_row list
-(** [?trials] replaces the deprecated [?seeds] spelling (seed [1000 + t]
-    per trial, unchanged streams). *)
+(** Trial [t] (counted from 1) jitters with seed [1000 + t]. *)
 
 val ordering :
   ?p:int -> ?latency_scales:float list -> ?seed:int -> unit -> ordering_row list
@@ -86,14 +85,14 @@ val topology : ?uplinks:float list -> ?total:float -> unit -> topology_row list
 (** Two 8-worker clusters plus two direct workers; sweeps the cluster
     uplinks to show when hierarchy starts to bite. *)
 
-val print_partitioners : partitioner_row list -> unit
-val print_summa : summa_row list -> unit
-val print_c25d : c25d_row list -> unit
-val print_splitters : splitter_row list -> unit
-val print_speculation : speculation_row list -> unit
-val print_ordering : ordering_row list -> unit
-val print_matmul : matmul_row list -> unit
-val print_topology : topology_row list -> unit
+val partitioners_table : partitioner_row list -> Report.t
+val summa_table : summa_row list -> Report.t
+val c25d_table : c25d_row list -> Report.t
+val splitters_table : splitter_row list -> Report.t
+val speculation_table : speculation_row list -> Report.t
+val ordering_table : ordering_row list -> Report.t
+val matmul_table : matmul_row list -> Report.t
+val topology_table : topology_row list -> Report.t
 
-val print_all : unit -> unit
-(** Run and print every ablation with default parameters. *)
+val all : unit -> Report.t list
+(** Every ablation with default parameters, one table each. *)

@@ -1,17 +1,16 @@
 open Cmdliner
 
-let table_output header rows = Registry.table ~header ~rows
-
 let fig4 =
   let run profile trials seed processors () =
     let points = Fig4.sweep ~processor_counts:processors ~trials ~seed profile in
-    Fig4.print
-      ~title:
-        (Printf.sprintf "Figure 4 reproduction, %s speeds (%d trials/point)"
-           (Platform.Profiles.name profile) trials)
-      points;
-    let header, rows = Fig4.csv points in
-    Some (table_output header rows)
+    print_string (Fig4.chart points);
+    [
+      Fig4.table
+        ~title:
+          (Printf.sprintf "Figure 4 reproduction, %s speeds (%d trials/point)"
+             (Platform.Profiles.name profile) trials)
+        points;
+    ]
   in
   Registry.entry ~name:"fig4"
     ~synopsis:"Reproduce the Figure 4 communication-ratio sweep."
@@ -28,8 +27,7 @@ let nonlinear =
       & info [ "alpha" ] ~docv:"A,..." ~doc:"Cost exponents.")
   in
   let run alphas processors () =
-    Nonlinear_exp.print (Nonlinear_exp.run ~alphas ~processor_counts:processors ());
-    None
+    [ Nonlinear_exp.table (Nonlinear_exp.run ~alphas ~processor_counts:processors ()) ]
   in
   Registry.entry ~name:"nonlinear"
     ~synopsis:"E1: the no-free-lunch fraction for N^alpha loads."
@@ -44,9 +42,10 @@ let sort =
       & info [ "n" ] ~docv:"N,..." ~doc:"Input sizes.")
   in
   let run sizes processors () =
-    Sorting_exp.print (Sorting_exp.run ~sizes ~processor_counts:processors ());
-    Sorting_exp.print_hetero (Sorting_exp.run_hetero ~processor_counts:processors ());
-    None
+    [
+      Sorting_exp.table (Sorting_exp.run ~sizes ~processor_counts:processors ());
+      Sorting_exp.hetero_table (Sorting_exp.run_hetero ~processor_counts:processors ());
+    ]
   in
   Registry.entry ~name:"sort" ~synopsis:"E2: sorting as an almost-divisible load."
     Term.(const run $ sizes $ Registry.processor_counts ~default:[ 4; 16; 64 ])
@@ -60,9 +59,10 @@ let ratio =
   in
   let p = Arg.(value & opt int 20 & info [ "p" ] ~docv:"P" ~doc:"Platform size.") in
   let run factors p () =
-    Ratio_exp.print_bimodal (Ratio_exp.run_bimodal ~p ~factors ());
-    Ratio_exp.print_general (Ratio_exp.run_general ());
-    None
+    [
+      Ratio_exp.bimodal_table (Ratio_exp.run_bimodal ~p ~factors ());
+      Ratio_exp.general_table (Ratio_exp.run_general ());
+    ]
   in
   Registry.entry ~name:"ratio" ~synopsis:"E3: the Commhom/Commhet ratio bounds."
     Term.(const run $ factors $ p)
@@ -95,14 +95,26 @@ let partition =
     in
     let layout = Partition.Strategies.het_layout star in
     print_string (Partition.Layout.render layout);
-    Printf.printf "\nSum of half-perimeters %.4f, lower bound %.4f\n"
-      (Partition.Layout.sum_half_perimeters layout)
-      (Partition.Lower_bound.peri_sum ~areas:(Platform.Star.relative_speeds star));
     let r = Partition.Strategies.evaluate star in
-    Printf.printf "Ratios to LB: het %.4f, hom %.4f, hom/k %.4f (k = %d)\n"
-      r.Partition.Strategies.het r.Partition.Strategies.hom
-      r.Partition.Strategies.hom_over_k r.Partition.Strategies.k;
-    None
+    [
+      {
+        Report.title = "PERI-SUM layout: half-perimeters and ratios to the lower bound";
+        header = [ "sum half-perimeters"; "lower bound"; "het/LB"; "hom/LB"; "hom/k/LB"; "k" ];
+        rows =
+          [
+            Report.
+              [
+                Float (Partition.Layout.sum_half_perimeters layout, 6);
+                Float
+                  (Partition.Lower_bound.peri_sum ~areas:(Platform.Star.relative_speeds star), 6);
+                Float (r.Partition.Strategies.het, 6);
+                Float (r.Partition.Strategies.hom, 6);
+                Float (r.Partition.Strategies.hom_over_k, 6);
+                Int r.Partition.Strategies.k;
+              ];
+          ];
+      };
+    ]
   in
   Registry.entry ~name:"partition"
     ~synopsis:"Partition a platform's outer-product domain (PERI-SUM)."
@@ -111,8 +123,7 @@ let partition =
 let mapreduce =
   let n = Arg.(value & opt int 512 & info [ "n" ] ~docv:"N" ~doc:"Vector size.") in
   let run n () =
-    Mapreduce_exp.print (Mapreduce_exp.run ~n ());
-    None
+    [ Mapreduce_exp.table (Mapreduce_exp.run ~n ()) ]
   in
   Registry.entry ~name:"mapreduce"
     ~synopsis:"Affinity-aware MapReduce scheduling ablation."
@@ -120,20 +131,14 @@ let mapreduce =
 
 let time =
   let run profile trials () =
-    Time_exp.print
-      ~profile:(Platform.Profiles.name profile)
-      (Time_exp.run ~trials profile);
-    None
+    [ Time_exp.table ~profile:(Platform.Profiles.name profile) (Time_exp.run ~trials profile) ]
   in
   Registry.entry ~name:"time"
     ~synopsis:"E4: strategy makespans (not just volumes) as the network slows down."
     Term.(const run $ Registry.profile $ Registry.trials ~default:10 ())
 
 let ablations =
-  let run () () =
-    Ablations.print_all ();
-    None
-  in
+  let run () () = Ablations.all () in
   Registry.entry ~name:"ablations"
     ~synopsis:
       "Ablation studies: partitioner choice, SUMMA panels, 2.5D replication, splitter \
@@ -166,9 +171,7 @@ let faults =
       Faults_exp.run ~tasks ~p ~crash_rates ~sigmas ~fetch_failure ~trials ~seed
         ?domains ()
     in
-    Faults_exp.print rows;
-    let header, csv_rows = Faults_exp.csv rows in
-    Some (Registry.table ~header ~rows:csv_rows)
+    [ Faults_exp.table rows ]
   in
   Registry.entry ~name:"faults"
     ~synopsis:
@@ -227,13 +230,12 @@ let mrsim =
       Mrsim_exp.run ~workers ~tasks ~crash_rate ~slowdown_rate ~fetch_failure ~horizon
         ~seed ()
     in
-    Mrsim_exp.print r;
     (match timeline with
     | None -> ()
     | Some path ->
         Mapreduce.Timeline.write_chrome ~max_events:timeline_events outcome path;
         Printf.eprintf "Timeline written to %s\n%!" path);
-    Some (table_output Mrsim_exp.header [ Mrsim_exp.row r ])
+    [ Mrsim_exp.table r ]
   in
   Registry.entry ~name:"mrsim"
     ~synopsis:
@@ -298,16 +300,20 @@ let serve =
         ~on_ready:(fun () -> Printf.printf "nldl serve: listening on %s\n%!" socket_path)
         { Serve.Daemon.socket_path; batch }
     in
-    Some
-      (Registry.table
-         ~header:[ "stat"; "value" ]
-         ~rows:
-           [
-             [ "requests"; string_of_int (Serve.Batch.requests engine) ];
-             [ "cache_hits"; string_of_int (Serve.Batch.hits engine) ];
-             [ "cache_misses"; string_of_int (Serve.Batch.misses engine) ];
-             [ "cache_evictions"; string_of_int (Serve.Batch.evictions engine) ];
-           ])
+    [
+      {
+        Report.title = "nldl serve: daemon statistics";
+        header = [ "stat"; "value" ];
+        rows =
+          Report.
+            [
+              [ Text "requests"; Int (Serve.Batch.requests engine) ];
+              [ Text "cache_hits"; Int (Serve.Batch.hits engine) ];
+              [ Text "cache_misses"; Int (Serve.Batch.misses engine) ];
+              [ Text "cache_evictions"; Int (Serve.Batch.evictions engine) ];
+            ];
+      };
+    ]
   in
   Registry.entry ~name:"serve"
     ~synopsis:
@@ -348,22 +354,22 @@ let query =
           None
     in
     match (lines, socket) with
-    | None, _ -> (None, 2)
+    | None, _ -> ([], 2)
     | Some lines, None ->
         List.iter (fun l -> print_endline (Api.Response.to_line (Api.Eval.eval_line l))) lines;
-        (None, 0)
+        ([], 0)
     | Some lines, Some path -> (
         match Serve.Client.connect_unix path with
         | exception Unix.Unix_error (e, _, _) ->
             Printf.eprintf "nldl query: cannot connect to %s: %s\n%!" path
               (Unix.error_message e);
-            (None, 2)
+            ([], 2)
         | c ->
             Fun.protect
               ~finally:(fun () -> Serve.Client.close c)
               (fun () ->
                 List.iter (fun l -> print_endline (Serve.Client.request c l)) lines);
-            (None, 0))
+            ([], 0))
   in
   Registry.gated ~name:"query"
     ~synopsis:

@@ -102,48 +102,26 @@ let run ?(tasks = 24) ?(p = 4) ?(crash_rates = [ 0.; 0.3; 0.6 ])
     crash_rates;
   List.rev !rows
 
-let print rows =
-  Report.section "Robustness: makespan degradation under injected faults";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:
-        [ "crash rate"; "sigma"; "policy"; "makespan"; "degradation"; "wasted";
-          "retries"; "crashes"; "unfinished" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.float_cell r.crash_rate;
-          Report.float_cell r.sigma;
-          r.policy;
-          Report.float_cell ~digits:5 r.makespan;
-          Report.float_cell ~digits:4 r.degradation;
-          Report.float_cell ~digits:3 r.wasted;
-          Report.float_cell ~digits:2 r.retries;
-          Report.float_cell ~digits:2 r.crashes;
-          Report.float_cell ~digits:2 r.unfinished;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
-
-let header =
-  [ "crash_rate"; "sigma"; "policy"; "makespan"; "degradation"; "wasted_work";
-    "retries"; "crashes_survived"; "unfinished" ]
-
-let csv rows =
-  ( header,
-    List.map
-      (fun r ->
-        [
-          Printf.sprintf "%g" r.crash_rate;
-          Printf.sprintf "%g" r.sigma;
-          r.policy;
-          Printf.sprintf "%.6f" r.makespan;
-          Printf.sprintf "%.6f" r.degradation;
-          Printf.sprintf "%.6f" r.wasted;
-          Printf.sprintf "%g" r.retries;
-          Printf.sprintf "%g" r.crashes;
-          Printf.sprintf "%g" r.unfinished;
-        ])
-      rows )
+let table rows =
+  {
+    Report.title = "Robustness: makespan degradation under injected faults";
+    header =
+      [ "crash rate"; "sigma"; "policy"; "makespan"; "degradation"; "wasted"; "retries";
+        "crashes"; "unfinished" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [
+              Float (r.crash_rate, 4);
+              Float (r.sigma, 4);
+              Text r.policy;
+              Float (r.makespan, 5);
+              Float (r.degradation, 4);
+              Float (r.wasted, 3);
+              Float (r.retries, 2);
+              Float (r.crashes, 2);
+              Float (r.unfinished, 2);
+            ])
+        rows;
+  }

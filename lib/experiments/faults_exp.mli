@@ -35,5 +35,4 @@ val run :
 (** Trials run on the shared domain pool with pre-split per-trial RNGs;
     output is identical at any [domains]. *)
 
-val print : row list -> unit
-val csv : row list -> string list * string list list
+val table : row list -> Report.t

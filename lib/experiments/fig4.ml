@@ -45,57 +45,46 @@ let sweep ?(processor_counts = default_processor_counts) ?(trials = 100) ?(seed 
   in
   List.map point processor_counts
 
-let csv points =
-  let header =
-    [ "p"; "het_mean"; "het_sd"; "hom_mean"; "hom_sd"; "homk_mean"; "homk_sd"; "mean_k" ]
-  in
-  let row pt =
-    [
-      string_of_int pt.p;
-      Printf.sprintf "%.6g" pt.het.Stats.mean;
-      Printf.sprintf "%.6g" pt.het.Stats.stddev;
-      Printf.sprintf "%.6g" pt.hom.Stats.mean;
-      Printf.sprintf "%.6g" pt.hom.Stats.stddev;
-      Printf.sprintf "%.6g" pt.hom_over_k.Stats.mean;
-      Printf.sprintf "%.6g" pt.hom_over_k.Stats.stddev;
-      Printf.sprintf "%.6g" pt.mean_k;
-    ]
-  in
-  (header, List.map row points)
+let table ~title points =
+  {
+    Report.title;
+    header =
+      [ "p"; "Commhet/LB"; "Commhet sd"; "het 95% CI lo"; "het 95% CI hi"; "Commhom/LB";
+        "Commhom sd"; "Commhom/k/LB"; "Commhom/k sd"; "mean k" ];
+    rows =
+      List.map
+        (fun pt ->
+          (* A single trial has no interval: its bounds are NaN. *)
+          let lo, hi =
+            if pt.het.Stats.n >= 2 then
+              let i = Numerics.Confidence.of_summary pt.het in
+              (i.Numerics.Confidence.lo, i.Numerics.Confidence.hi)
+            else (Float.nan, Float.nan)
+          in
+          Report.
+            [
+              Int pt.p;
+              Float (pt.het.Stats.mean, 4);
+              Float (pt.het.Stats.stddev, 2);
+              Float (lo, 4);
+              Float (hi, 4);
+              Float (pt.hom.Stats.mean, 4);
+              Float (pt.hom.Stats.stddev, 2);
+              Float (pt.hom_over_k.Stats.mean, 4);
+              Float (pt.hom_over_k.Stats.stddev, 2);
+              Float (pt.mean_k, 3);
+            ])
+        points;
+  }
 
-let print ~title points =
-  Report.section title;
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:
-        [ "p"; "Commhet/LB"; "het 95% CI"; "Commhom/LB"; "Commhom/k/LB"; "mean k" ]
-  in
-  List.iter
-    (fun pt ->
-      let ci =
-        if pt.het.Stats.n >= 2 then
-          let i = Numerics.Confidence.of_summary pt.het in
-          Printf.sprintf "[%.4g, %.4g]" i.Numerics.Confidence.lo i.Numerics.Confidence.hi
-        else "-"
-      in
-      Numerics.Ascii_table.add_row table
-        [
-          Report.int_cell pt.p;
-          Report.mean_sd pt.het;
-          ci;
-          Report.mean_sd pt.hom;
-          Report.mean_sd pt.hom_over_k;
-          Report.float_cell ~digits:3 pt.mean_k;
-        ])
-    points;
-  Numerics.Ascii_table.print table;
+let chart points =
   let series label f =
     {
       Numerics.Ascii_chart.label;
       points = Array.of_list (List.map (fun pt -> (float_of_int pt.p, f pt)) points);
     }
   in
-  Numerics.Ascii_chart.print ~height:12
+  Numerics.Ascii_chart.render ~height:12
     [
       series "Commhet" (fun pt -> pt.het.Stats.mean);
       series "Commhom" (fun pt -> pt.hom.Stats.mean);

@@ -28,9 +28,11 @@ val sweep :
     from the seed generator in sequential order, so the output is
     identical at any domain count. *)
 
-val print : title:string -> point list -> unit
-(** Table plus ASCII chart of the three series. *)
+val table : title:string -> point list -> Report.t
+(** One row per point: mean and standard deviation of each strategy's
+    ratio to the lower bound, the 95% confidence interval of
+    [Commhet]'s mean (NaN bounds below two trials), and the mean
+    subdivision. *)
 
-val csv : point list -> string list * string list list
-(** [(header, rows)] for {!Csv_out}: p, mean and stddev of each
-    strategy's ratio, and the mean subdivision. *)
+val chart : point list -> string
+(** ASCII chart of the three mean series against [p]. *)

@@ -68,25 +68,24 @@ let run ?(n = 512) ?(chunk = 16) ?(processor_counts = [ 4; 16 ]) ?(trials = 3) ?
     profiles;
   List.rev !rows
 
-let print rows =
-  Report.section "Ablation (paper conclusion): affinity-aware MapReduce scheduling";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:
-        [ "profile"; "p"; "comm FIFO"; "comm affinity"; "comm zones"; "mkspan FIFO";
-          "mkspan affinity" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          r.profile;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:6 r.fifo_comm;
-          Report.float_cell ~digits:6 r.affinity_comm;
-          Report.float_cell ~digits:6 r.zone_comm;
-          Report.float_cell ~digits:5 r.fifo_makespan;
-          Report.float_cell ~digits:5 r.affinity_makespan;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let table rows =
+  {
+    Report.title = "Ablation (paper conclusion): affinity-aware MapReduce scheduling";
+    header =
+      [ "profile"; "p"; "comm FIFO"; "comm affinity"; "comm zones"; "mkspan FIFO";
+        "mkspan affinity" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [
+              Text r.profile;
+              Int r.p;
+              Float (r.fifo_comm, 6);
+              Float (r.affinity_comm, 6);
+              Float (r.zone_comm, 6);
+              Float (r.fifo_makespan, 5);
+              Float (r.affinity_makespan, 5);
+            ])
+        rows;
+  }

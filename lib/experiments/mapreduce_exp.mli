@@ -30,4 +30,4 @@ val run :
 (** Trials run on the shared domain pool with pre-split per-trial RNGs;
     output is identical at any [domains]. *)
 
-val print : row list -> unit
+val table : row list -> Report.t

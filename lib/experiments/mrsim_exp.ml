@@ -53,39 +53,26 @@ let run ?(workers = 100_000) ?(tasks = 1_000_000) ?(crash_rate = 0.001)
     },
     outcome )
 
-let header =
-  [
-    "workers";
-    "tasks";
-    "events";
-    "seconds";
-    "events_per_sec";
-    "makespan";
-    "retries";
-    "crashes";
-    "duplicates";
-    "unfinished";
-  ]
-
-let row r =
-  [
-    string_of_int r.workers;
-    string_of_int r.tasks;
-    string_of_int r.events;
-    Printf.sprintf "%.4f" r.seconds;
-    Printf.sprintf "%.4e" r.events_per_sec;
-    Printf.sprintf "%.4f" r.makespan;
-    string_of_int r.retries;
-    string_of_int r.crashes;
-    string_of_int r.duplicates;
-    string_of_int r.unfinished;
-  ]
-
-let print r =
-  Printf.printf
-    "mrsim: %d workers x %d tasks: %d events in %.3f s (%.3e events/sec)\n\
-     makespan %.2f, %d retries, %d crashes survived, %d speculative copies, %d \
-     unfinished\n\
-     %!"
-    r.workers r.tasks r.events r.seconds r.events_per_sec r.makespan r.retries
-    r.crashes r.duplicates r.unfinished
+let table r =
+  {
+    Report.title = "mrsim: fault-injected MapReduce simulation";
+    header =
+      [ "workers"; "tasks"; "events"; "seconds"; "events_per_sec"; "makespan"; "retries";
+        "crashes"; "duplicates"; "unfinished" ];
+    rows =
+      [
+        Report.
+          [
+            Int r.workers;
+            Int r.tasks;
+            Int r.events;
+            Float (r.seconds, 6);
+            Float (r.events_per_sec, 4);
+            Float (r.makespan, 6);
+            Int r.retries;
+            Int r.crashes;
+            Int r.duplicates;
+            Int r.unfinished;
+          ];
+      ];
+  }

@@ -35,6 +35,5 @@ val run :
     10^6 unit tasks, 0.1% crash rate (with recovery), 1% slowdown,
     1% fetch failures, seed 42. *)
 
-val header : string list
-val row : result -> string list
-val print : result -> unit
+val table : result -> Report.t
+(** One row; [duplicates] counts speculative copies. *)

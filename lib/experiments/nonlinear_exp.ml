@@ -50,23 +50,23 @@ let run ?(alphas = [ 1.5; 2.; 3. ]) ?(processor_counts = [ 2; 4; 16; 64; 256 ])
     alphas;
   List.rev !rows
 
-let print rows =
-  Report.section "E1 (paper §2): divisible round of an N^alpha load — work fraction done";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:
-        [ "alpha"; "p"; "p^(1-a) predicted"; "measured (hom)"; "measured (het)"; "makespan" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.float_cell r.alpha;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:5 r.predicted;
-          Report.float_cell ~digits:5 r.measured_homogeneous;
-          Report.float_cell ~digits:5 r.measured_heterogeneous;
-          Report.float_cell r.makespan;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let table rows =
+  {
+    Report.title =
+      "E1 (paper §2): divisible round of an N^alpha load — work fraction done";
+    header =
+      [ "alpha"; "p"; "p^(1-a) predicted"; "measured (hom)"; "measured (het)"; "makespan" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [
+              Float (r.alpha, 4);
+              Int r.p;
+              Float (r.predicted, 5);
+              Float (r.measured_homogeneous, 5);
+              Float (r.measured_heterogeneous, 5);
+              Float (r.makespan, 4);
+            ])
+        rows;
+  }

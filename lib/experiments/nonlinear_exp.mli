@@ -25,4 +25,4 @@ val run :
   unit ->
   row list
 
-val print : row list -> unit
+val table : row list -> Report.t

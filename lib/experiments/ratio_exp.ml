@@ -74,41 +74,33 @@ let run_general ?(processor_counts = [ 10; 40; 100 ]) ?(trials = 20) ?(seed = 5)
     profiles;
   List.rev !rows
 
-let print_bimodal rows =
-  Report.section "E3 (paper §4.1.3): rho on half-slow / half-k-fast platforms";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:
-        [ "k"; "p"; "rho measured"; "hom/LB"; "(1+k)/(1+sqrt k)"; "sqrt k - 1" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.float_cell r.factor;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:4 r.measured_rho;
-          Report.float_cell ~digits:4 r.hom_over_lb;
-          Report.float_cell ~digits:4 r.bound;
-          Report.float_cell ~digits:4 r.sqrt_bound;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let bimodal_table rows =
+  {
+    Report.title = "E3 (paper §4.1.3): rho on half-slow / half-k-fast platforms";
+    header = [ "k"; "p"; "rho measured"; "hom/LB"; "(1+k)/(1+sqrt k)"; "sqrt k - 1" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [
+              Float (r.factor, 4);
+              Int r.p;
+              Float (r.measured_rho, 4);
+              Float (r.hom_over_lb, 4);
+              Float (r.bound, 4);
+              Float (r.sqrt_bound, 4);
+            ])
+        rows;
+  }
 
-let print_general rows =
-  Report.subsection "E3b: general bound rho >= (4/7)·Σs/(√s1·Σ√s)";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "profile"; "p"; "rho measured"; "(4/7) bound" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          r.profile;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:4 r.measured_rho;
-          Report.float_cell ~digits:4 r.general_bound;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let general_table rows =
+  {
+    Report.title = "E3b: general bound rho >= (4/7)·Σs/(√s1·Σ√s)";
+    header = [ "profile"; "p"; "rho measured"; "(4/7) bound" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [ Text r.profile; Int r.p; Float (r.measured_rho, 4); Float (r.general_bound, 4) ])
+        rows;
+  }

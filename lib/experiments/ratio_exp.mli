@@ -36,5 +36,5 @@ val run_general :
 (** Trials run on the shared domain pool with pre-split per-trial RNGs;
     output is identical at any [domains]. *)
 
-val print_bimodal : bimodal_row list -> unit
-val print_general : general_row list -> unit
+val bimodal_table : bimodal_row list -> Report.t
+val general_table : general_row list -> Report.t

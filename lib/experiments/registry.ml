@@ -1,30 +1,10 @@
 open Cmdliner
 
-type output = { header : string list; rows : string list list }
-
 type entry = {
   name : string;
   synopsis : string;
-  term : (unit -> output option * int) Term.t;
+  term : (unit -> Report.t list * int) Term.t;
 }
-
-(* Generic JSON view of a string table: numeric-looking cells become
-   numbers so downstream tools see typed values. *)
-let json_cell s =
-  match int_of_string_opt s with
-  | Some i -> Obs.Json.Int i
-  | None -> (
-      match float_of_string_opt s with
-      | Some f -> Obs.Json.Float f
-      | None -> Obs.Json.String s)
-
-let json_of_table header rows =
-  Obs.Json.List
-    (List.map
-       (fun row -> Obs.Json.Obj (List.map2 (fun k v -> (k, json_cell v)) header row))
-       rows)
-
-let table ~header ~rows = { header; rows }
 
 let entry ~name ~synopsis term =
   { name; synopsis; term = Term.(const (fun f () -> (f (), 0)) $ term) }
@@ -143,50 +123,76 @@ let csv_file =
   Arg.(
     value
     & opt (some string) None
-    & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the series as CSV to $(docv).")
+    & info [ "csv" ] ~docv:"FILE" ~doc:
+          "Also write the tables as CSV to $(docv); k > 1 tables go to \
+           <stem>.<i><ext>, i = 1..k.")
 
 let json_file =
   Arg.(
     value
     & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Also write the series as JSON to $(docv).")
+    & info [ "json" ] ~docv:"FILE" ~doc:
+          "Also write the tables as JSON to $(docv); k > 1 tables go to \
+           <stem>.<i><ext>, i = 1..k.")
 
-let dump name out csv json =
-  let missing flag =
-    Printf.eprintf "nldl %s: --%s requested but this command returns no table\n%!" name
-      flag
+let csv_field = function
+  | Report.Int i -> string_of_int i
+  | Report.Float (f, _) -> Obs.Json.float_compact f
+  | Report.Text s -> s
+
+let json_value = function
+  | Report.Int i -> Obs.Json.Int i
+  | Report.Float (f, _) -> Obs.Json.Float f
+  | Report.Text s -> Obs.Json.String s
+
+(* One table writes FILE; k > 1 tables write <stem>.<i><ext>, i = 1..k,
+   in print order. *)
+let paths path tables =
+  match tables with
+  | [ _ ] -> [ path ]
+  | _ ->
+      let stem = Filename.remove_extension path and ext = Filename.extension path in
+      List.mapi (fun i _ -> Printf.sprintf "%s.%d%s" stem (i + 1) ext) tables
+
+let write_csv path (t : Report.t) =
+  Csv_out.write ~path ~header:t.header ~rows:(List.map (List.map csv_field) t.rows);
+  Printf.eprintf "CSV written to %s\n%!" path
+
+(* The --json surface is the canonical Api.Response envelope, the same
+   schema `nldl serve` answers with and the bench artifact embeds —
+   consumers parse one shape, whatever produced it.  It is written as
+   one wire line, whose floats are lossless like the CSV's. *)
+let write_json name path (t : Report.t) =
+  let rows =
+    Obs.Json.List
+      (List.map
+         (fun row -> Obs.Json.Obj (List.map2 (fun k c -> (k, json_value c)) t.header row))
+         t.rows)
   in
-  (match (csv, out) with
-  | None, _ -> ()
-  | Some _, None -> missing "csv"
-  | Some path, Some o ->
-      Csv_out.write ~path ~header:o.header ~rows:o.rows;
-      Printf.eprintf "CSV written to %s\n%!" path);
-  match (json, out) with
-  | None, _ -> ()
-  | Some _, None -> missing "json"
-  | Some path, Some o ->
-      (* The --json surface is the canonical Api.Response envelope, the
-         same schema `nldl serve` answers with and the bench artifact
-         embeds — consumers parse one shape, whatever produced it. *)
-      let response =
-        {
-          Api.Response.body =
-            Api.Response.Table
-              { experiment = name; header = o.header; rows = json_of_table o.header o.rows };
-          provenance = { Api.Response.solver = "nldl.registry" };
-        }
-      in
-      Obs.Json.write_file path (Api.Response.to_json response);
-      Printf.eprintf "JSON written to %s\n%!" path
+  let response =
+    {
+      Api.Response.body = Api.Response.Table { experiment = name; header = t.header; rows };
+      provenance = { Api.Response.solver = "nldl.registry" };
+    }
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Api.Response.to_line response);
+      output_char oc '\n');
+  Printf.eprintf "JSON written to %s\n%!" path
+
+let dump name tables csv json =
+  let each write = Option.iter (fun path -> List.iter2 write (paths path tables) tables) in
+  each write_csv csv;
+  each (write_json name) json
 
 let to_cmd e =
   (* cmdliner evaluates [$] arguments left to right, so the logging and
      observability setup run before the command body, and the
      trace/metrics files are flushed after it returns. *)
   let run () obs csv json thunk =
-    let out, status = thunk () in
-    dump e.name out csv json;
+    let tables, status = thunk () in
+    List.iter Report.print tables;
+    dump e.name tables csv json;
     finish_obs obs;
     (* Gated commands (nldl query, nldl profile) carry the gate result in their exit
        code, returned after the flushes so --trace/--json stay intact. *)

@@ -2,8 +2,8 @@
 
     Each CLI subcommand is an {!entry} value: a name, a one-line
     synopsis, and a Cmdliner term evaluating to a thunk that runs the
-    experiment, prints its human-readable report, and returns its
-    series as an {!output} table (or [None] for free-form commands).
+    experiment and returns its results as {!Report.t} tables (none for
+    free-form commands).
     The driver builds its subcommand group by folding {!to_cmd} over
     {!Catalog.all} — adding an experiment means adding one entry to the
     catalog, never editing the driver's dispatch.
@@ -12,39 +12,32 @@
     - [-v]/[--verbose] log verbosity (repeatable);
     - [--trace FILE] Chrome trace-event JSON (Perfetto-loadable) and
       [--metrics[=FILE]] runtime-metrics snapshot;
-    - [--csv FILE] and [--json FILE] dumps of the returned {!output}.
+    - the text report: every returned table, printed in order;
+    - [--csv FILE] and [--json FILE] dumps of every returned table:
+      one table writes FILE, k > 1 tables write [<stem>.<i><ext>] for
+      [i = 1..k] in print order.  CSV floats carry the JSON float
+      printer's full precision; each JSON file is one [Api.Response]
+      table envelope, written as one lossless wire line.
 
     {b Optional-argument convention} (shared arg terms below mirror it;
     every experiment's [run] follows the same spellings):
     - [?processor_counts] — worker counts to sweep (flag [-p P,...]);
-    - [?trials] — repetitions per data point (flag [--trials T]; the
-      one-off [?seeds] spelling is deprecated and gone);
+    - [?trials] — repetitions per data point (flag [--trials T]);
     - [?seed] — root PRNG seed (flag [--seed S]);
     - [?domains] — domain-pool size for parallel trial loops. *)
-
-type output = {
-  header : string list;
-  rows : string list list;  (** same width as [header] *)
-}
 
 type entry = {
   name : string;
   synopsis : string;
-  term : (unit -> output option * int) Cmdliner.Term.t;
-      (** thunk result: optional table, exit status *)
+  term : (unit -> Report.t list * int) Cmdliner.Term.t;
+      (** thunk result: tables, exit status *)
 }
 
-val table : header:string list -> rows:string list list -> output
-(** The standard way to return a series: the JSON view is derived from
-    the string table (numeric-looking cells become numbers), and
-    {!to_cmd}'s [--json] wraps it in the canonical [Api.Response]
-    envelope.  Lint rule H308 forbids hand-rolling [Obs.Json]
-    structures in [lib/experiments] for exactly this reason. *)
-
-val entry : name:string -> synopsis:string -> (unit -> output option) Cmdliner.Term.t -> entry
+val entry : name:string -> synopsis:string -> (unit -> Report.t list) Cmdliner.Term.t -> entry
 (** Ordinary experiment: always exits 0. *)
 
-val gated : name:string -> synopsis:string -> (unit -> output option * int) Cmdliner.Term.t -> entry
+val gated :
+  name:string -> synopsis:string -> (unit -> Report.t list * int) Cmdliner.Term.t -> entry
 (** Command whose thunk also decides the process exit status (e.g.
     [nldl query] exiting 2 when it cannot reach its daemon); {!to_cmd}
     returns it after the trace/metrics/csv/json flushes. *)
@@ -75,7 +68,6 @@ val domains : int option Cmdliner.Term.t
 
 val to_cmd : entry -> int Cmdliner.Cmd.t
 (** Wrap an entry into a complete subcommand evaluating to its exit
-    status: logging and trace/metrics setup run before the body, the
-    trace/metrics files are flushed after it, and [--csv]/[--json]
-    write the returned table (a diagnostic is printed when the flag is
-    given but the command returned no table). *)
+    status: logging and trace/metrics setup run before the body; after
+    it, the returned tables are printed, [--csv]/[--json] write them,
+    and the trace/metrics files are flushed. *)

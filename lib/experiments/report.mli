@@ -1,14 +1,23 @@
-(** Shared formatting helpers for the experiment drivers: every
-    reproduced table/figure is printed as an aligned text table (the
-    paper's "rows/series") plus an optional ASCII chart of the shape. *)
+(** The one table type of the experiments: every driver returns its
+    results as {!t} values, and the text report, [--csv], [--json] and
+    the bench all render those same cells. *)
 
-val mean_sd : Numerics.Stats.summary -> string
-(** ["mean ± sd"] with compact precision. *)
+type cell =
+  | Int of int
+  | Float of float * int  (** value, significant digits shown in text *)
+  | Text of string
 
-val float_cell : ?digits:int -> float -> string
-val int_cell : int -> string
+type t = {
+  title : string;
+  header : string list;
+  rows : cell list list;  (** each as wide as [header] *)
+}
 
-val section : string -> unit
-(** Print a banner: [=== title ===]. *)
+val render : t -> string
+(** A [=== title ===] banner, the header, a rule and the rows, columns
+    padded to their widest cell; [Float (v, d)] shows as [%.*g].  Numbers are right-aligned and text
+    left-aligned; the header follows its column's first row.  Raises
+    [Invalid_argument] when a row's width differs from the header's. *)
 
-val subsection : string -> unit
+val print : t -> unit
+(** {!render} to [stdout], then flush. *)

@@ -102,47 +102,37 @@ let run_hetero ?(sizes = [ 200_000 ]) ?(processor_counts = [ 4; 16; 64 ]) ?(tria
     sizes;
   List.rev !rows
 
-let print rows =
-  Report.section "E2 (paper §3): sorting as an almost-divisible load";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:
-        [
-          "N"; "p"; "s"; "gap pred"; "gap meas"; "maxbkt/avg"; "envelope"; "speedup";
-          "ideal";
-        ]
-  in
-  List.iter
-    (fun (r : row) ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.int_cell r.n;
-          Report.int_cell r.p;
-          Report.int_cell r.s;
-          Report.float_cell ~digits:4 r.predicted_gap;
-          Report.float_cell ~digits:4 r.measured_gap;
-          Report.float_cell ~digits:4 r.max_bucket_ratio;
-          Report.float_cell ~digits:4 r.envelope;
-          Report.float_cell ~digits:4 r.speedup;
-          Report.float_cell ~digits:4 r.ideal_speedup;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let table rows =
+  {
+    Report.title = "E2 (paper §3): sorting as an almost-divisible load";
+    header =
+      [ "N"; "p"; "s"; "gap pred"; "gap meas"; "maxbkt/avg"; "envelope"; "speedup"; "ideal" ];
+    rows =
+      List.map
+        (fun (r : row) ->
+          Report.
+            [
+              Int r.n;
+              Int r.p;
+              Int r.s;
+              Float (r.predicted_gap, 4);
+              Float (r.measured_gap, 4);
+              Float (r.max_bucket_ratio, 4);
+              Float (r.envelope, 4);
+              Float (r.speedup, 4);
+              Float (r.ideal_speedup, 4);
+            ])
+        rows;
+  }
 
-let print_hetero rows =
-  Report.subsection "E2b (§3.2): heterogeneous splitters, local-sort imbalance";
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "N"; "p"; "e (speed-aware)"; "e (equal buckets)" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.int_cell r.n;
-          Report.int_cell r.p;
-          Report.float_cell ~digits:4 r.imbalance;
-          Report.float_cell ~digits:4 r.naive_imbalance;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let hetero_table rows =
+  {
+    Report.title = "E2b (§3.2): heterogeneous splitters, local-sort imbalance";
+    header = [ "N"; "p"; "e (speed-aware)"; "e (equal buckets)" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [ Int r.n; Int r.p; Float (r.imbalance, 4); Float (r.naive_imbalance, 4) ])
+        rows;
+  }

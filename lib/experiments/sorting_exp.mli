@@ -33,5 +33,5 @@ val run_hetero :
   ?sizes:int list -> ?processor_counts:int list -> ?trials:int -> ?seed:int -> unit ->
   hetero_row list
 
-val print : row list -> unit
-val print_hetero : hetero_row list -> unit
+val table : row list -> Report.t
+val hetero_table : hetero_row list -> Report.t

@@ -41,23 +41,22 @@ let run ?(p = 32) ?(n = 1e3) ?(bandwidths = [ 1e4; 1e2; 10.; 1.; 0.1 ]) ?(trials
       })
     bandwidths
 
-let print ~profile rows =
-  Report.section
-    (Printf.sprintf
-       "E4 (extension): makespan vs compute bound under shrinking bandwidth (%s speeds)"
-       profile);
-  let table =
-    Numerics.Ascii_table.create
-      ~headers:[ "bandwidth"; "het makespan/bound"; "hom/k makespan/bound"; "het comm share" ]
-  in
-  List.iter
-    (fun r ->
-      Numerics.Ascii_table.add_row table
-        [
-          Report.float_cell r.bandwidth;
-          Report.float_cell ~digits:5 r.het_ratio;
-          Report.float_cell ~digits:5 r.hom_ratio;
-          Report.float_cell ~digits:4 r.het_comm_share;
-        ])
-    rows;
-  Numerics.Ascii_table.print table
+let table ~profile rows =
+  {
+    Report.title =
+      Printf.sprintf
+        "E4 (extension): makespan vs compute bound under shrinking bandwidth (%s speeds)"
+        profile;
+    header = [ "bandwidth"; "het makespan/bound"; "hom/k makespan/bound"; "het comm share" ];
+    rows =
+      List.map
+        (fun r ->
+          Report.
+            [
+              Float (r.bandwidth, 4);
+              Float (r.het_ratio, 5);
+              Float (r.hom_ratio, 5);
+              Float (r.het_comm_share, 4);
+            ])
+        rows;
+  }

@@ -28,4 +28,5 @@ val run :
 (** Trials run on the shared domain pool with pre-split per-trial RNGs;
     output is identical at any [domains]. *)
 
-val print : profile:string -> row list -> unit
+val table : profile:string -> row list -> Report.t
+(** [profile] names the speed profile in the title. *)

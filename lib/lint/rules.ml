@@ -440,7 +440,7 @@ let h307 =
 
 (* H308 guards the response-schema funnel: every JSON an experiment
    emits must go through the Api.Response envelope (built by
-   Experiments.Registry.dump), so the CLI --json surface, the serve
+   Experiments.Registry.write_json), so the CLI --json surface, the serve
    daemon and the bench artifact stay one schema.  Hand-rolled
    Obs.Json.Obj/List construction in lib/experiments bypasses that;
    registry.ml itself is the one sanctioned builder. *)
@@ -450,7 +450,7 @@ let h308 =
     group = "H";
     synopsis =
       "no hand-rolled response JSON (Obs.Json.Obj/List construction) in \
-       lib/experiments outside registry.ml; return Registry.table and let the \
+       lib/experiments outside registry.ml; return a Report.t and let the \
        Api.Response envelope serialize";
     extend =
       (fun scope it ->
@@ -468,7 +468,7 @@ let h308 =
                          report scope ~id:"H308" ~loc:e.pexp_loc
                            (Printf.sprintf
                               "%s hand-rolls response JSON in lib/experiments; return \
-                               a Registry.table and let the Api.Response envelope \
+                               a Report.t and let the Api.Response envelope \
                                serialize it (one schema for --json, nldl serve and \
                                the bench artifact), or [@nldl.allow \"H308\"] a \
                                non-response payload"

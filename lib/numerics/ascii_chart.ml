@@ -62,7 +62,3 @@ let render ?(width = 64) ?(height = 16) ?title all =
       all;
     Buffer.contents buf
   end
-
-let print ?width ?height ?title all =
-  print_string (render ?width ?height ?title all);
-  flush stdout

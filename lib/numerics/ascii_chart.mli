@@ -8,5 +8,3 @@ val render :
 (** Renders all series on a shared scale; each series is drawn with its
     own marker character ([0]..[9] then [a]..).  Returns the multi-line
     chart followed by a legend.  Empty input yields an empty string. *)
-
-val print : ?width:int -> ?height:int -> ?title:string -> series list -> unit

@@ -31,6 +31,13 @@ type result = {
 val block_count : Platform.Star.t -> k:int -> int
 (** [max 1 (round (k²/x₁))]. *)
 
+val hand_out :
+  p:int -> blocks:int -> finish:(int -> float -> float) -> int array * float array
+(** The demand-driven hand-out of [blocks] blocks to [p] workers: each
+    idle worker takes the next block (ties at [t = 0] by worker index)
+    and is busy until [finish i now].  Returns the owner of each block
+    in hand-out order and each worker's last finish time. *)
+
 val demand_driven : Platform.Star.t -> n:float -> k:int -> result
 (** Simulate the demand-driven hand-out with subdivision [k].
     Requires [n > 0] and [k > 0]. *)

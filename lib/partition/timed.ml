@@ -37,24 +37,15 @@ let hom ?(k = 1) star ~n =
   let side = sqrt x.(0) *. n /. float_of_int k in
   let block_data = 2. *. side in
   let block_work = side *. side in
-  let per_worker = Array.make p 0. in
+  let fetch = Array.map (fun proc -> Processor.transfer_time proc ~data:block_data) workers in
+  (* The fetch is folded into each block's service time: the worker
+     requests, receives, computes, requests again. *)
+  let owners, per_worker =
+    Block_hom.hand_out ~p ~blocks ~finish:(fun i now ->
+        now +. fetch.(i) +. Processor.compute_time workers.(i) ~work:block_work)
+  in
   let comm = Array.make p 0. in
-  (* Demand-driven with the fetch folded into each block's service
-     time: the worker requests, receives, computes, requests again. *)
-  let queue = Des.Event_heap.create ~initial_capacity:p () in
-  for i = 0 to p - 1 do
-    Des.Event_heap.push queue ~priority:0. i
-  done;
-  for _ = 1 to blocks do
-    let now = Des.Event_heap.min_priority queue in
-    let i = Des.Event_heap.pop queue in
-    let proc = workers.(i) in
-    let fetch = Processor.transfer_time proc ~data:block_data in
-    let finish = now +. fetch +. Processor.compute_time proc ~work:block_work in
-    comm.(i) <- comm.(i) +. fetch;
-    per_worker.(i) <- finish;
-    Des.Event_heap.push queue ~priority:finish i
-  done;
+  Array.iter (fun i -> comm.(i) <- comm.(i) +. fetch.(i)) owners;
   of_finish_times ~comm per_worker
 
 let hom_balanced ?target_imbalance star ~n =

@@ -153,6 +153,90 @@ let test_query_no_daemon () =
 
 let test_verbose_accepted () = expect_ok [ "partition"; "--speeds"; "1,2"; "-v" ]
 
+(* Each catalog experiment at its smallest arguments; serve and query
+   answer requests rather than run an experiment. *)
+let smallest_args = function
+  | "fig4" -> Some [ "--trials"; "2"; "-p"; "10" ]
+  | "nonlinear" -> Some [ "--alpha"; "2"; "-p"; "2,4" ]
+  | "sort" -> Some [ "-n"; "10000"; "-p"; "4" ]
+  | "ratio" -> Some [ "-k"; "4"; "-p"; "6" ]
+  | "partition" -> Some []
+  | "mapreduce" -> Some [ "-n"; "64" ]
+  | "time" -> Some [ "--trials"; "1" ]
+  | "ablations" -> Some []
+  | "faults" ->
+      Some [ "--trials"; "1"; "--crash-rates"; "0.5"; "--sigmas"; "0"; "--tasks"; "4" ]
+  | "mrsim" -> Some [ "--workers"; "4"; "--tasks"; "16" ]
+  | "serve" | "query" -> None
+  | name -> Alcotest.failf "catalog entry %s has no smallest arguments here" name
+
+(* Run [command args] with --csv/--json into a fresh directory; return what the
+   command printed and the exported files, sorted by name. *)
+let export command args =
+  let dir = Filename.temp_dir "nldl-export" "" in
+  let path ext = Filename.concat dir ("t" ^ ext) in
+  let out =
+    expect_out ((command :: [ "--csv"; path ".csv"; "--json"; path ".json" ]) @ args)
+  in
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let read f = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+  let contents = List.map (fun f -> (f, read f)) files in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  Sys.rmdir dir;
+  (out, contents)
+
+let printed_tables out =
+  List.length
+    (List.filter
+       (fun l -> String.length l > 4 && String.sub l 0 4 = "=== ")
+       (String.split_on_char '\n' out))
+
+let test_every_experiment_exports () =
+  List.iter
+    (fun (e : Experiments.Registry.entry) ->
+      match smallest_args e.name with
+      | None -> ()
+      | Some args ->
+          let out, files = export e.name args in
+          let tables = printed_tables out in
+          checkb (e.name ^ " prints a table") true (tables > 0);
+          let of_ext ext = List.filter (fun (f, _) -> Filename.extension f = ext) files in
+          Alcotest.(check int) (e.name ^ " CSV files") tables (List.length (of_ext ".csv"));
+          Alcotest.(check int) (e.name ^ " JSON files") tables (List.length (of_ext ".json"));
+          List.iter
+            (fun (f, text) ->
+              match Experiments.Csv_out.parse text with
+              | Error msg -> Alcotest.failf "%s %s: %s" e.name f msg
+              | Ok [] -> Alcotest.failf "%s %s: empty" e.name f
+              | Ok (header :: rows) ->
+                  checkb (e.name ^ " CSV rows as wide as the header") true
+                    (rows <> []
+                    && List.for_all (fun r -> List.length r = List.length header) rows))
+            (of_ext ".csv");
+          List.iter
+            (fun (f, text) ->
+              match Result.bind (Obs.Json.of_string text) Api.Response.of_json with
+              | Ok { Api.Response.body = Api.Response.Table _; _ } -> ()
+              | Ok _ -> Alcotest.failf "%s %s: not a table response" e.name f
+              | Error msg -> Alcotest.failf "%s %s: %s" e.name f msg)
+            (of_ext ".json"))
+    Experiments.Catalog.all
+
+let test_profile_exports_histograms () =
+  (* The profiled experiment's table is printed; only the histogram
+     table is exported, so each flag writes exactly its FILE. *)
+  let dir = Filename.get_temp_dir_name () in
+  let out_json = Filename.temp_file ~temp_dir:dir "nldl-profile" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out_json)
+    (fun () ->
+      let out, files =
+        export "profile"
+          [ "mrsim"; "--out"; out_json; "--"; "--workers"; "4"; "--tasks"; "16" ]
+      in
+      Alcotest.(check int) "printed tables" 2 (printed_tables out);
+      Alcotest.(check (list string)) "exports" [ "t.csv"; "t.json" ] (List.map fst files))
+
 let suites =
   [
     ( "cli",
@@ -181,5 +265,9 @@ let suites =
         Alcotest.test_case "--trials must be positive" `Quick test_trials_positive;
         Alcotest.test_case "query --socket with no daemon" `Quick test_query_no_daemon;
         Alcotest.test_case "verbose flag" `Quick test_verbose_accepted;
+        Alcotest.test_case "every experiment exports its tables" `Quick
+          test_every_experiment_exports;
+        Alcotest.test_case "profile exports its histogram table" `Quick
+          test_profile_exports_histograms;
       ] );
   ]

@@ -143,17 +143,27 @@ let qcheck_apportion =
 (* --- Text rendering --- *)
 
 let test_table_render () =
-  let t = Numerics.Ascii_table.create ~headers:[ "a"; "bb" ] in
-  Numerics.Ascii_table.add_row t [ "1"; "22" ];
-  let rendered = Numerics.Ascii_table.render t in
-  checkb "contains header" true (String.length rendered > 0);
-  checkb "has rule line" true (String.contains rendered '-')
+  (* Numbers right-aligned, text left-aligned, the header following its
+     column's first row. *)
+  let t =
+    Experiments.Report.
+      {
+        title = "T";
+        header = [ "name"; "n"; "x" ];
+        rows = [ [ Text "a"; Int 7; Float (3.14159, 3) ]; [ Text "bcd"; Int 12; Float (2., 3) ] ];
+      }
+  in
+  Alcotest.(check string)
+    "rendered" "\n=== T ===\nname   n     x\n--------------\na      7  3.14\nbcd   12     2\n"
+    (Experiments.Report.render t)
 
 let test_table_bad_row () =
-  let t = Numerics.Ascii_table.create ~headers:[ "a"; "b" ] in
+  let t =
+    Experiments.Report.{ title = "T"; header = [ "a"; "b" ]; rows = [ [ Text "only" ] ] }
+  in
   Alcotest.check_raises "row arity"
-    (Invalid_argument "Ascii_table.add_row: expected 2 cells, got 1") (fun () ->
-      Numerics.Ascii_table.add_row t [ "only" ])
+    (Invalid_argument "Report.render: expected 2 cells, got 1") (fun () ->
+      ignore (Experiments.Report.render t))
 
 let test_chart_render () =
   let series =

@@ -114,10 +114,11 @@ let test_fig4_csv_shape () =
     Experiments.Fig4.sweep ~processor_counts:[ 10 ] ~trials:2
       Platform.Profiles.paper_homogeneous
   in
-  let header, rows = Experiments.Fig4.csv points in
-  Alcotest.(check int) "8 columns" 8 (List.length header);
-  Alcotest.(check int) "1 row" 1 (List.length rows);
-  checkb "valid csv" true (String.length (Csv_out.to_string ~header ~rows) > 0)
+  let t = Experiments.Fig4.table ~title:"F" points in
+  Alcotest.(check int) "10 columns" 10 (List.length t.Experiments.Report.header);
+  Alcotest.(check int) "1 row" 1 (List.length t.Experiments.Report.rows);
+  checkb "rows as wide as the header" true
+    (List.for_all (fun r -> List.length r = 10) t.Experiments.Report.rows)
 
 let suites =
   [
